@@ -122,16 +122,6 @@ class SimConfig:
     def alpha(self) -> float:
         return self.params.alpha_m if self.tier == "mmw" else self.params.alpha_mu
 
-    @property
-    def tx_power(self) -> float:
-        p = self.params
-        return {
-            ("mmw", "dl"): p.p_m_d,
-            ("mmw", "ul"): p.p_m_u,
-            ("muw", "dl"): p.p_mu_d,
-            ("muw", "ul"): p.p_mu_u,
-        }[(self.tier, self.direction)]
-
 
 @dataclass(frozen=True)
 class SEEstimate:
@@ -170,6 +160,22 @@ def _mainlobe_covers(
     return cos_angle >= math.cos(theta / 2.0)
 
 
+def _scheduled_network(config: SimConfig, rng: np.random.Generator, los_radius: float):
+    """Sample BSs then users, associate each user within ``los_radius`` and
+    schedule one user per BS: (bss, users, assoc), or None when either point
+    set is empty.  Every replication draws through here, in this order."""
+    if config.user_distribution != "uniform":
+        raise ParameterError(
+            f"unsupported user distribution {config.user_distribution!r}"
+        )
+    bss = sample_ppp(config.bs_density, config.window, rng)
+    users = sample_ppp(config.params.lambda_u, config.window, rng)
+    if len(bss) == 0 or len(users) == 0:
+        return None
+    assoc = schedule_active(associate_strongest(users, bss, los_radius), rng)
+    return bss, users, assoc
+
+
 def _replication_sir(config: SimConfig, rep: int):
     """One spatial replication.
 
@@ -179,21 +185,15 @@ def _replication_sir(config: SimConfig, rep: int):
     """
     rng = np.random.default_rng([config.master_seed, rep])
     window = config.window
-    if config.user_distribution != "uniform":
-        raise ParameterError(
-            f"unsupported user distribution {config.user_distribution!r}"
-        )
-    bss = sample_ppp(config.bs_density, window, rng)
-    users = sample_ppp(config.params.lambda_u, window, rng)
-    if len(bss) == 0 or len(users) == 0:
+    mmw = config.tier == "mmw"
+    network = _scheduled_network(config, rng, config.params.r_los if mmw else math.inf)
+    if network is None:
         return "no_active", None
-    los_radius = config.params.r_los if config.tier == "mmw" else math.inf
-    assoc = schedule_active(associate_strongest(users, bss, los_radius), rng)
+    bss, users, assoc = network
     active = assoc.active_bs
     if active.size == 0:
         return "no_active", None
 
-    mmw = config.tier == "mmw"
     alpha = config.alpha
     center = np.full(2, window.side / 2.0)
     bs_pos = bss.points[active]
@@ -214,9 +214,8 @@ def _replication_sir(config: SimConfig, rep: int):
         receiver_ids = np.array([int(np.argmin(dist_center))])
 
     n_draws = config.fading_draws
-    # Same-tier transmit powers cancel exactly in the SIR; keep the ratio so
-    # a global power rescale provably cannot perturb a single bit.
-    power_ratio = config.tx_power / config.tx_power
+    # Same-tier transmit powers cancel exactly in the SIR, so it is computed
+    # power-free and a global power rescale cannot perturb a single bit.
     sir_rows = []
     for ridx in receiver_ids:
         rx = rx_all[ridx]
@@ -240,7 +239,7 @@ def _replication_sir(config: SimConfig, rep: int):
         g_i = rng.exponential(size=(n_draws, d_i.size))
         signal = g0 * r0 ** (-alpha)
         interference = g_i @ d_i ** (-alpha)
-        sir_rows.append(power_ratio * signal / interference)
+        sir_rows.append(signal / interference)
 
     if not config.average_all_receivers:
         row = sir_rows[0]
@@ -265,8 +264,13 @@ def _run_reps(config: SimConfig, fn):
     reps = range(config.replications)
     if config.workers == 1:
         return [fn(config, rep) for rep in reps]
+    # About four chunks per worker: few enough to amortize the hand-off,
+    # enough that even a short estimate reaches every worker.
+    chunksize = max(1, math.ceil(config.replications / (4 * config.workers)))
     with ProcessPoolExecutor(max_workers=config.workers) as pool:
-        return list(pool.map(fn, [config] * config.replications, reps, chunksize=8))
+        return list(
+            pool.map(fn, [config] * config.replications, reps, chunksize=chunksize)
+        )
 
 
 def estimate_se(config: SimConfig) -> SEEstimate:
@@ -287,12 +291,8 @@ def estimate_se(config: SimConfig) -> SEEstimate:
 
 def _rep_active_count(config: SimConfig, rep: int) -> int:
     rng = np.random.default_rng([config.master_seed, rep])
-    bss = sample_ppp(config.bs_density, config.window, rng)
-    users = sample_ppp(config.params.lambda_u, config.window, rng)
-    if len(bss) == 0:
-        return 0
-    assoc = schedule_active(associate_strongest(users, bss, math.inf), rng)
-    return int(assoc.active_bs.size)
+    network = _scheduled_network(config, rng, math.inf)
+    return 0 if network is None else int(network[2].active_bs.size)
 
 
 def validate_homogenization(config: SimConfig) -> dict:

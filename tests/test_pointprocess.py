@@ -145,18 +145,67 @@ def test_associate_empty_bs_set_is_error():
         associate_strongest(users, empty)
 
 
+# (BS density, wrap, los_radius, layout) in a 20 m window.  At 20 BSs/m^2
+# against ~8 users association takes its cell-pruned path, on a grid of
+# 0.65 m cells.  "edge" puts users and BSs exactly at x == side and y == side,
+# and a user just inside the corner next to the BS at (side, side);
+# "holes" clears a disc of 0.3-1.2 m around each user, so nearest BSs sit
+# near the certification distance of one cell side; "clustered" packs the BSs
+# into one corner, so users far from it have no candidate near enough to
+# certify and are re-queried against all BSs.
+_ASSOC_CASES = [
+    (0.05, True, math.inf, "uniform"),
+    (20.0, True, math.inf, "uniform"),
+    (20.0, False, math.inf, "uniform"),
+    (20.0, True, 0.3, "uniform"),
+    (20.0, False, 0.3, "uniform"),
+    (20.0, True, 3.0, "uniform"),
+    (20.0, False, 3.0, "uniform"),
+    (20.0, True, math.inf, "edge"),
+    (20.0, False, math.inf, "edge"),
+    (20.0, True, math.inf, "holes"),
+    (20.0, False, 3.0, "holes"),
+    (20.0, True, math.inf, "clustered"),
+    (20.0, False, 4.0, "clustered"),
+]
+
+
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=25, deadline=None)
 def test_association_invariant_nearest_among_candidates(seed):
+    # Every case runs on every drawn seed, so each gets all 25 examples.
+    for case in _ASSOC_CASES:
+        _check_association(seed, *case)
+
+
+def _check_association(seed, bs_density, wrap, los_radius, layout):
+    side = 20.0
     rng = np.random.default_rng(seed)
-    w = Window(side=20.0)
-    users = sample_ppp(0.05, w, rng)
-    bss = sample_ppp(0.05, w, rng)
-    if len(users) == 0 or len(bss) == 0:
+    w = Window(side=side, wrap=wrap)
+    users = sample_ppp(0.05 if bs_density < 1 else 0.02, w, rng).points
+    bss = sample_ppp(bs_density, w, rng).points
+    if len(users) == 0 or len(bss) < 2:
         return
-    assoc = associate_strongest(users, bss)
-    d_all = np.array([w.distance(u, bss.points) for u in users.points])
-    np.testing.assert_array_equal(assoc.user_to_bs, np.argmin(d_all, axis=1))
+    if layout == "edge":
+        users[0, 0] = side
+        users[-1, 1] = side
+        y = users[0, 1] + 0.01 if users[0, 1] < side / 2 else users[0, 1] - 0.01
+        bss[0] = [side, y]
+        bss[1] = [side, side]
+        # A user just inside the corner whose nearest BS sits on it.
+        users = np.vstack([users, [side - 0.005, side - 0.005]])
+    elif layout == "holes":
+        radius = rng.uniform(0.3, 1.2, size=len(users))
+        d = np.array([w.distance(u, bss) for u in users])
+        bss = bss[np.all(d > radius[:, None], axis=0)]
+    elif layout == "clustered":
+        bss = bss / 4.0
+    assoc = associate_strongest(_point_set(users, w), _point_set(bss, w), los_radius)
+    d_all = np.array([w.distance(u, bss) for u in users])
+    expected = np.where(d_all.min(axis=1) < los_radius, np.argmin(d_all, axis=1), -1)
+    np.testing.assert_array_equal(
+        assoc.user_to_bs, expected, err_msg=f"{bs_density, wrap, los_radius, layout}"
+    )
 
 
 # --- Scheduling -------------------------------------------------------------

@@ -92,9 +92,11 @@ def test_estimate_is_deterministic():
 
 
 def test_workers_do_not_change_results():
-    serial = estimate_se(cfg(replications=12))
-    parallel = estimate_se(cfg(replications=12, workers=2))
-    assert serial == parallel
+    # Three replications are spread over both workers too.
+    for reps in (12, 3):
+        serial = estimate_se(cfg(replications=reps))
+        parallel = estimate_se(cfg(replications=reps, workers=2))
+        assert serial == parallel
 
 
 def test_different_seeds_differ():
