@@ -1,10 +1,17 @@
 """Byte-identical CLI output against golden files.
 
-The goldens in ``tests/golden/`` were written by the ``mmudn simulate`` and
-``mmudn sweep`` commands below at fixed seeds, before any change that claims
-to keep results unchanged.  A mismatch means a replication's random stream,
-its association or its reduction moved.  Regenerate them only on purpose
-(``python tests/test_golden.py``) and say why in ``CHANGES.md``.
+The goldens in ``tests/golden/`` were written by the ``mmudn`` commands
+below (``simulate`` and ``sweep`` at fixed seeds, plus the analytic
+``blockage``, ``se`` and ``allocate``), before any change that claims to keep
+results unchanged.  A mismatch means a replication's random stream, its
+association, its reduction, a closed form or the output format moved.
+Regenerate them only on purpose and say why in ``CHANGES.md``:
+``python tests/test_golden.py`` rewrites all of them, and
+``python tests/test_golden.py NAME...`` only the named ones, where NAME is a
+file name (``se_mmw.csv``) or a run name covering both formats (``se_mmw``).
+
+The analytic grids run from λ̂ = 1.05 to 1e4, so ``se`` covers the clamped
+lower bounds near λ̂ = 1 and ``allocate`` labels points C_L+D, C_L and C_H.
 
 The λ̂ = 500 points hold ~18,000 BSs against ~36 users, so association builds
 its tree over a small share of them; at λ̂ = 2 and 50 the users' cell blocks
@@ -47,10 +54,25 @@ _RUNS = {
     ),
 }
 
+_GRID = ["--set", "lambda_hat_grid=1.05:1e4:40"]
+
+# Analytic runs: no randomness and no workers, so one golden per format.
+_ANALYTIC_RUNS = {
+    "blockage": ("blockage", []),
+    "se_muw": ("se", ["--set", "tier=muw", *_GRID]),
+    "se_mmw": ("se", ["--set", "tier=mmw", *_GRID]),
+    "allocate": ("allocate", _GRID),
+    "allocate_zeta": ("allocate", ["--set", "zeta=0.05", *_GRID]),
+}
+
 CASES = [
     (f"{name}_t{threads}.{fmt}", command, [*_COMMON, *extra, "--threads", str(threads), "--format", fmt])
     for name, (command, extra) in _RUNS.items()
     for threads in (1, 2)
+    for fmt in ("csv", "json")
+] + [
+    (f"{name}.{fmt}", command, [*extra, "--format", fmt])
+    for name, (command, extra) in _ANALYTIC_RUNS.items()
     for fmt in ("csv", "json")
 ]
 
@@ -68,8 +90,19 @@ def test_cli_output_matches_golden(tmp_path, filename, command, args):
     assert out.read_bytes() == (GOLDEN_DIR / filename).read_bytes()
 
 
+def _selected(names: list[str]) -> list[tuple]:
+    """The cases named by file name or by run name (``se_mmw`` covers
+    ``se_mmw.csv`` and ``se_mmw.json``); all of them when none is named."""
+    if not names:
+        return CASES
+    unknown = [n for n in names if not any(n in (f, f.rsplit(".", 1)[0]) for f, _, _ in CASES)]
+    if unknown:
+        raise SystemExit(f"unknown golden(s): {', '.join(unknown)}")
+    return [c for c in CASES if c[0] in names or c[0].rsplit(".", 1)[0] in names]
+
+
 if __name__ == "__main__":
     GOLDEN_DIR.mkdir(exist_ok=True)
-    for filename, command, args in CASES:
+    for filename, command, args in _selected(sys.argv[1:]):
         _produce(command, args, GOLDEN_DIR / filename)
         print(f"wrote {GOLDEN_DIR / filename}", file=sys.stderr)
