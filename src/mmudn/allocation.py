@@ -5,20 +5,20 @@ low/high-density region classification, closed-form optimal UL allocation
 fractions with and without mmW UL decoupling, the maximized DL rate, and an
 exact two-variable LP oracle used to verify the closed forms.
 
-Rates are in nats/s throughout; CSV emission adds bits/s columns.
+Rates are in nats/s throughout; the ``mmudn allocate`` output adds bits/s
+columns.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import brentq
 
-from .analytic_se import NATS_PER_BIT, NetworkParams, los_probability
+from .analytic_se import NetworkParams, los_probability
 from .errors import AssumptionError, DomainError, NumericError, ParameterError
 
 __all__ = [
@@ -41,11 +41,12 @@ __all__ = [
     "max_dl_rate",
     "lp_oracle",
     "sweep_allocation",
-    "write_sweep_csv",
     "SWEEP_CSV_HEADER",
 ]
 
 _BOX_TOL = 1e-12
+# Upper end of the C_L/C_H boundary search in cl_boundary.
+_CL_LHAT_MAX = 1e12
 
 SWEEP_CSV_HEADER = [
     "lambda_hat_m",
@@ -239,15 +240,13 @@ def gammas_from_params(
     params: NetworkParams,
     p_l: float | None = None,
     decoupled: bool = False,
-    combined_density_pl: bool = False,
 ) -> Gammas:
     """Asymptotic per-band SEs from network parameters.
 
     ``p_l`` overrides the computed LOS probability.  Without decoupling the
     mmW UL SE equals the DL one; with decoupling the UL receiver set has
     density lambda_m + lambda_mu, so the density ratio inside the log grows
-    accordingly.  ``combined_density_pl`` additionally recomputes the LOS
-    probability against the merged set (off by default).
+    accordingly (the LOS probability stays that of the mmW BSs).
     """
     lhat_m, lhat_mu = params.lambda_hat_m, params.lambda_hat_mu
     if lhat_m < 1 or lhat_mu < 1:
@@ -260,10 +259,7 @@ def gammas_from_params(
     if not decoupled:
         gamma_m_u = gamma_m
     else:
-        pl_dec = pl
-        if combined_density_pl and p_l is None:
-            pl_dec = los_probability(params.lambda_m + params.lambda_mu, params.r_los)
-        gamma_m_u = 0.5 * params.alpha_m * pl_dec * math.log(lhat_m + lhat_mu)
+        gamma_m_u = 0.5 * params.alpha_m * pl * math.log(lhat_m + lhat_mu)
     return Gammas(gamma_m=gamma_m, gamma_mu=gamma_mu, gamma_m_u=gamma_m_u)
 
 
@@ -309,9 +305,7 @@ def region_classify(
     return RegionLabel(region="C_L" if low else "C_H", in_d=in_d)
 
 
-def cl_boundary(
-    params: NetworkParams, spectrum: SpectrumParams, lhat_max: float = 1e12
-) -> float:
+def cl_boundary(params: NetworkParams, spectrum: SpectrumParams) -> float:
     """Density ratio lhat_m at the C_L/C_H switch, by root bisection.
 
     The LOS probability depends on lambda_m = lhat_m * lambda_u, so the
@@ -330,10 +324,10 @@ def cl_boundary(
         )
 
     lo = 1.0 + 1e-12
-    if f(lhat_max) < 0:
+    if f(_CL_LHAT_MAX) < 0:
         return math.inf
     try:
-        return float(brentq(f, lo, lhat_max, rtol=1e-9))
+        return float(brentq(f, lo, _CL_LHAT_MAX, rtol=1e-9))
     except (ValueError, RuntimeError) as exc:
         raise NumericError(f"C_L/C_H boundary bisection failed: {exc}") from exc
 
@@ -393,11 +387,17 @@ def optimal_allocation(
     spectrum: SpectrumParams,
     p_l: float | None = None,
     strict: bool = False,
+    decoupled: bool = False,
 ) -> AllocationResult:
-    """DL-rate-maximizing UL allocation subject to R_u >= zeta R_d (no decoupling)."""
-    g = gammas_from_params(params, p_l=p_l, decoupled=False)
+    """DL-rate-maximizing UL allocation subject to R_u >= zeta R_d.
+
+    With ``decoupled`` the uW BSs also receive the mmW UL: in the dense
+    region D the UL rides entirely on the mmW band (beta_mu = 0); outside D
+    the plain branch formulas apply with the decoupled mmW UL SE.
+    """
+    g = gammas_from_params(params, p_l=p_l, decoupled=decoupled)
     a1 = _check_a1(spectrum, g, strict)
-    region = region_classify(params, spectrum, decoupled=False, p_l=p_l)
+    region = region_classify(params, spectrum, decoupled=decoupled, p_l=p_l)
     alloc = _closed_form(spectrum, g, region)
     return AllocationResult(
         allocation=alloc,
@@ -413,26 +413,9 @@ def optimal_allocation_decoupled(
     spectrum: SpectrumParams,
     p_l: float | None = None,
     strict: bool = False,
-    combined_density_pl: bool = False,
 ) -> AllocationResult:
-    """Optimal UL allocation with mmW UL decoupling (uW BSs receive mmW UL).
-
-    In the dense region D the UL rides entirely on the mmW band (beta_mu = 0);
-    outside D the plain branch formulas apply with the decoupled mmW UL SE.
-    """
-    g = gammas_from_params(
-        params, p_l=p_l, decoupled=True, combined_density_pl=combined_density_pl
-    )
-    a1 = _check_a1(spectrum, g, strict)
-    region = region_classify(params, spectrum, decoupled=True, p_l=p_l)
-    alloc = _closed_form(spectrum, g, region)
-    return AllocationResult(
-        allocation=alloc,
-        region=region,
-        rate=rates(alloc, spectrum, g),
-        gammas=g,
-        a1_satisfied=a1,
-    )
+    """:func:`optimal_allocation` with mmW UL decoupling."""
+    return optimal_allocation(params, spectrum, p_l=p_l, strict=strict, decoupled=True)
 
 
 def max_dl_rate(
@@ -446,10 +429,7 @@ def max_dl_rate(
     a cross-check.  On the decoupled D branch the closed form disagrees with
     substitution; both it and its literal alternative reading are reported.
     """
-    if decoupled:
-        res = optimal_allocation_decoupled(params, spectrum, p_l=p_l)
-    else:
-        res = optimal_allocation(params, spectrum, p_l=p_l)
+    res = optimal_allocation(params, spectrum, p_l=p_l, decoupled=decoupled)
     g, z = res.gammas, spectrum.zeta
     wm_gm = spectrum.w_m * g.gamma_m
     wmu_gmu = spectrum.w_mu_band * g.gamma_mu
@@ -490,7 +470,6 @@ def lp_oracle(
     spectrum: SpectrumParams,
     decoupled: bool = False,
     p_l: float | None = None,
-    combined_density_pl: bool = False,
 ) -> tuple[Allocation, float]:
     """Exact solution of the two-variable LP max R_d s.t. R_u >= zeta R_d,
     0 <= beta <= 1, by vertex enumeration of the feasible polygon.
@@ -498,9 +477,7 @@ def lp_oracle(
     Ties (within 1e-15 relative in R_d) break toward smaller beta_m, then
     smaller beta_mu.  Returns (allocation, maximal R_d).
     """
-    g = gammas_from_params(
-        params, p_l=p_l, decoupled=decoupled, combined_density_pl=combined_density_pl
-    )
+    g = gammas_from_params(params, p_l=p_l, decoupled=decoupled)
     z = spectrum.zeta
     # Constraint A beta_m + B beta_mu >= C.
     a = spectrum.w_m_ul * g.gamma_m_u + z * spectrum.w_m * g.gamma_m
@@ -564,17 +541,9 @@ def sweep_allocation(
         raise ParameterError("lambda_hat grid must be nonempty")
     rows = []
     for lhat in grid:
-        params = NetworkParams(
-            lambda_m=lhat * params_template.lambda_u,
-            lambda_mu=params_template.lambda_mu,
-            lambda_u=params_template.lambda_u,
-            alpha_m=params_template.alpha_m,
-            alpha_mu=params_template.alpha_mu,
-            theta=params_template.theta,
-            r_los=params_template.r_los,
-        )
+        params = replace(params_template, lambda_m=lhat * params_template.lambda_u)
         plain = optimal_allocation(params, spectrum, strict=strict)
-        dec = optimal_allocation_decoupled(params, spectrum, strict=strict)
+        dec = optimal_allocation(params, spectrum, strict=strict, decoupled=True)
         gain = dec.rate.r_d / plain.rate.r_d if plain.rate.r_d > 0 else math.nan
         rows.append(
             dict(
@@ -589,27 +558,3 @@ def sweep_allocation(
             )
         )
     return rows
-
-
-def write_sweep_csv(rows: list[dict], fh, header_lines: list[str] | None = None) -> None:
-    """Emit sweep rows with rates in nats/s and duplicated bits/s columns."""
-    for line in header_lines or []:
-        fh.write(f"# {line}\n")
-    writer = csv.writer(fh)
-    writer.writerow(SWEEP_CSV_HEADER)
-    for r in rows:
-        writer.writerow(
-            [
-                f"{r['lambda_hat_m']:.10g}",
-                r["region"],
-                f"{r['beta_m']:.10g}",
-                f"{r['beta_mu']:.10g}",
-                f"{r['r_d']:.10g}",
-                f"{r['r_u']:.10g}",
-                f"{r['r_d_decoupled']:.10g}",
-                f"{r['gain']:.10g}",
-                f"{r['r_d'] / NATS_PER_BIT:.10g}",
-                f"{r['r_u'] / NATS_PER_BIT:.10g}",
-                f"{r['r_d_decoupled'] / NATS_PER_BIT:.10g}",
-            ]
-        )

@@ -13,7 +13,6 @@ import math
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
 from scipy.integrate import quad
 
 from .errors import DomainError, NumericError, ParameterError
@@ -33,6 +32,9 @@ __all__ = [
 ]
 
 NATS_PER_BIT = math.log(2.0)
+
+# Absolute tolerance of the adaptive quadrature behind the integral-form mmW bounds.
+_BOUND_ABS_TOL = 1e-6
 
 
 class UDNRegimeWarning(UserWarning):
@@ -197,7 +199,6 @@ def _integral_bound(
     lam_pi_rl2: float,
     rho: float,
     shrink: float,
-    abs_tol: float,
 ) -> float:
     """Integrate p_L^(t) * (1 - shrink * [theta/(2pi) (e^t - 1)]^(2/a))^+ over t > 0.
 
@@ -218,26 +219,27 @@ def _integral_bound(
 
     # Cutoff where the bracket vanishes: e^t - 1 = (2pi/theta) shrink^(-a/2).
     t_max = math.log1p(shrink ** (-alpha / 2.0) / gain)
-    val, err = quad(integrand, 0.0, t_max, epsabs=abs_tol, epsrel=0.0, limit=400)
-    if err > 10 * max(abs_tol, 1e-12 * abs(val)):
+    val, err = quad(integrand, 0.0, t_max, epsabs=_BOUND_ABS_TOL, epsrel=0.0, limit=400)
+    if err > 10 * max(_BOUND_ABS_TOL, 1e-12 * abs(val)):
         raise NumericError(
             f"SE bound quadrature error {err:.3e} exceeds tolerance (value {val:.6e})"
         )
     return val
 
 
-def se_mmw_bounds_integral(params: NetworkParams, abs_tol: float = 1e-6) -> SEBounds:
+def se_mmw_bounds_integral(params: NetworkParams) -> SEBounds:
     """mmW DL/UL SE bounds in integral form (tighter than the tractable pair
-    on the lower side).  Adaptive quadrature at absolute tolerance ``abs_tol``.
+    on the lower side).  Adaptive quadrature at absolute tolerance
+    ``_BOUND_ABS_TOL``.
     """
     a = params.alpha_m
     lhat = params.lambda_hat_m
     rho = interference_constant(a)
     warned = _warn_if_sparse(lhat)
     lam_pi_rl2 = params.lambda_m * math.pi * params.r_los**2
-    lower = _integral_bound(lhat, a, params.theta, lam_pi_rl2, rho, rho / lhat, abs_tol)
+    lower = _integral_bound(lhat, a, params.theta, lam_pi_rl2, rho, rho / lhat)
     upper = _integral_bound(
-        lhat, a, params.theta, lam_pi_rl2, rho, 1.0 / ((1 + 2 / a) * lhat), abs_tol
+        lhat, a, params.theta, lam_pi_rl2, rho, 1.0 / ((1 + 2 / a) * lhat)
     )
     lower = max(0.0, lower)
     upper = max(lower, max(0.0, upper))

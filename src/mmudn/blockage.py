@@ -1,4 +1,4 @@
-"""2D/3D blockage parameters and average LOS distance from building statistics.
+"""2D/3D blockage parameters and average LOS distances from building statistics.
 
 Building heights are modeled as ``floor_height`` times a lognormal floor
 count; the BS height defaults to the mean building height.  The five
@@ -9,9 +9,8 @@ a CSV under ``mmudn/data`` and as the ``REFERENCE_REGIONS`` constant.
 from __future__ import annotations
 
 import csv
-import io
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
@@ -25,11 +24,9 @@ __all__ = [
     "BlockageParams",
     "blockage_beta",
     "height_fraction_eta",
-    "los_distance",
     "blockage_params",
     "fit_floor_lognormal",
     "read_building_stats_csv",
-    "write_blockage_csv",
     "REFERENCE_REGIONS",
 ]
 
@@ -44,7 +41,8 @@ STATS_CSV_HEADER = [
     "bs_height_m",
 ]
 
-OUTPUT_CSV_HEADER = ["region", "beta", "eta", "r_los_2d_m", "r_los_3d_m"]
+# Absolute tolerance of the quadrature in height_fraction_eta.
+_ETA_ABS_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -107,11 +105,11 @@ def blockage_beta(stats: BuildingStats) -> float:
     )
 
 
-def height_fraction_eta(stats: BuildingStats, abs_tol: float = 1e-8) -> float:
+def height_fraction_eta(stats: BuildingStats) -> float:
     """Height thinning factor ``eta = int_0^1 Pr(H <= (1 - s) B) ds``.
 
     H is ``floor_height`` times a lognormal floor count and B the BS height;
-    evaluated by adaptive quadrature at absolute tolerance ``abs_tol``.
+    evaluated by adaptive quadrature at absolute tolerance ``_ETA_ABS_TOL``.
     """
     b = stats.effective_bs_height
     scale = b / stats.floor_height
@@ -122,36 +120,23 @@ def height_fraction_eta(stats: BuildingStats, abs_tol: float = 1e-8) -> float:
             return 0.0
         return norm.cdf((math.log(h) - stats.mu_ln) / stats.sigma_ln)
 
-    val, _ = quad(cdf, 0.0, 1.0, epsabs=abs_tol, epsrel=0.0, limit=200)
+    val, _ = quad(cdf, 0.0, 1.0, epsabs=_ETA_ABS_TOL, epsrel=0.0, limit=200)
     return min(1.0, max(0.0, val))
-
-
-def los_distance(
-    stats: BuildingStats, mode: str = "3d", eta_override: float | None = None
-) -> float:
-    """Average LOS distance ``R_L = 2 (1 - kappa) / (beta * eta)`` in meters.
-
-    2D mode fixes eta = 1; 3D mode computes eta from the height model unless
-    ``eta_override`` is supplied (e.g. to use a published table value).
-    """
-    mode = mode.lower()
-    if mode not in ("2d", "3d"):
-        raise ParameterError(f"mode must be '2d' or '3d', got {mode!r}")
-    beta = blockage_beta(stats)
-    if mode == "2d":
-        eta = 1.0
-    else:
-        eta = eta_override if eta_override is not None else height_fraction_eta(stats)
-    if not 0 < eta <= 1:
-        raise ParameterError(f"eta must lie in (0, 1], got {eta}")
-    return 2.0 * (1.0 - stats.coverage) / (beta * eta)
 
 
 def blockage_params(
     stats: BuildingStats, eta_override: float | None = None
 ) -> BlockageParams:
+    """Blockage parameter, height factor and average LOS distances
+    ``R_L^2D = 2 (1 - kappa) / beta`` and ``R_L^3D = R_L^2D / eta``.
+
+    eta comes from the height model unless ``eta_override`` is supplied
+    (e.g. to use a published table value); it must lie in (0, 1].
+    """
     beta = blockage_beta(stats)
     eta = eta_override if eta_override is not None else height_fraction_eta(stats)
+    if not 0 < eta <= 1:
+        raise ParameterError(f"eta must lie in (0, 1], got {eta}")
     r2d = 2.0 * (1.0 - stats.coverage) / beta
     return BlockageParams(beta=beta, eta=eta, r_los_2d=r2d, r_los_3d=r2d / eta)
 
@@ -247,23 +232,3 @@ def read_building_stats_csv(source) -> dict[str, BuildingStats]:
     finally:
         if close:
             fh.close()
-
-
-def write_blockage_csv(
-    results: dict[str, BlockageParams], fh, header_lines: list[str] | None = None
-) -> None:
-    """Emit the per-region blockage table (region, beta, eta, 2D/3D LOS distance)."""
-    for line in header_lines or []:
-        fh.write(f"# {line}\n")
-    writer = csv.writer(fh)
-    writer.writerow(OUTPUT_CSV_HEADER)
-    for region, params in results.items():
-        writer.writerow(
-            [
-                region,
-                f"{params.beta:.6g}",
-                f"{params.eta:.6g}",
-                f"{params.r_los_2d:.6g}",
-                f"{params.r_los_3d:.6g}",
-            ]
-        )

@@ -155,12 +155,9 @@ def _config_echo(cfg: dict, extra: dict | None = None) -> list[str]:
     return lines
 
 
-def _network_params(cfg: dict, lambda_hat: float | None = None) -> ase.NetworkParams:
-    lam_m = cfg["lambda_m_per_m2"]
-    if lambda_hat is not None:
-        lam_m = lambda_hat * cfg["lambda_u_per_m2"]
+def _network_params(cfg: dict) -> ase.NetworkParams:
     return ase.NetworkParams(
-        lambda_m=lam_m,
+        lambda_m=cfg["lambda_m_per_m2"],
         lambda_mu=cfg["lambda_mu_per_m2"],
         lambda_u=cfg["lambda_u_per_m2"],
         alpha_m=cfg["alpha_m"],
@@ -182,12 +179,12 @@ def _spectrum_params(cfg: dict) -> alc.SpectrumParams:
     )
 
 
-def _sim_config(cfg: dict, lambda_hat: float | None = None) -> sim.SimConfig:
+def _sim_config(cfg: dict) -> sim.SimConfig:
     window = None
     if cfg["window_side_m"] > 0:
         window = Window(cfg["window_side_m"])
     return sim.SimConfig(
-        params=_network_params(cfg, lambda_hat),
+        params=_network_params(cfg),
         window=window,
         replications=cfg["replications"],
         fading_draws=cfg["fading_draws"],
@@ -202,7 +199,9 @@ def _sim_config(cfg: dict, lambda_hat: float | None = None) -> sim.SimConfig:
 def _emit(rows: list[dict], header: list[str], cfg: dict, out, fmt: str) -> None:
     echo = _config_echo(cfg)
     if fmt == "json":
-        json.dump({"config": echo, "rows": rows}, out, indent=2)
+        # Strict JSON has no NaN or Infinity: a non-finite number prints as null.
+        rows = [{k: _json_value(v) for k, v in row.items()} for row in rows]
+        json.dump({"config": echo, "rows": rows}, out, indent=2, allow_nan=False)
         out.write("\n")
         return
     for line in echo:
@@ -211,6 +210,12 @@ def _emit(rows: list[dict], header: list[str], cfg: dict, out, fmt: str) -> None
     writer.writerow(header)
     for row in rows:
         writer.writerow([_fmt_cell(row[k]) for k in header])
+
+
+def _json_value(v):
+    if isinstance(v, float) and not math.isfinite(v):
+        return None
+    return v
 
 
 def _fmt_cell(v):
@@ -270,13 +275,10 @@ def _cmd_blockage(cfg: dict, out, fmt: str) -> None:
 
 
 def _cmd_se(cfg: dict, out, fmt: str) -> None:
+    params = _network_params(cfg)
     rows = []
     for lhat in cfg["lambda_hat_grid"]:
-        params = _network_params(cfg, lhat if cfg["tier"] == "mmw" else None)
-        if cfg["tier"] == "mmw":
-            bounds = ase.se_mmw_bounds_integral(params)
-        else:
-            bounds = ase.se_muw_bounds(lhat, cfg["alpha_mu"])
+        bounds = sim.bounds_for(cfg["tier"], params, lhat)
         rows.append(
             dict(
                 lambda_hat=lhat,
@@ -312,12 +314,10 @@ def _cmd_allocate(cfg: dict, out, fmt: str) -> None:
         _spectrum_params(cfg),
         strict=cfg["strict_assumptions"],
     )
-    from .analytic_se import NATS_PER_BIT
-
     for r in rows:
-        r["r_d_bits"] = r["r_d"] / NATS_PER_BIT
-        r["r_u_bits"] = r["r_u"] / NATS_PER_BIT
-        r["r_d_decoupled_bits"] = r["r_d_decoupled"] / NATS_PER_BIT
+        r["r_d_bits"] = r["r_d"] / ase.NATS_PER_BIT
+        r["r_u_bits"] = r["r_u"] / ase.NATS_PER_BIT
+        r["r_d_decoupled_bits"] = r["r_d_decoupled"] / ase.NATS_PER_BIT
     _emit(rows, alc.SWEEP_CSV_HEADER, cfg, out, fmt)
 
 

@@ -114,9 +114,6 @@ class AssociationMap:
         if self.scheduled_user is None:
             self.scheduled_user = np.full(self.n_bs, -1, dtype=np.int64)
 
-    def users_of(self, bs: int) -> np.ndarray:
-        return np.flatnonzero(self.user_to_bs == bs)
-
     @property
     def active_bs(self) -> np.ndarray:
         """Indices of BSs with a scheduled user (call schedule_active first)."""

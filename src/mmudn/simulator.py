@@ -16,22 +16,21 @@ count.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .analytic_se import (
     NetworkParams,
+    SEBounds,
     se_mmw_bounds_integral,
     se_muw_bounds,
 )
 from .errors import ParameterError
 from .pointprocess import (
-    PointSet,
     Window,
     associate_strongest,
     sample_ppp,
@@ -44,8 +43,8 @@ __all__ = [
     "estimate_se",
     "validate_homogenization",
     "power_invariance_check",
+    "bounds_for",
     "sweep_se",
-    "write_se_csv",
     "SE_CSV_HEADER",
 ]
 
@@ -77,7 +76,6 @@ class SimConfig:
     tier: str = "muw"
     direction: str = "dl"
     decoupled: bool = False
-    user_distribution: str = "uniform"
     average_all_receivers: bool = False
     workers: int = 1
 
@@ -165,10 +163,6 @@ def _scheduled_network(config: SimConfig, rng: np.random.Generator, los_radius: 
     """Sample BSs then users, associate each user within ``los_radius`` and
     schedule one user per BS: (bss, users, assoc), or None when either point
     set is empty.  Every replication draws through here, in this order."""
-    if config.user_distribution != "uniform":
-        raise ParameterError(
-            f"unsupported user distribution {config.user_distribution!r}"
-        )
     bss = sample_ppp(config.bs_density, config.window, rng)
     users = sample_ppp(config.params.lambda_u, config.window, rng)
     if len(bss) == 0 or len(users) == 0:
@@ -303,10 +297,6 @@ def validate_homogenization(config: SimConfig) -> dict:
     """
     if config.direction != "dl":
         raise ParameterError("homogenization check is a downlink diagnostic")
-    if config.user_distribution != "uniform":
-        raise ParameterError(
-            "homogenization only holds for uniformly distributed users"
-        )
     counts = _run_reps(config, _rep_active_count)
     density = float(np.sum(counts)) / (config.window.area * config.replications)
     return {
@@ -345,6 +335,16 @@ def power_invariance_check(config: SimConfig, scale: float) -> bool:
     )
 
 
+def bounds_for(tier: str, params: NetworkParams, lambda_hat: float) -> SEBounds:
+    """Analytic SE bounds and asymptote of ``tier`` at BS-to-user density
+    ratio ``lambda_hat``: the integral-form mmW bounds with the mmW density
+    set to ``lambda_hat * lambda_u``, or the uW bounds at ``lambda_hat``
+    itself (not re-derived from a density, which can move it by an ulp)."""
+    if tier == "mmw":
+        return se_mmw_bounds_integral(replace(params, lambda_m=lambda_hat * params.lambda_u))
+    return se_muw_bounds(lambda_hat, params.alpha_mu)
+
+
 def sweep_se(lambda_hat_grid, config: SimConfig) -> list[dict]:
     """Estimate SE over a grid of BS-to-user density ratios, attaching the
     matching analytic bounds and asymptote to every row."""
@@ -361,10 +361,7 @@ def sweep_se(lambda_hat_grid, config: SimConfig) -> list[dict]:
             params = replace(p, lambda_mu=new_density)
         point = replace(config, params=params)
         est = estimate_se(point)
-        if config.tier == "mmw":
-            bounds = se_mmw_bounds_integral(params)
-        else:
-            bounds = se_muw_bounds(params.lambda_hat_mu, params.alpha_mu)
+        bounds = bounds_for(config.tier, p, float(lhat))
         rows.append(
             dict(
                 lambda_hat=float(lhat),
@@ -379,24 +376,3 @@ def sweep_se(lambda_hat_grid, config: SimConfig) -> list[dict]:
             )
         )
     return rows
-
-
-def write_se_csv(rows: list[dict], fh, header_lines: list[str] | None = None) -> None:
-    for line in header_lines or []:
-        fh.write(f"# {line}\n")
-    writer = csv.writer(fh)
-    writer.writerow(SE_CSV_HEADER)
-    for r in rows:
-        writer.writerow(
-            [
-                f"{r['lambda_hat']:.10g}",
-                r["tier"],
-                r["direction"],
-                f"{r['se_mean']:.10g}",
-                f"{r['se_ci']:.10g}",
-                f"{r['lower_bound']:.10g}",
-                f"{r['upper_bound']:.10g}",
-                f"{r['asymptotic']:.10g}",
-                f"{r['interference_free_fraction']:.10g}",
-            ]
-        )

@@ -12,11 +12,9 @@ from mmudn.blockage import (
     blockage_params,
     fit_floor_lognormal,
     height_fraction_eta,
-    los_distance,
     read_building_stats_csv,
-    write_blockage_csv,
 )
-from mmudn.errors import DomainError, FitError, ParameterError
+from mmudn.errors import FitError, ParameterError
 
 
 def stats(name):
@@ -93,14 +91,14 @@ def test_eta_gangnam_formula_value():
 
 def test_los_2d_reference_values():
     for name, rec in REFERENCE_REGIONS.items():
-        assert los_distance(rec["stats"], mode="2d") == pytest.approx(
+        assert blockage_params(rec["stats"]).r_los_2d == pytest.approx(
             rec["r_los_2d"], rel=0.01
         )
 
 
 def test_los_3d_with_table_eta():
     for name, rec in REFERENCE_REGIONS.items():
-        got = los_distance(rec["stats"], mode="3d", eta_override=rec["eta"])
+        got = blockage_params(rec["stats"], eta_override=rec["eta"]).r_los_3d
         # Table I prints eta to two decimals.  Yonsei's published distances
         # imply eta = 26.63 / 198.76 = 0.1340, which prints as the tabulated
         # 0.13, so the row is consistent at eta's printed precision; taking
@@ -116,11 +114,10 @@ def test_los_3d_geq_2d():
         assert p.r_los_3d == pytest.approx(p.r_los_2d / p.eta, rel=1e-12)
 
 
-def test_los_distance_rejects_bad_mode_and_eta():
-    with pytest.raises(ParameterError):
-        los_distance(stats("Gangnam"), mode="4d")
-    with pytest.raises(ParameterError):
-        los_distance(stats("Gangnam"), mode="3d", eta_override=1.5)
+def test_blockage_params_rejects_bad_eta():
+    for eta in (1.5, 0.0):
+        with pytest.raises(ParameterError):
+            blockage_params(stats("Gangnam"), eta_override=eta)
 
 
 # --- lognormal fitting ----------------------------------------------------------
@@ -169,13 +166,3 @@ def test_stats_csv_missing_column():
     bad = io.StringIO("region,avg_perimeter_m\nX,1.0\n")
     with pytest.raises(ParameterError):
         read_building_stats_csv(bad)
-
-
-def test_blockage_csv_emission():
-    buf = io.StringIO()
-    results = {"Gangnam": blockage_params(stats("Gangnam"))}
-    write_blockage_csv(results, buf, header_lines=["source = test"])
-    text = buf.getvalue()
-    assert text.startswith("# source = test\n")
-    assert "region,beta,eta,r_los_2d_m,r_los_3d_m" in text
-    assert "Gangnam" in text

@@ -1,9 +1,14 @@
+import io
 import json
+import math
+import warnings
 
 import pytest
 
 from mmudn import blockage as blk
-from mmudn.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, read_output_csv, run
+from mmudn.allocation import SWEEP_CSV_HEADER
+from mmudn.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, _emit, read_output_csv, run
+from mmudn.simulator import SE_CSV_HEADER
 
 FAST_SIM = [
     "--set",
@@ -98,6 +103,42 @@ def test_allocate_bits_columns(tmp_path, capsys):
     assert row["r_d_bits"] == pytest.approx(row["r_d"] / 0.6931471805599453, rel=1e-8)
 
 
+# --- README recipes -----------------------------------------------------------
+
+
+def _recipe(capsys, *argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the MC recipe's window warns
+        code, out_text, _ = _run(capsys, *argv)
+    assert code == EXIT_OK
+    return next(line for line in out_text.splitlines() if not line.startswith("#"))
+
+
+def test_recipe_allocation_sweep(capsys):
+    header = _recipe(
+        capsys, "allocate", "--set", "r_los_m=49.61", "--set", "lambda_hat_grid=1.05:1e4:200"
+    )
+    assert header.split(",") == SWEEP_CSV_HEADER
+
+
+def test_recipe_se_bounds_figure(capsys):
+    header = _recipe(capsys, "se", "--set", "lambda_hat_grid=1:1e4:60")
+    assert header == "lambda_hat,tier,lower_bound,upper_bound,asymptotic"
+
+
+def test_recipe_mc_validation(capsys):
+    header = _recipe(
+        capsys,
+        "sweep",
+        "--set", "lambda_u_per_m2=0.01",
+        "--set", "window_side_m=200",
+        "--set", "r_los_m=10",
+        "--set", "replications=4",
+        "--threads", "2",
+    )
+    assert header.split(",") == SE_CSV_HEADER
+
+
 # --- simulate ---------------------------------------------------------------------
 
 
@@ -134,6 +175,17 @@ def test_sweep_runs_grid(tmp_path, capsys):
     assert code == EXIT_OK
     _, rows = read_output_csv(str(out))
     assert [r["lambda_hat"] for r in rows] == [10.0, 100.0]
+
+
+def test_json_writes_non_finite_numbers_as_null():
+    out = io.StringIO()
+    _emit([{"a": math.nan, "b": -math.inf, "c": 1.5}], ["a", "b", "c"], {"seed": 0}, out, "json")
+
+    def reject(token):
+        raise ValueError(f"not strict JSON: {token}")
+
+    doc = json.loads(out.getvalue(), parse_constant=reject)
+    assert doc["rows"] == [{"a": None, "b": None, "c": 1.5}]
 
 
 # --- config handling and exit codes -----------------------------------------------

@@ -52,6 +52,9 @@ _RUNS = {
         "sweep",
         ["--set", "tier=mmw", "--set", "lambda_hat_grid=2,50,500", "--seed", "5"],
     ),
+    # Written after the change that computes the uW bounds at the grid value
+    # itself: at lambda_hat = 7 and 14 that moves their last bit (JSON only).
+    "sweep_muw_dl": ("sweep", ["--set", "lambda_hat_grid=7,14", "--seed", "9"]),
 }
 
 _GRID = ["--set", "lambda_hat_grid=1.05:1e4:40"]

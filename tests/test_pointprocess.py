@@ -9,7 +9,6 @@ from scipy.stats import gamma as gamma_dist
 
 from mmudn.errors import DomainError, ParameterError
 from mmudn.pointprocess import (
-    AssociationMap,
     PointSet,
     Window,
     active_bs_probability,
@@ -218,7 +217,7 @@ def test_schedule_one_user_per_bs():
     bss = sample_ppp(0.05, w, rng)
     assoc = schedule_active(associate_strongest(users, bss), rng)
     for b in range(assoc.n_bs):
-        members = assoc.users_of(b)
+        members = np.flatnonzero(assoc.user_to_bs == b)
         if members.size:
             assert assoc.scheduled_user[b] in members
         else:

@@ -1,7 +1,6 @@
 import math
 import warnings
 
-import numpy as np
 import pytest
 
 from mmudn.analytic_se import NetworkParams
@@ -13,7 +12,6 @@ from mmudn.simulator import (
     power_invariance_check,
     sweep_se,
     validate_homogenization,
-    write_se_csv,
 )
 
 LAMBDA_U = 1e-4
@@ -74,12 +72,6 @@ def test_small_window_warns():
 def test_auto_window_sizes_for_thousand_users():
     c = SimConfig(params=net())
     assert c.window.area * LAMBDA_U == pytest.approx(1000.0)
-
-
-def test_nonuniform_users_rejected():
-    c = cfg(user_distribution="gaussian")
-    with pytest.raises(ParameterError):
-        estimate_se(c)
 
 
 # --- determinism and parallelism ----------------------------------------------------
@@ -157,11 +149,9 @@ def test_homogenization_matches_active_probability_at_unity():
     assert out["ratio"] == pytest.approx(active_bs_probability(1.0), rel=0.05)
 
 
-def test_homogenization_rejects_uplink_and_nonuniform():
+def test_homogenization_rejects_uplink():
     with pytest.raises(ParameterError):
         validate_homogenization(cfg(direction="ul"))
-    with pytest.raises(ParameterError):
-        validate_homogenization(cfg(user_distribution="clustered"))
 
 
 # --- physical consistency -----------------------------------------------------------------
@@ -232,17 +222,3 @@ def test_sweep_rows_carry_bounds():
 def test_sweep_empty_grid_rejected():
     with pytest.raises(ParameterError):
         sweep_se([], cfg())
-
-
-def test_write_se_csv(tmp_path):
-    rows = sweep_se([10.0], cfg(replications=4))
-    out = tmp_path / "se.csv"
-    with out.open("w") as fh:
-        write_se_csv(rows, fh, header_lines=["seed = 11"])
-    text = out.read_text()
-    assert text.startswith("# seed = 11\n")
-    assert text.splitlines()[1] == (
-        "lambda_hat,tier,direction,se_mean,se_ci,lower_bound,"
-        "upper_bound,asymptotic,interference_free_fraction"
-    )
-    assert len(text.splitlines()) == 3
