@@ -15,9 +15,6 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 
-import numpy as np
-from scipy.optimize import brentq
-
 from .analytic_se import NetworkParams, los_probability
 from .errors import AssumptionError, DomainError, NumericError, ParameterError
 
@@ -312,6 +309,8 @@ def cl_boundary(params: NetworkParams, spectrum: SpectrumParams) -> float:
     boundary is a fixed point; solved to 1e-9 relative tolerance.  Returns
     inf when the switch never happens (zeta = 0 or the band is too narrow).
     """
+    from scipy.optimize import brentq  # imported here: the allocation sweep needs no scipy
+
     if spectrum.zeta == 0:
         return math.inf
     target = 0.5 * params.alpha_mu * spectrum.w_mu_band * math.log(params.lambda_hat_mu)
@@ -374,7 +373,12 @@ def _closed_form(
         return Allocation(0.0, 0.0)
     if region.in_d:
         beta_m = z * (wm_gm + wmu_gmu) / (wmul_gmu_ul + z * wm_gm)
-        return Allocation(beta_m, 0.0)
+        if beta_m <= 1.0:
+            return Allocation(beta_m, 0.0)
+        # The whole mmW band cannot carry the UL: it all goes to the UL, and
+        # the uW band carries the rest of R_u = zeta R_d.
+        beta_mu = (z * wmu_gmu - wmul_gmu_ul) / ((1.0 + z) * wmu_gmu)
+        return Allocation(1.0, max(0.0, beta_mu))
     if region.region == "C_L":
         beta_mu = (z / (1.0 + z)) * (1.0 + wm_gm / wmu_gmu)
         return Allocation(0.0, min(1.0, beta_mu))
@@ -392,8 +396,9 @@ def optimal_allocation(
     """DL-rate-maximizing UL allocation subject to R_u >= zeta R_d.
 
     With ``decoupled`` the uW BSs also receive the mmW UL: in the dense
-    region D the UL rides entirely on the mmW band (beta_mu = 0); outside D
-    the plain branch formulas apply with the decoupled mmW UL SE.
+    region D the UL rides on the mmW band (beta_mu = 0), and on the uW band
+    too only once the whole mmW band is UL (beta_m = 1); outside D the plain
+    branch formulas apply with the decoupled mmW UL SE.
     """
     g = gammas_from_params(params, p_l=p_l, decoupled=decoupled)
     a1 = _check_a1(spectrum, g, strict)
@@ -536,8 +541,8 @@ def sweep_allocation(
     ``strict`` the dominant-mmW-DL assumption check raises instead of
     flagging.
     """
-    grid = np.atleast_1d(np.asarray(lambda_hat_grid, dtype=float))
-    if grid.size == 0:
+    grid = [float(lhat) for lhat in lambda_hat_grid]
+    if not grid:
         raise ParameterError("lambda_hat grid must be nonempty")
     rows = []
     for lhat in grid:
@@ -547,7 +552,7 @@ def sweep_allocation(
         gain = dec.rate.r_d / plain.rate.r_d if plain.rate.r_d > 0 else math.nan
         rows.append(
             dict(
-                lambda_hat_m=float(lhat),
+                lambda_hat_m=lhat,
                 region=str(dec.region),
                 beta_m=plain.allocation.beta_m,
                 beta_mu=plain.allocation.beta_mu,

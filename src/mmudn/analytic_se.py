@@ -13,8 +13,6 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from scipy.integrate import quad
-
 from .errors import DomainError, NumericError, ParameterError
 
 __all__ = [
@@ -205,6 +203,8 @@ def _integral_bound(
     ``shrink`` is rho/lhat for the lower bound and 1/((1+2/a) lhat) for the
     upper one; the integrand's bracket hits zero at a finite cutoff.
     """
+    from scipy.integrate import quad  # imported here: the uW bounds need no scipy
+
     gain = theta / (2 * math.pi)
     two_over_a = 2.0 / alpha
 

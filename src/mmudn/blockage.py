@@ -13,9 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import curve_fit
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .errors import DomainError, FitError, ParameterError
 
@@ -111,6 +109,8 @@ def height_fraction_eta(stats: BuildingStats) -> float:
     H is ``floor_height`` times a lognormal floor count and B the BS height;
     evaluated by adaptive quadrature at absolute tolerance ``_ETA_ABS_TOL``.
     """
+    from scipy.integrate import quad
+
     b = stats.effective_bs_height
     scale = b / stats.floor_height
 
@@ -118,7 +118,7 @@ def height_fraction_eta(stats: BuildingStats) -> float:
         h = (1.0 - s) * scale  # height threshold in floor units
         if h <= 0.0:
             return 0.0
-        return norm.cdf((math.log(h) - stats.mu_ln) / stats.sigma_ln)
+        return ndtr((math.log(h) - stats.mu_ln) / stats.sigma_ln)
 
     val, _ = quad(cdf, 0.0, 1.0, epsabs=_ETA_ABS_TOL, epsrel=0.0, limit=200)
     return min(1.0, max(0.0, val))
@@ -147,6 +147,8 @@ def fit_floor_lognormal(histogram) -> tuple[float, float, float]:
     Returns ``(mu_ln, sigma_ln, rmse)`` where the RMSE is against the
     normalized histogram.  Needs at least three nonzero bins.
     """
+    from scipy.optimize import curve_fit
+
     hist = np.asarray(histogram, dtype=float)
     if hist.ndim != 2 or hist.shape[1] != 2:
         raise ParameterError("histogram must be (floor_count, frequency) pairs")

@@ -12,6 +12,10 @@ Configuration is plain ``key = value`` text (units embedded in key names),
 overridable with repeated ``--set key=value`` flags.  Every output carries a
 ``# key = value`` header echoing the resolved configuration.  Exit codes:
 0 success, 2 configuration error, 3 numeric failure.
+
+Each command imports the modules it runs on demand, so ``allocate`` loads no
+scipy and ``blockage`` no ``scipy.stats``; only ``simulate``, ``sweep`` and
+``se`` (through the simulator) load the point-process stack.
 """
 
 from __future__ import annotations
@@ -24,10 +28,7 @@ import math
 import sys
 from importlib import resources
 
-from . import allocation as alc
 from . import analytic_se as ase
-from . import blockage as blk
-from . import simulator as sim
 from .errors import (
     AssumptionError,
     DomainError,
@@ -35,7 +36,6 @@ from .errors import (
     NumericError,
     ParameterError,
 )
-from .pointprocess import Window
 
 __all__ = ["main", "run", "read_output_csv"]
 
@@ -167,8 +167,10 @@ def _network_params(cfg: dict) -> ase.NetworkParams:
     )
 
 
-def _spectrum_params(cfg: dict) -> alc.SpectrumParams:
-    return alc.SpectrumParams(
+def _spectrum_params(cfg: dict):
+    from .allocation import SpectrumParams
+
+    return SpectrumParams(
         w_m=cfg["w_m_hz"],
         w_mu_band=cfg["w_mu_hz"],
         w_m_ul=cfg["w_m_ul_hz"],
@@ -179,11 +181,14 @@ def _spectrum_params(cfg: dict) -> alc.SpectrumParams:
     )
 
 
-def _sim_config(cfg: dict) -> sim.SimConfig:
+def _sim_config(cfg: dict):
+    from .pointprocess import Window
+    from .simulator import SimConfig
+
     window = None
     if cfg["window_side_m"] > 0:
         window = Window(cfg["window_side_m"])
-    return sim.SimConfig(
+    return SimConfig(
         params=_network_params(cfg),
         window=window,
         replications=cfg["replications"],
@@ -253,6 +258,8 @@ def read_output_csv(path: str) -> tuple[list[str], list[dict]]:
 
 
 def _cmd_blockage(cfg: dict, out, fmt: str) -> None:
+    from . import blockage as blk
+
     if cfg["input"]:
         stats = blk.read_building_stats_csv(cfg["input"])
     else:
@@ -275,6 +282,8 @@ def _cmd_blockage(cfg: dict, out, fmt: str) -> None:
 
 
 def _cmd_se(cfg: dict, out, fmt: str) -> None:
+    from . import simulator as sim
+
     params = _network_params(cfg)
     rows = []
     for lhat in cfg["lambda_hat_grid"]:
@@ -298,16 +307,22 @@ def _cmd_se(cfg: dict, out, fmt: str) -> None:
 
 
 def _cmd_simulate(cfg: dict, out, fmt: str) -> None:
+    from . import simulator as sim
+
     rows = sim.sweep_se([cfg["lambda_hat"]], _sim_config(cfg))
     _emit(rows, sim.SE_CSV_HEADER, cfg, out, fmt)
 
 
 def _cmd_sweep(cfg: dict, out, fmt: str) -> None:
+    from . import simulator as sim
+
     rows = sim.sweep_se(cfg["lambda_hat_grid"], _sim_config(cfg))
     _emit(rows, sim.SE_CSV_HEADER, cfg, out, fmt)
 
 
 def _cmd_allocate(cfg: dict, out, fmt: str) -> None:
+    from . import allocation as alc
+
     rows = alc.sweep_allocation(
         cfg["lambda_hat_grid"],
         _network_params(cfg),

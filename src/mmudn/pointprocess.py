@@ -22,6 +22,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+# Imported eagerly, unlike the scipy pieces of the analytic modules: the
+# simulator's worker pools fork from the importing process (the Linux default),
+# so a module-level import is paid once per process, where an import inside
+# the association would be paid again by every worker of every pool (~0.5 s).
 from scipy.spatial import cKDTree
 from scipy.special import gamma as gamma_fn
 

@@ -30,6 +30,9 @@ from .analytic_se import (
     se_muw_bounds,
 )
 from .errors import ParameterError
+
+# Eager on purpose: forked pool workers inherit the point-process stack and
+# its scipy.spatial import instead of importing it again (see pointprocess).
 from .pointprocess import (
     Window,
     associate_strongest,

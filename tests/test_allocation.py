@@ -229,6 +229,27 @@ def test_decoupled_d_max_rate_both_values():
     assert mr.printed_literal == pytest.approx(1.141385294e9, rel=1e-8)
 
 
+def test_decoupled_d_saturated_mmw_band_matches_lp():
+    # The allocate recipe at R_L = 10 m (lambda_hat_grid=1.05:1e4:40): at
+    # lambda_hat = 1.05 the D formula asks for beta_m > 1, so the optimum
+    # fills the mmW band and puts the rest of the UL on the uW band.
+    s = spec()
+    grid = np.logspace(math.log10(1.05), 4, 40)
+    rows = sweep_allocation(grid, net(10.0, r_los=10.0), s)
+    for row in rows:
+        p = net(row["lambda_hat_m"], r_los=10.0)
+        res = optimal_allocation_decoupled(p, s)
+        alloc, r_d = lp_oracle(p, s, decoupled=True)
+        assert res.allocation.beta_m == pytest.approx(alloc.beta_m, rel=1e-12)
+        assert res.allocation.beta_mu == pytest.approx(alloc.beta_mu, rel=1e-12)
+        assert res.rate.r_d == pytest.approx(r_d, rel=1e-12)
+        assert row["r_d_decoupled"] == pytest.approx(r_d, rel=1e-12)
+    saturated = optimal_allocation_decoupled(net(1.05, r_los=10.0), s)
+    assert str(saturated.region) == "C_L+D"
+    assert saturated.allocation.beta_m == 1.0
+    assert saturated.allocation.beta_mu == pytest.approx(0.0694910044, rel=1e-9)
+
+
 def test_decoupled_matches_plain_in_cl_outside_d():
     p = net(1.3)  # low-density region but outside the decoupling region
     s = spec()

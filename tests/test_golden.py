@@ -66,6 +66,10 @@ _ANALYTIC_RUNS = {
     "se_mmw": ("se", ["--set", "tier=mmw", *_GRID]),
     "allocate": ("allocate", _GRID),
     "allocate_zeta": ("allocate", ["--set", "zeta=0.05", *_GRID]),
+    # Written after the decoupled D branch learned to fill the whole mmW band:
+    # at R_L = 10 m and lambda_hat = 1.05 the decoupled optimum is beta_m = 1
+    # with part of the uW band, which used to exit 2.
+    "allocate_r10": ("allocate", ["--set", "r_los_m=10", *_GRID]),
 }
 
 CASES = [

@@ -1,0 +1,92 @@
+"""Import scope: each ``mmudn`` command loads only the modules it runs, and
+the package's re-exports load their home module on first access.
+
+The scope checks run in fresh interpreters, because this test session has
+long since imported numpy and scipy.
+"""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import mmudn
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _modules_after(code: str) -> set[str]:
+    """``sys.modules`` after running ``code`` in a fresh interpreter that
+    imports mmudn from this checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC) + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    script = f"{code}\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def _scipy(modules: set[str]) -> list[str]:
+    return sorted(m for m in modules if m == "scipy" or m.startswith("scipy."))
+
+
+def _cli_run(*argv: str) -> str:
+    args = [*argv, "--output", os.devnull]
+    return f"from mmudn.cli import run\nassert run({args!r}) == 0"
+
+
+def test_package_and_cli_import_load_no_numpy_or_scipy():
+    loaded = _modules_after("import mmudn, mmudn.cli")
+    assert "numpy" not in loaded
+    assert _scipy(loaded) == []
+
+
+def test_allocate_loads_no_scipy():
+    loaded = _modules_after(_cli_run("allocate", "--set", "lambda_hat_grid=1.05:1e4:40"))
+    assert _scipy(loaded) == []
+
+
+def test_blockage_loads_no_scipy_stats():
+    loaded = _modules_after(_cli_run("blockage"))
+    assert not [m for m in _scipy(loaded) if m.startswith("scipy.stats")]
+
+
+def test_simulator_imports_scipy_spatial_eagerly():
+    # Forked pool workers inherit it instead of importing it once each.
+    assert "scipy.spatial" in _modules_after("import mmudn.simulator")
+
+
+_HOMES = {
+    "NetworkParams": "analytic_se",
+    "SEBounds": "analytic_se",
+    "Allocation": "allocation",
+    "RatePair": "allocation",
+    "RegionLabel": "allocation",
+    "SpectrumParams": "allocation",
+    "BlockageParams": "blockage",
+    "BuildingStats": "blockage",
+    "Window": "pointprocess",
+    "SEEstimate": "simulator",
+    "SimConfig": "simulator",
+}
+
+
+def test_reexports_are_the_home_module_objects():
+    assert set(mmudn.__all__) == {*_HOMES, "__version__"}
+    for name, home in _HOMES.items():
+        assert getattr(mmudn, name) is getattr(importlib.import_module(f"mmudn.{home}"), name)
+
+
+def test_from_import_and_unknown_name():
+    from mmudn import SimConfig
+    from mmudn.simulator import SimConfig as home
+
+    assert SimConfig is home
+    with pytest.raises(AttributeError):
+        mmudn.no_such_name
