@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import DomainError, NumericError, ParameterError
 
@@ -27,12 +27,18 @@ __all__ = [
     "se_mmw_bounds_tractable",
     "se_mmw_bounds_integral",
     "approximation_validity_probability",
+    "bounds_for",
 ]
 
 NATS_PER_BIT = math.log(2.0)
 
-# Absolute tolerance of the adaptive quadrature behind the integral-form mmW bounds.
+# Absolute tolerance of the Gauss–Legendre rule behind the integral-form mmW bounds.
 _BOUND_ABS_TOL = 1e-6
+
+# Orders of that rule: the first one, whose error is estimated against the
+# rule of half its order, and the cap of the doubling.
+_GL_FIRST_ORDER = 64
+_GL_MAX_ORDER = 512
 
 
 class UDNRegimeWarning(UserWarning):
@@ -185,9 +191,73 @@ def se_mmw_bounds_tractable(params: NetworkParams) -> SEBounds:
     )
     upper = c_l2 * math.log1p(gain * ((1 + 2 / a) * lhat) ** half)
     lower = max(0.0, lower)
-    upper = max(lower, max(0.0, upper))
+    upper = max(0.0, upper)
     asym = max(0.0, half * p_l * math.log(lhat))
     return SEBounds(lower=lower, upper=upper, asymptotic=asym, udn_warning=warned)
+
+
+_GL_RULES: dict[int, tuple[list[float], list[float]]] = {}
+
+
+def _gauss_legendre_rule(n: int) -> tuple[list[float], list[float]]:
+    """Nodes ``u**5`` and weights ``5 u**4 w`` of the n-point Gauss–Legendre
+    rule (u, w) on [0, 1], so that ``sum(W f(S))`` integrates f over [0, 1]
+    after the substitution s = u^5.
+
+    Computed once per order by Newton's method on the Legendre three-term
+    recurrence (nodes to ~1e-16 absolute), in plain Python: no numpy.
+    """
+    if n in _GL_RULES:
+        return _GL_RULES[n]
+    nodes, weights = [0.0] * n, [0.0] * n
+    for i in range((n + 1) // 2):
+        x = math.cos(math.pi * (i + 0.75) / (n + 0.5))
+        for _ in range(100):
+            p_prev, p = 1.0, x
+            for k in range(2, n + 1):
+                p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
+            dx = p * (x * x - 1.0) / (n * (x * p - p_prev))
+            x -= dx
+            if abs(dx) <= 1e-16:
+                break
+        p_prev, p = 1.0, x
+        for k in range(2, n + 1):
+            p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
+        # Weight on [0, 1]: (1 - x^2) / (n P_{n-1}(x))^2.
+        w = (1.0 - x * x) / (n * p_prev) ** 2
+        for j, u in ((i, 0.5 * (1.0 - x)), (n - 1 - i, 0.5 * (1.0 + x))):
+            u4 = u**4
+            nodes[j], weights[j] = u4 * u, 5.0 * u4 * w
+    _GL_RULES[n] = (nodes, weights)
+    return nodes, weights
+
+
+def _gauss_legendre(f, upper: float, tol: float) -> float:
+    """Integrate ``f`` over [0, upper] by Gauss–Legendre in u with
+    t = upper * u^5, which removes a t^(2/a) cusp at 0.
+
+    The error of the n-point rule is estimated by its distance to the
+    n/2-point rule; n doubles from ``_GL_FIRST_ORDER`` while that estimate
+    exceeds ``tol``, and past ``_GL_MAX_ORDER`` the rule gives up.
+    """
+
+    def rule(n: int) -> float:
+        nodes, weights = _gauss_legendre_rule(n)
+        return upper * sum(w * f(upper * s) for s, w in zip(nodes, weights))
+
+    n = _GL_FIRST_ORDER
+    coarse = rule(n // 2)
+    while True:
+        fine = rule(n)
+        err = abs(fine - coarse)
+        if err <= tol:
+            return fine
+        if n >= _GL_MAX_ORDER:
+            raise NumericError(
+                f"SE bound quadrature error {err:.3e} exceeds tolerance {tol:.1e} "
+                f"at {n} Gauss–Legendre nodes (value {fine:.6e})"
+            )
+        coarse, n = fine, 2 * n
 
 
 def _integral_bound(
@@ -201,10 +271,9 @@ def _integral_bound(
     """Integrate p_L^(t) * (1 - shrink * [theta/(2pi) (e^t - 1)]^(2/a))^+ over t > 0.
 
     ``shrink`` is rho/lhat for the lower bound and 1/((1+2/a) lhat) for the
-    upper one; the integrand's bracket hits zero at a finite cutoff.
+    upper one; the integrand's bracket hits zero at a finite cutoff, so the
+    integral runs over [0, t_max] by ``_gauss_legendre``.
     """
-    from scipy.integrate import quad  # imported here: the uW bounds need no scipy
-
     gain = theta / (2 * math.pi)
     two_over_a = 2.0 / alpha
 
@@ -219,18 +288,13 @@ def _integral_bound(
 
     # Cutoff where the bracket vanishes: e^t - 1 = (2pi/theta) shrink^(-a/2).
     t_max = math.log1p(shrink ** (-alpha / 2.0) / gain)
-    val, err = quad(integrand, 0.0, t_max, epsabs=_BOUND_ABS_TOL, epsrel=0.0, limit=400)
-    if err > 10 * max(_BOUND_ABS_TOL, 1e-12 * abs(val)):
-        raise NumericError(
-            f"SE bound quadrature error {err:.3e} exceeds tolerance (value {val:.6e})"
-        )
-    return val
+    return _gauss_legendre(integrand, t_max, _BOUND_ABS_TOL)
 
 
 def se_mmw_bounds_integral(params: NetworkParams) -> SEBounds:
     """mmW DL/UL SE bounds in integral form (tighter than the tractable pair
-    on the lower side).  Adaptive quadrature at absolute tolerance
-    ``_BOUND_ABS_TOL``.
+    on the lower side).  Gauss–Legendre quadrature with an error estimate
+    held to absolute tolerance ``_BOUND_ABS_TOL``.
     """
     a = params.alpha_m
     lhat = params.lambda_hat_m
@@ -242,10 +306,20 @@ def se_mmw_bounds_integral(params: NetworkParams) -> SEBounds:
         lhat, a, params.theta, lam_pi_rl2, rho, 1.0 / ((1 + 2 / a) * lhat)
     )
     lower = max(0.0, lower)
-    upper = max(lower, max(0.0, upper))
+    upper = max(0.0, upper)
     p_l = los_probability(params.lambda_m, params.r_los)
     asym = max(0.0, 0.5 * a * p_l * math.log(lhat))
     return SEBounds(lower=lower, upper=upper, asymptotic=asym, udn_warning=warned)
+
+
+def bounds_for(tier: str, params: NetworkParams, lambda_hat: float) -> SEBounds:
+    """Analytic SE bounds and asymptote of ``tier`` at BS-to-user density
+    ratio ``lambda_hat``: the integral-form mmW bounds with the mmW density
+    set to ``lambda_hat * lambda_u``, or the uW bounds at ``lambda_hat``
+    itself (not re-derived from a density, which can move it by an ulp)."""
+    if tier == "mmw":
+        return se_mmw_bounds_integral(replace(params, lambda_m=lambda_hat * params.lambda_u))
+    return se_muw_bounds(lambda_hat, params.alpha_mu)
 
 
 def approximation_validity_probability(params: NetworkParams) -> float:

@@ -12,9 +12,6 @@ import csv
 import math
 from dataclasses import dataclass
 
-import numpy as np
-from scipy.special import ndtr
-
 from .errors import DomainError, FitError, ParameterError
 
 __all__ = [
@@ -38,10 +35,6 @@ STATS_CSV_HEADER = [
     "floor_height_m",
     "bs_height_m",
 ]
-
-# Absolute tolerance of the quadrature in height_fraction_eta.
-_ETA_ABS_TOL = 1e-8
-
 
 @dataclass(frozen=True)
 class BuildingStats:
@@ -103,25 +96,29 @@ def blockage_beta(stats: BuildingStats) -> float:
     )
 
 
+def _normal_cdf(x: float) -> float:
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+
 def height_fraction_eta(stats: BuildingStats) -> float:
     """Height thinning factor ``eta = int_0^1 Pr(H <= (1 - s) B) ds``.
 
-    H is ``floor_height`` times a lognormal floor count and B the BS height;
-    evaluated by adaptive quadrature at absolute tolerance ``_ETA_ABS_TOL``.
+    H is ``floor_height`` times a lognormal floor count N and B the BS
+    height.  Swapping the integral and the expectation gives
+    ``eta = E[(1 - N/c)^+] = Pr(N <= c) - E[N; N <= c] / c`` with
+    c = B / floor_height, which is closed form:
+    ``eta = Phi(z) - exp(mu + sigma^2/2) / c * Phi(z - sigma)``,
+    z = (ln c - mu) / sigma.  The second term is formed in logs, so a wide
+    lognormal cannot overflow it.
     """
-    from scipy.integrate import quad
-
-    b = stats.effective_bs_height
-    scale = b / stats.floor_height
-
-    def cdf(s: float) -> float:
-        h = (1.0 - s) * scale  # height threshold in floor units
-        if h <= 0.0:
-            return 0.0
-        return ndtr((math.log(h) - stats.mu_ln) / stats.sigma_ln)
-
-    val, _ = quad(cdf, 0.0, 1.0, epsabs=_ETA_ABS_TOL, epsrel=0.0, limit=200)
-    return min(1.0, max(0.0, val))
+    c = stats.effective_bs_height / stats.floor_height
+    mu, sigma = stats.mu_ln, stats.sigma_ln
+    z = (math.log(c) - mu) / sigma
+    eta = _normal_cdf(z)
+    tail = _normal_cdf(z - sigma)
+    if tail > 0.0:
+        eta -= math.exp(mu + 0.5 * sigma**2 - math.log(c) + math.log(tail))
+    return min(1.0, max(0.0, eta))
 
 
 def blockage_params(
@@ -147,6 +144,7 @@ def fit_floor_lognormal(histogram) -> tuple[float, float, float]:
     Returns ``(mu_ln, sigma_ln, rmse)`` where the RMSE is against the
     normalized histogram.  Needs at least three nonzero bins.
     """
+    import numpy as np
     from scipy.optimize import curve_fit
 
     hist = np.asarray(histogram, dtype=float)

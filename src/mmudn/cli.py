@@ -13,9 +13,10 @@ overridable with repeated ``--set key=value`` flags.  Every output carries a
 ``# key = value`` header echoing the resolved configuration.  Exit codes:
 0 success, 2 configuration error, 3 numeric failure.
 
-Each command imports the modules it runs on demand, so ``allocate`` loads no
-scipy and ``blockage`` no ``scipy.stats``; only ``simulate``, ``sweep`` and
-``se`` (through the simulator) load the point-process stack.
+Each command imports the modules it runs on demand, so ``allocate``,
+``blockage`` and ``se`` load no scipy, and numpy only to expand a
+``start:stop:count`` grid; only ``simulate`` and ``sweep`` load the
+simulator and its point-process stack.
 """
 
 from __future__ import annotations
@@ -282,12 +283,10 @@ def _cmd_blockage(cfg: dict, out, fmt: str) -> None:
 
 
 def _cmd_se(cfg: dict, out, fmt: str) -> None:
-    from . import simulator as sim
-
     params = _network_params(cfg)
     rows = []
     for lhat in cfg["lambda_hat_grid"]:
-        bounds = sim.bounds_for(cfg["tier"], params, lhat)
+        bounds = ase.bounds_for(cfg["tier"], params, lhat)
         rows.append(
             dict(
                 lambda_hat=lhat,

@@ -25,7 +25,9 @@ import numpy as np
 
 from .analytic_se import (
     NetworkParams,
-    SEBounds,
+    bounds_for,
+    # Not called here: perfbench's traced run patches these two names on
+    # this module by getattr and raises AttributeError without them.
     se_mmw_bounds_integral,
     se_muw_bounds,
 )
@@ -46,7 +48,6 @@ __all__ = [
     "estimate_se",
     "validate_homogenization",
     "power_invariance_check",
-    "bounds_for",
     "sweep_se",
     "SE_CSV_HEADER",
 ]
@@ -336,16 +337,6 @@ def power_invariance_check(config: SimConfig, scale: float) -> bool:
     return base_status == scaled_status and np.array_equal(
         base_samples, scaled_samples
     )
-
-
-def bounds_for(tier: str, params: NetworkParams, lambda_hat: float) -> SEBounds:
-    """Analytic SE bounds and asymptote of ``tier`` at BS-to-user density
-    ratio ``lambda_hat``: the integral-form mmW bounds with the mmW density
-    set to ``lambda_hat * lambda_u``, or the uW bounds at ``lambda_hat``
-    itself (not re-derived from a density, which can move it by an ulp)."""
-    if tier == "mmw":
-        return se_mmw_bounds_integral(replace(params, lambda_m=lambda_hat * params.lambda_u))
-    return se_muw_bounds(lambda_hat, params.alpha_mu)
 
 
 def sweep_se(lambda_hat_grid, config: SimConfig) -> list[dict]:

@@ -1,11 +1,14 @@
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import IntegrationWarning, quad
 
+from mmudn import analytic_se as ase
 from mmudn.analytic_se import (
     NetworkParams,
     UDNRegimeWarning,
@@ -18,7 +21,10 @@ from mmudn.analytic_se import (
     se_muw_asymptotic,
     se_muw_bounds,
 )
-from mmudn.errors import DomainError, ParameterError
+from mmudn.cli import read_output_csv
+from mmudn.errors import DomainError, NumericError, ParameterError
+
+GOLDEN_SE_MMW = Path(__file__).parent / "golden" / "se_mmw.csv"
 
 
 def mk_params(lambda_hat_m, r_los=50.0, lambda_u=1e-4, **kw):
@@ -184,6 +190,108 @@ def test_mmw_tractable_ordering(lhat, alpha, r_los):
     p = mk_params(lhat, r_los=r_los, alpha_m=alpha)
     b = se_mmw_bounds_tractable(p)
     assert 0.0 <= b.lower <= b.upper
+
+
+def _quad_bound(p: NetworkParams, lower: bool) -> float:
+    """Integral-form mmW bound by adaptive quadrature, written from the
+    formula apart from ``analytic_se``; raises ``IntegrationWarning`` where
+    ``quad`` does not converge.
+
+    It integrates in u with t = t_max u^5: near alpha = 2 the LOS factor
+    rises within ~(alpha - 2) of t = 0, and ``quad`` in t steps over that
+    layer while reporting convergence (off by 5e-5 at alpha = 2.000003).
+    """
+    a, lhat = p.alpha_m, p.lambda_hat_m
+    rho = (2 * math.pi / a) / math.sin(2 * math.pi / a)
+    lam_pi_rl2 = p.lambda_m * math.pi * p.r_los**2
+    shrink = rho / lhat if lower else 1.0 / ((1 + 2 / a) * lhat)
+    gain = p.theta / (2 * math.pi)
+    t_max = math.log1p(shrink ** (-a / 2) / gain)
+
+    def f(u):
+        frac = (gain * math.expm1(t_max * u**5)) ** (2 / a)
+        p_l = -math.expm1(-lam_pi_rl2 * (1 + rho / lhat * frac))
+        return 5 * t_max * u**4 * p_l * max(0.0, 1 - shrink * frac)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IntegrationWarning)
+        val, _ = quad(f, 0.0, 1.0, epsabs=1e-13, epsrel=1e-12, limit=200)
+    return max(0.0, val)
+
+
+@given(
+    lhat=st.floats(1.0, 1e8),
+    alpha=st.floats(2.0, 6.0, exclude_min=True),
+    theta=st.floats(math.radians(1.0), 2 * math.pi),
+    r_los=st.floats(1.0, 300.0),
+    lambda_u=st.floats(1e-5, 0.1),
+)
+@settings(max_examples=150, deadline=None)
+def test_mmw_integral_matches_quad(lhat, alpha, theta, r_los, lambda_u):
+    # The CLI's legal domain; no NumericError wherever quad converges.
+    p = NetworkParams(
+        lambda_m=lhat * lambda_u, lambda_mu=lambda_u, lambda_u=lambda_u,
+        alpha_m=alpha, theta=theta, r_los=r_los,
+    )
+    try:
+        want = (_quad_bound(p, lower=True), _quad_bound(p, lower=False))
+    except IntegrationWarning:
+        assume(False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UDNRegimeWarning)
+        b = se_mmw_bounds_integral(p)
+    assert abs(b.lower - want[0]) <= ase._BOUND_ABS_TOL
+    assert abs(b.upper - want[1]) <= ase._BOUND_ABS_TOL
+
+
+def test_gauss_legendre_doubles_to_a_sharp_peak():
+    # 64 nodes miss a Lorentzian of width 1/30; 512 resolve it.
+    k = 30.0
+    val = ase._gauss_legendre(lambda t: 1.0 / (1.0 + (k * (t - 0.5)) ** 2), 1.0, 1e-6)
+    assert val == pytest.approx(2.0 / k * math.atan(k / 2.0), abs=1e-12)
+
+
+def test_gauss_legendre_node_cap_raises():
+    # A unit step never converges: the estimate stays ~1/n past the cap.
+    with pytest.raises(NumericError, match="Gauss–Legendre"):
+        ase._gauss_legendre(lambda t: 1.0 if t < 1 / math.pi else 0.0, 1.0, 1e-6)
+
+
+def test_se_mmw_golden_holds_the_integral():
+    # Every bound in the golden equals the integral to 1e-9 relative (its
+    # ten printed digits hold 5e-10), not the quadrature's noise.
+    echo, rows = read_output_csv(str(GOLDEN_SE_MMW))
+    cfg = {k.strip(): v.strip() for k, _, v in (line.partition("=") for line in echo)}
+    lambda_u = float(cfg["lambda_u_per_m2"])
+    for row in rows:
+        p = NetworkParams(
+            lambda_m=row["lambda_hat"] * lambda_u,
+            lambda_mu=float(cfg["lambda_mu_per_m2"]),
+            lambda_u=lambda_u,
+            alpha_m=float(cfg["alpha_m"]),
+            theta=float(cfg["theta_rad"]),
+            r_los=float(cfg["r_los_m"]),
+        )
+        for key, lower in (("lower_bound", True), ("upper_bound", False)):
+            assert row[key] == pytest.approx(_quad_bound(p, lower), rel=1e-9, abs=1e-12), (
+                row["lambda_hat"], key
+            )
+
+
+def test_inverted_integral_bounds_raise(monkeypatch):
+    # No clamp hides an inverted pair: lower 2 over upper 1 is a NumericError.
+    monkeypatch.setattr(
+        ase, "_integral_bound", lambda lhat, a, theta, lam, rho, shrink: 2.0 if shrink == rho / lhat else 1.0
+    )
+    with pytest.raises(NumericError, match="exceeds upper bound"):
+        se_mmw_bounds_integral(mk_params(100.0))
+
+
+def test_inverted_tractable_bounds_raise(monkeypatch):
+    # A LOS probability of 10 lifts the lower bound above the upper one.
+    monkeypatch.setattr(ase, "los_probability", lambda lambda_m, r_los: 10.0)
+    with pytest.raises(NumericError, match="exceeds upper bound"):
+        se_mmw_bounds_tractable(mk_params(100.0))
 
 
 # --- parameter validation -------------------------------------------------------

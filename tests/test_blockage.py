@@ -1,9 +1,13 @@
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
-from scipy.stats import lognorm
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.integrate import IntegrationWarning, quad
+from scipy.stats import lognorm, norm
 
 from mmudn.blockage import (
     REFERENCE_REGIONS,
@@ -76,6 +80,52 @@ def test_eta_in_unit_interval_and_monotone_in_bs_height():
     ]
     assert all(0.0 <= v <= 1.0 for v in vals)
     assert np.all(np.diff(vals) > 0)
+
+
+def _quad_eta(stats: BuildingStats) -> float:
+    """eta by adaptive quadrature of its defining integral; raises
+    ``IntegrationWarning`` where ``quad`` does not converge.
+
+    The integrand steps from 1 to 0 where the height threshold (1 - s) B
+    passes the buildings' heights, over a width sigma (1 - s) that quad
+    alone can step over, so the steps' quantiles z = 0, +-2, +-8 are
+    breakpoints.
+    """
+    c = stats.effective_bs_height / stats.floor_height
+    mu, sigma = stats.mu_ln, stats.sigma_ln
+
+    def cdf(s):
+        h = (1.0 - s) * c
+        return norm.cdf((math.log(h) - mu) / sigma) if h > 0 else 0.0
+
+    cuts = (1.0 - math.exp(mu + z * sigma) / c for z in (-8, -2, 0, 2, 8))
+    points = sorted(s for s in cuts if 0.0 < s < 1.0) or None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IntegrationWarning)
+        val, _ = quad(cdf, 0.0, 1.0, epsabs=1e-13, epsrel=1e-12, limit=200, points=points)
+    return val
+
+
+@given(
+    mu_ln=st.floats(-1.0, 5.0),
+    sigma_ln=st.floats(0.01, 2.0),
+    floor_height=st.floats(2.0, 6.0),
+    bs_height=st.floats(1.0, 500.0),
+)
+@settings(max_examples=150, deadline=None)
+def test_eta_closed_form_matches_quad(mu_ln, sigma_ln, floor_height, bs_height):
+    stats = BuildingStats(50.0, 200.0, 0.3, mu_ln, sigma_ln, floor_height, bs_height)
+    try:
+        want = _quad_eta(stats)
+    except IntegrationWarning:
+        assume(False)
+    assert height_fraction_eta(stats) == pytest.approx(want, abs=1e-10)
+
+
+def test_eta_wide_lognormal_does_not_overflow():
+    # exp(mu + sigma^2/2) alone overflows; the second term is formed in logs.
+    st = BuildingStats(50.0, 200.0, 0.3, 0.0, 38.0, bs_height=10.0)
+    assert 0.0 <= height_fraction_eta(st) <= 1.0
 
 
 def test_eta_gangnam_formula_value():

@@ -8,7 +8,9 @@ association, its reduction, a closed form or the output format moved.
 Regenerate them only on purpose and say why in ``CHANGES.md``:
 ``python tests/test_golden.py`` rewrites all of them, and
 ``python tests/test_golden.py NAME...`` only the named ones, where NAME is a
-file name (``se_mmw.csv``) or a run name covering both formats (``se_mmw``).
+file name (``se_mmw.csv``), a run name covering both formats (``se_mmw``) or,
+for ``simulate`` and ``sweep``, a run name covering both worker counts as well
+(``sweep_mmw_dl``).
 
 The analytic grids run from λ̂ = 1.05 to 1e4, so ``se`` covers the clamped
 lower bounds near λ̂ = 1 and ``allocate`` labels points C_L+D, C_L and C_H.
@@ -20,6 +22,7 @@ cover most or all of the window and the tree holds most or all BSs.
 
 from __future__ import annotations
 
+import re
 import sys
 import warnings
 from pathlib import Path
@@ -97,15 +100,22 @@ def test_cli_output_matches_golden(tmp_path, filename, command, args):
     assert out.read_bytes() == (GOLDEN_DIR / filename).read_bytes()
 
 
+def _names_of(filename: str) -> tuple[str, ...]:
+    """``sweep_mmw_dl_t1.csv`` answers to itself, ``sweep_mmw_dl_t1`` and
+    ``sweep_mmw_dl``."""
+    stem = filename.rsplit(".", 1)[0]
+    return (filename, stem, re.sub(r"_t\d+$", "", stem))
+
+
 def _selected(names: list[str]) -> list[tuple]:
     """The cases named by file name or by run name (``se_mmw`` covers
     ``se_mmw.csv`` and ``se_mmw.json``); all of them when none is named."""
     if not names:
         return CASES
-    unknown = [n for n in names if not any(n in (f, f.rsplit(".", 1)[0]) for f, _, _ in CASES)]
+    unknown = [n for n in names if not any(n in _names_of(f) for f, _, _ in CASES)]
     if unknown:
         raise SystemExit(f"unknown golden(s): {', '.join(unknown)}")
-    return [c for c in CASES if c[0] in names or c[0].rsplit(".", 1)[0] in names]
+    return [c for c in CASES if set(names) & set(_names_of(c[0]))]
 
 
 if __name__ == "__main__":

@@ -52,9 +52,21 @@ def test_allocate_loads_no_scipy():
     assert _scipy(loaded) == []
 
 
-def test_blockage_loads_no_scipy_stats():
-    loaded = _modules_after(_cli_run("blockage"))
-    assert not [m for m in _scipy(loaded) if m.startswith("scipy.stats")]
+def test_blockage_loads_no_scipy():
+    assert _scipy(_modules_after(_cli_run("blockage"))) == []
+
+
+@pytest.mark.parametrize("tier", ["mmw", "muw"])
+def test_se_loads_no_scipy_and_no_simulator(tier):
+    loaded = _modules_after(_cli_run("se", "--set", f"tier={tier}", "--set", "lambda_hat_grid=1.05:1e4:40"))
+    assert _scipy(loaded) == []
+    assert "mmudn.simulator" not in loaded
+
+
+def test_se_muw_loads_no_numpy():
+    # A comma grid needs no numpy to expand, and the uW bounds are closed form.
+    loaded = _modules_after(_cli_run("se", "--set", "tier=muw", "--set", "lambda_hat_grid=1.05,10,1e4"))
+    assert "numpy" not in loaded
 
 
 def test_simulator_imports_scipy_spatial_eagerly():
