@@ -9,6 +9,7 @@ and transmit powers cancel out of the SIR, so powers live in
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -196,40 +197,38 @@ def se_mmw_bounds_tractable(params: NetworkParams) -> SEBounds:
     return SEBounds(lower=lower, upper=upper, asymptotic=asym, udn_warning=warned)
 
 
-_GL_RULES: dict[int, tuple[list[float], list[float]]] = {}
+def _legendre(n: int, x: float) -> tuple[float, float]:
+    """P_n(x) and P_{n-1}(x) by the three-term recurrence."""
+    p_prev, p = 1.0, x
+    for k in range(2, n + 1):
+        p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
+    return p, p_prev
 
 
-def _gauss_legendre_rule(n: int) -> tuple[list[float], list[float]]:
+@functools.cache
+def _gauss_legendre_rule(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Nodes ``u**5`` and weights ``5 u**4 w`` of the n-point Gauss–Legendre
     rule (u, w) on [0, 1], so that ``sum(W f(S))`` integrates f over [0, 1]
     after the substitution s = u^5.
 
-    Computed once per order by Newton's method on the Legendre three-term
-    recurrence (nodes to ~1e-16 absolute), in plain Python: no numpy.
+    Computed once per order by Newton's method on the Legendre recurrence
+    (nodes to ~1e-16 absolute), in plain Python: no numpy.
     """
-    if n in _GL_RULES:
-        return _GL_RULES[n]
     nodes, weights = [0.0] * n, [0.0] * n
     for i in range((n + 1) // 2):
         x = math.cos(math.pi * (i + 0.75) / (n + 0.5))
         for _ in range(100):
-            p_prev, p = 1.0, x
-            for k in range(2, n + 1):
-                p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
+            p, p_prev = _legendre(n, x)
             dx = p * (x * x - 1.0) / (n * (x * p - p_prev))
             x -= dx
             if abs(dx) <= 1e-16:
                 break
-        p_prev, p = 1.0, x
-        for k in range(2, n + 1):
-            p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
         # Weight on [0, 1]: (1 - x^2) / (n P_{n-1}(x))^2.
-        w = (1.0 - x * x) / (n * p_prev) ** 2
+        w = (1.0 - x * x) / (n * _legendre(n, x)[1]) ** 2
         for j, u in ((i, 0.5 * (1.0 - x)), (n - 1 - i, 0.5 * (1.0 + x))):
             u4 = u**4
             nodes[j], weights[j] = u4 * u, 5.0 * u4 * w
-    _GL_RULES[n] = (nodes, weights)
-    return nodes, weights
+    return tuple(nodes), tuple(weights)
 
 
 def _gauss_legendre(f, upper: float, tol: float) -> float:
