@@ -124,8 +124,8 @@ def test_eta_closed_form_matches_quad(mu_ln, sigma_ln, floor_height, bs_height):
 
 def test_eta_wide_lognormal_does_not_overflow():
     # exp(mu + sigma^2/2) alone overflows; the second term is formed in logs.
-    st = BuildingStats(50.0, 200.0, 0.3, 0.0, 38.0, bs_height=10.0)
-    assert 0.0 <= height_fraction_eta(st) <= 1.0
+    wide = BuildingStats(50.0, 200.0, 0.3, 0.0, 38.0, bs_height=10.0)
+    assert 0.0 <= height_fraction_eta(wide) <= 1.0
 
 
 def test_eta_gangnam_formula_value():
