@@ -62,19 +62,18 @@ SWEEP_CSV_HEADER = [
 
 @dataclass(frozen=True)
 class SpectrumParams:
-    """Bandwidths (Hz), PAPR parameters and the minimum UL/DL rate ratio.
+    """Bandwidths (Hz) and the minimum UL/DL rate ratio.
 
-    ``w_m_ul`` is the usable mmW UL bandwidth.  The rate model assumes
-    w_m > w_mu_band; w_m_ul is clamped to w_m with a warning because the
-    as-printed PAPR bandwidth can exceed the mmW band itself.
+    ``w_m_ul`` is the usable mmW UL bandwidth, taken as given
+    (:func:`mmw_ul_bandwidth` derives it from a PAPR outage target).  The
+    rate model assumes w_m > w_mu_band; w_m_ul is clamped to w_m with a
+    warning because the as-printed PAPR bandwidth can exceed the mmW band
+    itself.
     """
 
     w_m: float
     w_mu_band: float
     w_m_ul: float = 100e6
-    f_s: float = 244140.0
-    delta: float = 10.0
-    epsilon: float = 0.7
     zeta: float = 0.25
 
     def __post_init__(self):
@@ -91,10 +90,6 @@ class SpectrumParams:
                 stacklevel=2,
             )
             object.__setattr__(self, "w_m_ul", self.w_m)
-        if self.f_s <= 0 or self.delta <= 0:
-            raise ParameterError("f_s and delta must be positive")
-        if not 0 < self.epsilon < 1:
-            raise ParameterError(f"epsilon must lie in (0, 1), got {self.epsilon}")
         if not 0 <= self.zeta <= 1:
             raise ParameterError(f"zeta must lie in [0, 1], got {self.zeta}")
 

@@ -2,8 +2,9 @@
 
 Building heights are modeled as ``floor_height`` times a lognormal floor
 count; the BS height defaults to the mean building height.  The five
-reference regions (three Seoul districts plus Manhattan and Chicago) ship as
-a CSV under ``mmudn/data`` and as the ``REFERENCE_REGIONS`` constant.
+reference regions of Table I (three Seoul districts plus Manhattan and
+Chicago) are the ``REFERENCE_REGIONS`` constant; other regions are read from
+a CSV with the ``STATS_CSV_HEADER`` columns.
 """
 
 from __future__ import annotations

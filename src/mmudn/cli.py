@@ -2,14 +2,15 @@
 
 Commands:
   blockage  — per-region blockage parameters and LOS distances from a
-              building-statistics CSV (defaults to the packaged one)
+              building-statistics CSV (defaults to the Table I regions)
   se        — closed-form SE bounds/asymptote over a density-ratio grid
   simulate  — Monte Carlo SE estimate at a single density ratio
   sweep     — Monte Carlo SE estimates over a density-ratio grid
   allocate  — optimal UL allocation sweep with decoupling gain
 
 Configuration is plain ``key = value`` text (units embedded in key names),
-overridable with repeated ``--set key=value`` flags.  Every output carries a
+overridable with repeated ``--set key=value`` flags; ``--set`` is the only
+way to set a key on the command line.  Every output carries a
 ``# key = value`` header echoing the resolved configuration.  Exit codes:
 0 success, 2 configuration error, 3 numeric failure.
 
@@ -27,7 +28,6 @@ import io
 import json
 import math
 import sys
-from importlib import resources
 
 from . import analytic_se as ase
 from .errors import (
@@ -59,8 +59,17 @@ def _parse_bool(s: str) -> bool:
     raise ValueError(f"not a boolean: {s!r}")
 
 
+def _parse_ratio(s: str) -> float:
+    """A density ratio, which must be positive."""
+    v = float(s)
+    if not v > 0:
+        raise ValueError(f"density ratio must be positive, got {s.strip()!r}")
+    return v
+
+
 def _parse_grid(s: str) -> list[float]:
-    """Either a comma list '10,100,1000' or a log-spaced 'start:stop:count'."""
+    """Either a comma list '10,100,1000' or a log-spaced 'start:stop:count'
+    of positive density ratios."""
     s = s.strip()
     if ":" in s:
         start, stop, count = s.split(":")
@@ -70,7 +79,7 @@ def _parse_grid(s: str) -> list[float]:
         import numpy as np
 
         return [float(x) for x in np.logspace(math.log10(start), math.log10(stop), count)]
-    return [float(tok) for tok in s.split(",") if tok.strip()]
+    return [_parse_ratio(tok) for tok in s.split(",") if tok.strip()]
 
 
 _KEYS = {
@@ -86,12 +95,9 @@ _KEYS = {
     "w_m_hz": (float, 500e6),
     "w_mu_hz": (float, 20e6),
     "w_m_ul_hz": (float, 100e6),
-    "f_s_hz": (float, 244140.0),
-    "delta": (float, 10.0),
-    "epsilon": (float, 0.7),
     "zeta": (float, 0.25),
     # grids / single points (density ratios)
-    "lambda_hat": (float, 100.0),
+    "lambda_hat": (_parse_ratio, 100.0),
     "lambda_hat_grid": (_parse_grid, [10.0, 100.0, 1000.0]),
     # simulation
     "tier": (str, "muw"),
@@ -103,8 +109,7 @@ _KEYS = {
     "seed": (int, 0),
     "threads": (int, 1),
     # blockage
-    "input": (str, ""),  # building-stats CSV; empty = packaged reference data
-    "floor_height_m": (float, 3.0),
+    "input": (str, ""),  # building-stats CSV; empty = REFERENCE_REGIONS
     # allocation
     "strict_assumptions": (_parse_bool, False),
 }
@@ -175,9 +180,6 @@ def _spectrum_params(cfg: dict):
         w_m=cfg["w_m_hz"],
         w_mu_band=cfg["w_mu_hz"],
         w_m_ul=cfg["w_m_ul_hz"],
-        f_s=cfg["f_s_hz"],
-        delta=cfg["delta"],
-        epsilon=cfg["epsilon"],
         zeta=cfg["zeta"],
     )
 
@@ -264,9 +266,7 @@ def _cmd_blockage(cfg: dict, out, fmt: str) -> None:
     if cfg["input"]:
         stats = blk.read_building_stats_csv(cfg["input"])
     else:
-        ref = resources.files("mmudn").joinpath("data/seoul_building_stats.csv")
-        with ref.open() as fh:
-            stats = blk.read_building_stats_csv(fh)
+        stats = {name: rec["stats"] for name, rec in blk.REFERENCE_REGIONS.items()}
     rows = []
     for region, st in stats.items():
         p = blk.blockage_params(st)
@@ -355,8 +355,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="key = value configuration file")
         p.add_argument("--output", default=None, help="output path (default stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--seed", type=int, default=None, help="master RNG seed")
-        p.add_argument("--threads", type=int, default=None, help="worker processes")
         p.add_argument(
             "--set",
             action="append",
@@ -365,8 +363,6 @@ def _build_parser() -> argparse.ArgumentParser:
             dest="overrides",
             help="override a configuration key (repeatable)",
         )
-        if name == "blockage":
-            p.add_argument("--input", default=None, help="building statistics CSV")
     return parser
 
 
@@ -374,12 +370,6 @@ def run(argv: list[str]) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _load_config(args.config, args.overrides)
-        if args.seed is not None:
-            cfg["seed"] = args.seed
-        if args.threads is not None:
-            cfg["threads"] = args.threads
-        if getattr(args, "input", None):
-            cfg["input"] = args.input
         buf = io.StringIO()
         _COMMANDS[args.command](cfg, buf, args.format)
     except (ConfigError, ParameterError, DomainError) as exc:

@@ -49,10 +49,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Window:
-    """Square observation window; ``wrap`` switches the torus metric on."""
+    """Square observation window with the torus metric."""
 
     side: float
-    wrap: bool = True
 
     def __post_init__(self):
         if not (self.side > 0 and math.isfinite(self.side)):
@@ -63,18 +62,16 @@ class Window:
         return self.side * self.side
 
     @classmethod
-    def for_expected_points(cls, density: float, n_expected: float, wrap: bool = True) -> "Window":
+    def for_expected_points(cls, density: float, n_expected: float) -> "Window":
         """Window sized so a PPP of the given density holds ``n_expected`` points on average."""
         if density <= 0:
             raise ParameterError("density must be positive to size a window")
-        return cls(side=math.sqrt(n_expected / density), wrap=wrap)
+        return cls(side=math.sqrt(n_expected / density))
 
     def displacement(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
         """Minimal-image displacement vector(s) from src to dst."""
         d = np.asarray(dst, dtype=float) - np.asarray(src, dtype=float)
-        if self.wrap:
-            d = d - self.side * np.round(d / self.side)
-        return d
+        return d - self.side * np.round(d / self.side)
 
     def distance(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
         d = self.displacement(src, dst)
@@ -136,16 +133,12 @@ def sample_ppp(density: float, window: Window, rng: np.random.Generator) -> Poin
 
 def _tree(points: np.ndarray, window: Window) -> cKDTree:
     # The unbalanced, non-compact build is ~1.7x faster to construct and
-    # finds the same nearest neighbours.
-    if window.wrap:
-        # The periodic tree rejects a coordinate equal to the box side; on
-        # the torus that point is the one at 0.
-        if points.size and points.max() >= window.side:
-            points = np.where(points >= window.side, points - window.side, points)
-        return cKDTree(
-            points, boxsize=window.side, balanced_tree=False, compact_nodes=False
-        )
-    return cKDTree(points, balanced_tree=False, compact_nodes=False)
+    # finds the same nearest neighbours.  The periodic tree rejects a
+    # coordinate equal to the box side; on the torus that point is the one
+    # at 0.
+    if points.size and points.max() >= window.side:
+        points = np.where(points >= window.side, points - window.side, points)
+    return cKDTree(points, boxsize=window.side, balanced_tree=False, compact_nodes=False)
 
 
 def _nearest(
@@ -181,13 +174,7 @@ def _block_candidates(
     block = np.zeros((n_cells, n_cells), dtype=bool)
     for dx in (-1, 0, 1):
         for dy in (-1, 0, 1):
-            if window.wrap:
-                block[(ux + dx) % n_cells, (uy + dy) % n_cells] = True
-            else:
-                # Clipping only re-marks a cell already in the block.
-                block[
-                    np.clip(ux + dx, 0, n_cells - 1), np.clip(uy + dy, 0, n_cells - 1)
-                ] = True
+            block[(ux + dx) % n_cells, (uy + dy) % n_cells] = True
     bx, by = cells(bss).T
     # A BS outside a user's block is at least one cell side away; the margin
     # absorbs rounding in the cell assignment and in the tree's distances.

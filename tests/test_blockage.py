@@ -201,17 +201,6 @@ def test_fit_uniform_histogram():
 # --- CSV I/O ---------------------------------------------------------------------
 
 
-def test_packaged_stats_roundtrip():
-    from importlib import resources
-
-    ref = resources.files("mmudn").joinpath("data/seoul_building_stats.csv")
-    with ref.open() as fh:
-        stats_map = read_building_stats_csv(fh)
-    assert set(stats_map) == set(REFERENCE_REGIONS)
-    for name, st in stats_map.items():
-        assert st == REFERENCE_REGIONS[name]["stats"]
-
-
 def test_stats_csv_missing_column():
     bad = io.StringIO("region,avg_perimeter_m\nX,1.0\n")
     with pytest.raises(ParameterError):

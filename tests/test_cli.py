@@ -34,7 +34,7 @@ def test_blockage_matches_library(tmp_path, capsys):
     code, _, _ = _run(capsys, "blockage", "--output", str(out))
     assert code == EXIT_OK
     header, rows = read_output_csv(str(out))
-    assert any(line.startswith("floor_height_m") for line in header)
+    assert "input =" in header
     assert len(rows) == len(blk.REFERENCE_REGIONS)
     for row in rows:
         p = blk.blockage_params(blk.REFERENCE_REGIONS[row["region"]]["stats"])
@@ -53,7 +53,7 @@ def test_blockage_custom_input_not_mutated(tmp_path, capsys):
     )
     before = src.read_text()
     code, _, _ = _run(
-        capsys, "blockage", "--input", str(src), "--output", str(tmp_path / "o.csv")
+        capsys, "blockage", "--set", f"input={src}", "--output", str(tmp_path / "o.csv")
     )
     assert code == EXIT_OK
     assert src.read_text() == before
@@ -134,7 +134,7 @@ def test_recipe_mc_validation(capsys):
         "--set", "window_side_m=200",
         "--set", "r_los_m=10",
         "--set", "replications=4",
-        "--threads", "2",
+        "--set", "threads=2",
     )
     assert header.split(",") == SE_CSV_HEADER
 
@@ -146,7 +146,7 @@ def test_simulate_identical_reruns(tmp_path, capsys):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for out in (a, b):
         code, _, _ = _run(
-            capsys, "simulate", "--seed", "3", "--output", str(out), *FAST_SIM
+            capsys, "simulate", "--set", "seed=3", "--output", str(out), *FAST_SIM
         )
         assert code == EXIT_OK
     assert a.read_bytes() == b.read_bytes()
@@ -154,7 +154,7 @@ def test_simulate_identical_reruns(tmp_path, capsys):
 
 def test_simulate_seed_echoed(tmp_path, capsys):
     out = tmp_path / "sim.csv"
-    code, _, _ = _run(capsys, "simulate", "--seed", "42", "--output", str(out), *FAST_SIM)
+    code, _, _ = _run(capsys, "simulate", "--set", "seed=42", "--output", str(out), *FAST_SIM)
     assert code == EXIT_OK
     header, rows = read_output_csv(str(out))
     assert "seed = 42" in header
@@ -203,6 +203,40 @@ def test_unknown_key_exits_2(tmp_path, capsys):
     code, _, err = _run(capsys, "allocate", "--set", "zetta=0.5")
     assert code == EXIT_CONFIG
     assert "zetta" in err
+
+
+@pytest.mark.parametrize("key", ["f_s_hz", "delta", "epsilon", "floor_height_m"])
+def test_removed_key_exits_2(capsys, key):
+    # W_m,u is set directly as w_m_ul_hz, and a floor height comes with each
+    # region's building stats.
+    code, _, err = _run(capsys, "allocate", "--set", f"{key}=0.2")
+    assert code == EXIT_CONFIG
+    assert "unknown configuration key" in err
+
+
+@pytest.mark.parametrize("flag", ["--seed", "--threads", "--input"])
+def test_set_aliases_are_argparse_errors(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        run(["blockage", flag, "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["se", "--set", "tier=muw", "--set", "lambda_hat_grid=0"],
+        ["se", "--set", "tier=mmw", "--set", "lambda_hat_grid=0"],
+        ["se", "--set", "lambda_hat_grid=10,-5"],
+        ["sweep", "--set", "lambda_hat_grid=0", *FAST_SIM],
+        ["simulate", "--set", "lambda_hat=0", *FAST_SIM],
+    ],
+    ids=["se_muw", "se_mmw", "se_negative", "sweep", "simulate"],
+)
+def test_nonpositive_density_ratio_exits_2(capsys, argv):
+    code, _, err = _run(capsys, *argv)
+    assert code == EXIT_CONFIG
+    assert "density ratio must be positive" in err
 
 
 def test_bad_value_exits_2(capsys):

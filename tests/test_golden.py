@@ -42,22 +42,22 @@ _COMMON = [
 
 # name -> (command, extra arguments)
 _RUNS = {
-    "simulate_muw_dl": ("simulate", ["--set", "lambda_hat=500", "--seed", "7"]),
+    "simulate_muw_dl": ("simulate", ["--set", "lambda_hat=500", "--set", "seed=7"]),
     "simulate_mmw_ul": (
         "simulate",
-        ["--set", "tier=mmw", "--set", "direction=ul", "--set", "lambda_hat=500", "--seed", "11"],
+        ["--set", "tier=mmw", "--set", "direction=ul", "--set", "lambda_hat=500", "--set", "seed=11"],
     ),
     "sweep_muw_ul": (
         "sweep",
-        ["--set", "direction=ul", "--set", "lambda_hat_grid=2,50,500", "--seed", "3"],
+        ["--set", "direction=ul", "--set", "lambda_hat_grid=2,50,500", "--set", "seed=3"],
     ),
     "sweep_mmw_dl": (
         "sweep",
-        ["--set", "tier=mmw", "--set", "lambda_hat_grid=2,50,500", "--seed", "5"],
+        ["--set", "tier=mmw", "--set", "lambda_hat_grid=2,50,500", "--set", "seed=5"],
     ),
     # Written after the change that computes the uW bounds at the grid value
     # itself: at lambda_hat = 7 and 14 that moves their last bit (JSON only).
-    "sweep_muw_dl": ("sweep", ["--set", "lambda_hat_grid=7,14", "--seed", "9"]),
+    "sweep_muw_dl": ("sweep", ["--set", "lambda_hat_grid=7,14", "--set", "seed=9"]),
 }
 
 _GRID = ["--set", "lambda_hat_grid=1.05:1e4:40"]
@@ -76,7 +76,7 @@ _ANALYTIC_RUNS = {
 }
 
 CASES = [
-    (f"{name}_t{threads}.{fmt}", command, [*_COMMON, *extra, "--threads", str(threads), "--format", fmt])
+    (f"{name}_t{threads}.{fmt}", command, [*_COMMON, *extra, "--set", f"threads={threads}", "--format", fmt])
     for name, (command, extra) in _RUNS.items()
     for threads in (1, 2)
     for fmt in ("csv", "json")

@@ -70,11 +70,6 @@ def test_torus_distance_symmetric_and_bounded(side, ax, ay, bx, by):
     assert d_ab <= side / math.sqrt(2.0) + 1e-9
 
 
-def test_no_wrap_distance_is_euclidean():
-    w = Window(side=10.0, wrap=False)
-    assert float(w.distance(np.zeros(2), np.array([9.0, 0.0]))) == pytest.approx(9.0)
-
-
 # --- PPP sampling -----------------------------------------------------------
 
 
@@ -112,9 +107,9 @@ def _point_set(points, window):
 
 
 def test_associate_nearest_bs():
-    w = Window(side=10.0, wrap=False)
-    users = _point_set([[1.0, 1.0], [9.0, 9.0]], w)
-    bss = _point_set([[0.0, 0.0], [8.0, 8.0]], w)
+    w = Window(side=10.0)
+    users = _point_set([[1.0, 1.0], [6.0, 6.0]], w)
+    bss = _point_set([[0.0, 0.0], [7.0, 7.0]], w)
     assoc = associate_strongest(users, bss)
     assert assoc.user_to_bs.tolist() == [0, 1]
 
@@ -128,7 +123,7 @@ def test_associate_wraps_around_torus():
 
 
 def test_associate_los_radius_leaves_user_unassociated():
-    w = Window(side=100.0, wrap=False)
+    w = Window(side=100.0)
     users = _point_set([[50.0, 50.0]], w)
     bss = _point_set([[0.0, 0.0]], w)
     assoc = associate_strongest(users, bss, los_radius=10.0)
@@ -144,7 +139,7 @@ def test_associate_empty_bs_set_is_error():
         associate_strongest(users, empty)
 
 
-# (BS density, wrap, los_radius, layout) in a 20 m window.  At 20 BSs/m^2
+# (BS density, los_radius, layout) in a 20 m window.  At 20 BSs/m^2
 # against ~8 users association takes its cell-pruned path, on a grid of
 # 0.65 m cells.  "edge" puts users and BSs exactly at x == side and y == side,
 # and a user just inside the corner next to the BS at (side, side);
@@ -153,19 +148,15 @@ def test_associate_empty_bs_set_is_error():
 # into one corner, so users far from it have no candidate near enough to
 # certify and are re-queried against all BSs.
 _ASSOC_CASES = [
-    (0.05, True, math.inf, "uniform"),
-    (20.0, True, math.inf, "uniform"),
-    (20.0, False, math.inf, "uniform"),
-    (20.0, True, 0.3, "uniform"),
-    (20.0, False, 0.3, "uniform"),
-    (20.0, True, 3.0, "uniform"),
-    (20.0, False, 3.0, "uniform"),
-    (20.0, True, math.inf, "edge"),
-    (20.0, False, math.inf, "edge"),
-    (20.0, True, math.inf, "holes"),
-    (20.0, False, 3.0, "holes"),
-    (20.0, True, math.inf, "clustered"),
-    (20.0, False, 4.0, "clustered"),
+    (0.05, math.inf, "uniform"),
+    (20.0, math.inf, "uniform"),
+    (20.0, 0.3, "uniform"),
+    (20.0, 3.0, "uniform"),
+    (20.0, math.inf, "edge"),
+    (20.0, math.inf, "holes"),
+    (20.0, 3.0, "holes"),
+    (20.0, math.inf, "clustered"),
+    (20.0, 4.0, "clustered"),
 ]
 
 
@@ -177,10 +168,10 @@ def test_association_invariant_nearest_among_candidates(seed):
         _check_association(seed, *case)
 
 
-def _check_association(seed, bs_density, wrap, los_radius, layout):
+def _check_association(seed, bs_density, los_radius, layout):
     side = 20.0
     rng = np.random.default_rng(seed)
-    w = Window(side=side, wrap=wrap)
+    w = Window(side=side)
     users = sample_ppp(0.05 if bs_density < 1 else 0.02, w, rng).points
     bss = sample_ppp(bs_density, w, rng).points
     if len(users) == 0 or len(bss) < 2:
@@ -203,7 +194,7 @@ def _check_association(seed, bs_density, wrap, los_radius, layout):
     d_all = np.array([w.distance(u, bss) for u in users])
     expected = np.where(d_all.min(axis=1) < los_radius, np.argmin(d_all, axis=1), -1)
     np.testing.assert_array_equal(
-        assoc.user_to_bs, expected, err_msg=f"{bs_density, wrap, los_radius, layout}"
+        assoc.user_to_bs, expected, err_msg=f"{bs_density, los_radius, layout}"
     )
 
 
