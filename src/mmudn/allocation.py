@@ -194,14 +194,13 @@ def mmw_ul_bandwidth(
     delta: float,
     epsilon: float,
     mode: str = "exact-inversion",
-    cap: float = math.inf,
 ) -> float:
     """Maximum mmW UL bandwidth meeting the PAPR outage target epsilon.
 
     'exact-inversion' solves papr_outage(w) = epsilon exactly; 'as-printed'
     evaluates sqrt(3) f_s e^delta (pi delta)^(-1/2) / ln(1/epsilon), an
-    approximation that does not round-trip.  Results above ``cap`` are
-    clamped with a warning.
+    approximation that does not round-trip.  A result wider than the mmW
+    band is clamped by :class:`SpectrumParams`.
     """
     if f_s <= 0 or delta <= 0:
         raise ParameterError("f_s and delta must be positive")
@@ -209,18 +208,10 @@ def mmw_ul_bandwidth(
         raise ParameterError(f"epsilon must lie in (0, 1), got {epsilon}")
     base = f_s * math.exp(delta) * math.sqrt(3.0 / (math.pi * delta))
     if mode == "as-printed":
-        w = base / math.log(1.0 / epsilon)
-    elif mode == "exact-inversion":
-        w = base * (-math.log1p(-epsilon))
-    else:
-        raise ParameterError(f"mode must be 'as-printed' or 'exact-inversion', got {mode!r}")
-    if w > cap:
-        warnings.warn(
-            f"PAPR-limited bandwidth {w:.4g} Hz exceeds cap {cap:.4g} Hz; clamping",
-            stacklevel=2,
-        )
-        return cap
-    return w
+        return base / math.log(1.0 / epsilon)
+    if mode == "exact-inversion":
+        return base * (-math.log1p(-epsilon))
+    raise ParameterError(f"mode must be 'as-printed' or 'exact-inversion', got {mode!r}")
 
 
 # ---------------------------------------------------------------------------

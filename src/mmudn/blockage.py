@@ -122,17 +122,15 @@ def height_fraction_eta(stats: BuildingStats) -> float:
     return min(1.0, max(0.0, eta))
 
 
-def blockage_params(
-    stats: BuildingStats, eta_override: float | None = None
-) -> BlockageParams:
+def blockage_params(stats: BuildingStats) -> BlockageParams:
     """Blockage parameter, height factor and average LOS distances
     ``R_L^2D = 2 (1 - kappa) / beta`` and ``R_L^3D = R_L^2D / eta``.
 
-    eta comes from the height model unless ``eta_override`` is supplied
-    (e.g. to use a published table value); it must lie in (0, 1].
+    eta comes from the height model; a BS far below the buildings drives it
+    to 0, which leaves no 3D LOS distance.
     """
     beta = blockage_beta(stats)
-    eta = eta_override if eta_override is not None else height_fraction_eta(stats)
+    eta = height_fraction_eta(stats)
     if not 0 < eta <= 1:
         raise ParameterError(f"eta must lie in (0, 1], got {eta}")
     r2d = 2.0 * (1.0 - stats.coverage) / beta

@@ -4,8 +4,8 @@ Commands:
   blockage  — per-region blockage parameters and LOS distances from a
               building-statistics CSV (defaults to the Table I regions)
   se        — closed-form SE bounds/asymptote over a density-ratio grid
-  simulate  — Monte Carlo SE estimate at a single density ratio
-  sweep     — Monte Carlo SE estimates over a density-ratio grid
+  sweep     — Monte Carlo SE estimates over a density-ratio grid (one
+              point is a one-entry grid)
   allocate  — optimal UL allocation sweep with decoupling gain
 
 Configuration is plain ``key = value`` text (units embedded in key names),
@@ -16,8 +16,8 @@ way to set a key on the command line.  Every output carries a
 
 Each command imports the modules it runs on demand, so ``allocate``,
 ``blockage`` and ``se`` load no scipy, and numpy only to expand a
-``start:stop:count`` grid; only ``simulate`` and ``sweep`` load the
-simulator and its point-process stack.
+``start:stop:count`` grid; only ``sweep`` loads the simulator and its
+point-process stack.
 """
 
 from __future__ import annotations
@@ -85,7 +85,6 @@ def _parse_grid(s: str) -> list[float]:
 _KEYS = {
     # densities (per m^2) and propagation
     "lambda_u_per_m2": (float, 1e-4),
-    "lambda_m_per_m2": (float, 1e-2),
     "lambda_mu_per_m2": (float, 2e-4),
     "alpha_m": (float, 2.5),
     "alpha_mu": (float, 4.0),
@@ -96,8 +95,7 @@ _KEYS = {
     "w_mu_hz": (float, 20e6),
     "w_m_ul_hz": (float, 100e6),
     "zeta": (float, 0.25),
-    # grids / single points (density ratios)
-    "lambda_hat": (_parse_ratio, 100.0),
+    # density-ratio grid
     "lambda_hat_grid": (_parse_grid, [10.0, 100.0, 1000.0]),
     # simulation
     "tier": (str, "muw"),
@@ -149,12 +147,10 @@ def _load_config(path: str | None, overrides: list[str]) -> dict:
     return cfg
 
 
-def _config_echo(cfg: dict, extra: dict | None = None) -> list[str]:
-    merged = dict(cfg)
-    merged.update(extra or {})
+def _config_echo(cfg: dict) -> list[str]:
     lines = []
-    for key in sorted(merged):
-        val = merged[key]
+    for key in sorted(cfg):
+        val = cfg[key]
         if isinstance(val, list):
             val = ",".join(f"{v:.10g}" for v in val)
         lines.append(f"{key} = {val}")
@@ -163,7 +159,8 @@ def _config_echo(cfg: dict, extra: dict | None = None) -> list[str]:
 
 def _network_params(cfg: dict) -> ase.NetworkParams:
     return ase.NetworkParams(
-        lambda_m=cfg["lambda_m_per_m2"],
+        # bounds_for, sweep_allocation and sweep_se set lambda_m from each grid point.
+        lambda_m=0.0,
         lambda_mu=cfg["lambda_mu_per_m2"],
         lambda_u=cfg["lambda_u_per_m2"],
         alpha_m=cfg["alpha_m"],
@@ -305,13 +302,6 @@ def _cmd_se(cfg: dict, out, fmt: str) -> None:
     )
 
 
-def _cmd_simulate(cfg: dict, out, fmt: str) -> None:
-    from . import simulator as sim
-
-    rows = sim.sweep_se([cfg["lambda_hat"]], _sim_config(cfg))
-    _emit(rows, sim.SE_CSV_HEADER, cfg, out, fmt)
-
-
 def _cmd_sweep(cfg: dict, out, fmt: str) -> None:
     from . import simulator as sim
 
@@ -338,7 +328,6 @@ def _cmd_allocate(cfg: dict, out, fmt: str) -> None:
 _COMMANDS = {
     "blockage": _cmd_blockage,
     "se": _cmd_se,
-    "simulate": _cmd_simulate,
     "sweep": _cmd_sweep,
     "allocate": _cmd_allocate,
 }

@@ -81,14 +81,11 @@ class Window:
 @dataclass(frozen=True)
 class PointSet:
     points: np.ndarray  # (n, 2)
-    density: float
     window: Window
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float).reshape(-1, 2)
         object.__setattr__(self, "points", pts)
-        if self.density < 0:
-            raise ParameterError("density must be nonnegative")
         if pts.size and not np.all(np.isfinite(pts)):
             raise ParameterError("point coordinates must be finite")
         if pts.size and (pts.min() < 0 or pts.max() > self.window.side):
@@ -128,7 +125,7 @@ def sample_ppp(density: float, window: Window, rng: np.random.Generator) -> Poin
         raise ParameterError(f"density must be nonnegative, got {density}")
     n = rng.poisson(density * window.area)
     pts = rng.uniform(0.0, window.side, size=(n, 2))
-    return PointSet(points=pts, density=density, window=window)
+    return PointSet(points=pts, window=window)
 
 
 def _tree(points: np.ndarray, window: Window) -> cKDTree:

@@ -65,12 +65,6 @@ def test_papr_bandwidth_exact_roundtrip():
     assert w == pytest.approx(2.000719142e9, rel=1e-9)
 
 
-def test_papr_bandwidth_cap_clamps_with_warning():
-    with pytest.warns(UserWarning, match="clamp"):
-        w = mmw_ul_bandwidth(244140.0, 10.0, 0.7, mode="as-printed", cap=500e6)
-    assert w == 500e6
-
-
 def test_papr_bandwidth_validation():
     with pytest.raises(ParameterError):
         mmw_ul_bandwidth(244140.0, 10.0, 1.0)

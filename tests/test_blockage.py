@@ -1,6 +1,7 @@
 import io
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -148,7 +149,7 @@ def test_los_2d_reference_values():
 
 def test_los_3d_with_table_eta():
     for name, rec in REFERENCE_REGIONS.items():
-        got = blockage_params(rec["stats"], eta_override=rec["eta"]).r_los_3d
+        got = blockage_params(rec["stats"]).r_los_2d / rec["eta"]
         # Table I prints eta to two decimals.  Yonsei's published distances
         # imply eta = 26.63 / 198.76 = 0.1340, which prints as the tabulated
         # 0.13, so the row is consistent at eta's printed precision; taking
@@ -165,9 +166,12 @@ def test_los_3d_geq_2d():
 
 
 def test_blockage_params_rejects_bad_eta():
-    for eta in (1.5, 0.0):
-        with pytest.raises(ParameterError):
-            blockage_params(stats("Gangnam"), eta_override=eta)
+    # A BS of 1e-6 m under Gangnam's buildings: the closed form underflows to
+    # eta = 0, which leaves no 3D LOS distance.
+    low_bs = replace(stats("Gangnam"), bs_height=1e-6)
+    assert height_fraction_eta(low_bs) == 0.0
+    with pytest.raises(ParameterError):
+        blockage_params(low_bs)
 
 
 # --- lognormal fitting ----------------------------------------------------------

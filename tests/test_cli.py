@@ -139,14 +139,16 @@ def test_recipe_mc_validation(capsys):
     assert header.split(",") == SE_CSV_HEADER
 
 
-# --- simulate ---------------------------------------------------------------------
+# --- sweep ------------------------------------------------------------------------
+
+ONE_POINT = ["--set", "lambda_hat_grid=100"]
 
 
 def test_simulate_identical_reruns(tmp_path, capsys):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for out in (a, b):
         code, _, _ = _run(
-            capsys, "simulate", "--set", "seed=3", "--output", str(out), *FAST_SIM
+            capsys, "sweep", "--set", "seed=3", "--output", str(out), *ONE_POINT, *FAST_SIM
         )
         assert code == EXIT_OK
     assert a.read_bytes() == b.read_bytes()
@@ -154,7 +156,9 @@ def test_simulate_identical_reruns(tmp_path, capsys):
 
 def test_simulate_seed_echoed(tmp_path, capsys):
     out = tmp_path / "sim.csv"
-    code, _, _ = _run(capsys, "simulate", "--set", "seed=42", "--output", str(out), *FAST_SIM)
+    code, _, _ = _run(
+        capsys, "sweep", "--set", "seed=42", "--output", str(out), *ONE_POINT, *FAST_SIM
+    )
     assert code == EXIT_OK
     header, rows = read_output_csv(str(out))
     assert "seed = 42" in header
@@ -205,10 +209,13 @@ def test_unknown_key_exits_2(tmp_path, capsys):
     assert "zetta" in err
 
 
-@pytest.mark.parametrize("key", ["f_s_hz", "delta", "epsilon", "floor_height_m"])
+@pytest.mark.parametrize(
+    "key", ["f_s_hz", "delta", "epsilon", "floor_height_m", "lambda_hat", "lambda_m_per_m2"]
+)
 def test_removed_key_exits_2(capsys, key):
-    # W_m,u is set directly as w_m_ul_hz, and a floor height comes with each
-    # region's building stats.
+    # W_m,u is set directly as w_m_ul_hz, a floor height comes with each
+    # region's building stats, and every command reads its density ratios,
+    # and with them lambda_m, from lambda_hat_grid.
     code, _, err = _run(capsys, "allocate", "--set", f"{key}=0.2")
     assert code == EXIT_CONFIG
     assert "unknown configuration key" in err
@@ -222,6 +229,14 @@ def test_set_aliases_are_argparse_errors(capsys, flag):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def test_simulate_command_is_argparse_error(capsys):
+    # A one-point sweep is the single-point Monte Carlo run.
+    with pytest.raises(SystemExit) as exc:
+        run(["simulate", "--set", "lambda_hat_grid=100"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'simulate'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -229,9 +244,8 @@ def test_set_aliases_are_argparse_errors(capsys, flag):
         ["se", "--set", "tier=mmw", "--set", "lambda_hat_grid=0"],
         ["se", "--set", "lambda_hat_grid=10,-5"],
         ["sweep", "--set", "lambda_hat_grid=0", *FAST_SIM],
-        ["simulate", "--set", "lambda_hat=0", *FAST_SIM],
     ],
-    ids=["se_muw", "se_mmw", "se_negative", "sweep", "simulate"],
+    ids=["se_muw", "se_mmw", "se_negative", "sweep"],
 )
 def test_nonpositive_density_ratio_exits_2(capsys, argv):
     code, _, err = _run(capsys, *argv)

@@ -1,15 +1,14 @@
 """Byte-identical CLI output against golden files.
 
 The goldens in ``tests/golden/`` were written by the ``mmudn`` commands
-below (``simulate`` and ``sweep`` at fixed seeds, plus the analytic
-``blockage``, ``se`` and ``allocate``), before any change that claims to keep
-results unchanged.  A mismatch means a replication's random stream, its
+below (``sweep`` at fixed seeds, plus the analytic ``blockage``, ``se`` and
+``allocate``), before any change that claims to keep results unchanged.  A mismatch means a replication's random stream, its
 association, its reduction, a closed form or the output format moved.
 Regenerate them only on purpose and say why in ``CHANGES.md``:
 ``python tests/test_golden.py`` rewrites all of them, and
 ``python tests/test_golden.py NAME...`` only the named ones, where NAME is a
 file name (``se_mmw.csv``), a run name covering both formats (``se_mmw``) or,
-for ``simulate`` and ``sweep``, a run name covering both worker counts as well
+for the Monte Carlo runs, a run name covering both worker counts as well
 (``sweep_mmw_dl``).
 
 The analytic grids run from λ̂ = 1.05 to 1e4, so ``se`` covers the clamped
@@ -42,10 +41,12 @@ _COMMON = [
 
 # name -> (command, extra arguments)
 _RUNS = {
-    "simulate_muw_dl": ("simulate", ["--set", "lambda_hat=500", "--set", "seed=7"]),
+    # One-point sweeps, first written by a single-point ``simulate`` command
+    # whose rows they still match byte for byte.
+    "simulate_muw_dl": ("sweep", ["--set", "lambda_hat_grid=500", "--set", "seed=7"]),
     "simulate_mmw_ul": (
-        "simulate",
-        ["--set", "tier=mmw", "--set", "direction=ul", "--set", "lambda_hat=500", "--set", "seed=11"],
+        "sweep",
+        ["--set", "tier=mmw", "--set", "direction=ul", "--set", "lambda_hat_grid=500", "--set", "seed=11"],
     ),
     "sweep_muw_ul": (
         "sweep",

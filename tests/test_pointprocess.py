@@ -96,14 +96,14 @@ def test_sample_ppp_negative_density():
 
 def test_pointset_rejects_outside_points():
     with pytest.raises(ParameterError):
-        PointSet(points=np.array([[11.0, 1.0]]), density=1.0, window=Window(10.0))
+        PointSet(points=np.array([[11.0, 1.0]]), window=Window(10.0))
 
 
 # --- Association ------------------------------------------------------------
 
 
 def _point_set(points, window):
-    return PointSet(points=np.asarray(points, float), density=1.0, window=window)
+    return PointSet(points=np.asarray(points, float), window=window)
 
 
 def test_associate_nearest_bs():
@@ -134,7 +134,7 @@ def test_associate_los_radius_leaves_user_unassociated():
 def test_associate_empty_bs_set_is_error():
     w = Window(side=10.0)
     users = _point_set([[1.0, 1.0]], w)
-    empty = PointSet(points=np.empty((0, 2)), density=0.0, window=w)
+    empty = PointSet(points=np.empty((0, 2)), window=w)
     with pytest.raises(DomainError):
         associate_strongest(users, empty)
 
