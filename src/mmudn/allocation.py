@@ -365,11 +365,16 @@ def _closed_form(
         # the uW band carries the rest of R_u = zeta R_d.
         beta_mu = (z * wmu_gmu - wmul_gmu_ul) / ((1.0 + z) * wmu_gmu)
         return Allocation(1.0, max(0.0, beta_mu))
+    # At lambda_hat_mu = 1 the uW band carries no rate either way, so it stays
+    # DL: beta_mu = 0, the pick of lp_oracle's tie-break among equal optima
+    # (in C_L that means lambda_hat_m = 1 too, and no band carries a rate).
     if region.region == "C_L":
+        if wmu_gmu == 0.0:
+            return Allocation(0.0, 0.0)
         beta_mu = (z / (1.0 + z)) * (1.0 + wm_gm / wmu_gmu)
         return Allocation(0.0, min(1.0, beta_mu))
     beta_m = (z * wm_gm - wmu_gmu) / (z * wm_gm + wmul_gmu_ul)
-    return Allocation(max(0.0, beta_m), 1.0)
+    return Allocation(max(0.0, beta_m), 1.0 if wmu_gmu > 0.0 else 0.0)
 
 
 def optimal_allocation(
@@ -465,8 +470,9 @@ def lp_oracle(
     """Exact solution of the two-variable LP max R_d s.t. R_u >= zeta R_d,
     0 <= beta <= 1, by vertex enumeration of the feasible polygon.
 
-    Ties (within 1e-15 relative in R_d) break toward smaller beta_m, then
-    smaller beta_mu.  Returns (allocation, maximal R_d).
+    Both tolerances are relative, so the answer does not depend on the rates'
+    scale.  Ties (within 1e-15 relative in R_d) break toward smaller beta_m,
+    then smaller beta_mu.  Returns (allocation, maximal R_d).
     """
     g = gammas_from_params(params, p_l=p_l, decoupled=decoupled)
     z = spectrum.zeta
@@ -477,7 +483,7 @@ def lp_oracle(
 
     def feasible(bm: float, bmu: float) -> bool:
         slack = a * bm + b * bmu - c
-        return slack >= -1e-9 * max(1.0, abs(c))
+        return slack >= -1e-9 * c
 
     candidates: list[tuple[float, float]] = [
         (bm, bmu) for bm in (0.0, 1.0) for bmu in (0.0, 1.0) if feasible(bm, bmu)
@@ -503,7 +509,7 @@ def lp_oracle(
         return rates(Allocation(*v), spectrum, g).r_d
 
     best = max(r_d(v) for v in candidates)
-    tol = 1e-15 * max(1.0, abs(best))
+    tol = 1e-15 * best
     tied = sorted(v for v in candidates if r_d(v) >= best - tol)
     bm, bmu = tied[0]
     return Allocation(bm, bmu), best
