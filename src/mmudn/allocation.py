@@ -77,11 +77,12 @@ class SpectrumParams:
     zeta: float = 0.25
 
     def __post_init__(self):
-        if not self.w_m > self.w_mu_band > 0:
+        # Written so that NaN fails every check.
+        if not math.inf > self.w_m > self.w_mu_band > 0:
             raise ParameterError(
-                f"need w_m > w_mu_band > 0, got {self.w_m}, {self.w_mu_band}"
+                f"need inf > w_m > w_mu_band > 0, got {self.w_m}, {self.w_mu_band}"
             )
-        if self.w_m_ul <= 0:
+        if not self.w_m_ul > 0:
             raise ParameterError("w_m_ul must be positive")
         if self.w_m_ul > self.w_m:
             warnings.warn(

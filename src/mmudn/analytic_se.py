@@ -69,16 +69,18 @@ class NetworkParams:
     p_mu_u: float = 1.0
 
     def __post_init__(self):
-        if min(self.lambda_m, self.lambda_mu, self.lambda_u) < 0:
-            raise ParameterError("densities must be nonnegative")
-        if self.alpha_m <= 2 or self.alpha_mu <= 2:
-            raise ParameterError("path-loss exponents must exceed 2")
+        # Every check is written so that NaN fails it.  An infinite LOS
+        # distance is allowed: it means no blockage.
+        if not all(0 <= x < math.inf for x in (self.lambda_m, self.lambda_mu, self.lambda_u)):
+            raise ParameterError("densities must be finite and nonnegative")
+        if not (2 < self.alpha_m < math.inf and 2 < self.alpha_mu < math.inf):
+            raise ParameterError("path-loss exponents must be finite and exceed 2")
         if not 0 < self.theta <= 2 * math.pi:
             raise ParameterError("beamwidth must lie in (0, 2*pi]")
-        if self.r_los <= 0:
+        if not self.r_los > 0:
             raise ParameterError("LOS distance must be positive")
-        if min(self.p_m_d, self.p_m_u, self.p_mu_d, self.p_mu_u) <= 0:
-            raise ParameterError("transmit powers must be positive")
+        if not all(0 < x < math.inf for x in (self.p_m_d, self.p_m_u, self.p_mu_d, self.p_mu_u)):
+            raise ParameterError("transmit powers must be finite and positive")
 
     @property
     def lambda_hat_m(self) -> float:

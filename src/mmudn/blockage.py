@@ -55,16 +55,17 @@ class BuildingStats:
     bs_height: float | None = None
 
     def __post_init__(self):
-        if self.avg_perimeter <= 0 or self.avg_area <= 0:
-            raise ParameterError("perimeter and area must be positive")
+        # Written so that NaN fails every check.
+        if not (0 < self.avg_perimeter < math.inf and 0 < self.avg_area < math.inf):
+            raise ParameterError("perimeter and area must be finite and positive")
         if not 0 <= self.coverage < 1:
             raise ParameterError(f"coverage must lie in [0, 1), got {self.coverage}")
-        if self.sigma_ln <= 0:
-            raise ParameterError("sigma_ln must be positive")
-        if self.floor_height <= 0:
-            raise ParameterError("floor_height must be positive")
-        if self.bs_height is not None and self.bs_height <= 0:
-            raise ParameterError("bs_height must be positive")
+        if not 0 < self.sigma_ln < math.inf:
+            raise ParameterError("sigma_ln must be finite and positive")
+        if not 0 < self.floor_height < math.inf:
+            raise ParameterError("floor_height must be finite and positive")
+        if self.bs_height is not None and not 0 < self.bs_height < math.inf:
+            raise ParameterError("bs_height must be finite and positive")
 
     @property
     def mean_height(self) -> float:
@@ -205,28 +206,36 @@ REFERENCE_REGIONS: dict[str, dict] = {
 
 
 def read_building_stats_csv(source) -> dict[str, BuildingStats]:
-    """Parse a region stats CSV (path or file object) into BuildingStats."""
+    """Parse a region stats CSV (path or file object) into BuildingStats.
+
+    A file that cannot be read, a missing column or a cell that is not a
+    number raises ParameterError naming the file (and the data row).
+    """
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        fh = open(source, newline="")
+        name = source
+        try:
+            fh = open(source, newline="")
+        except OSError as exc:
+            raise ParameterError(f"cannot read stats CSV {name}: {exc}") from exc
         close = True
     else:
         fh, close = source, False
+        name = getattr(source, "name", "<stream>")
     try:
         reader = csv.DictReader(row for row in fh if not row.lstrip().startswith("#"))
         missing = set(STATS_CSV_HEADER) - set(reader.fieldnames or [])
         if missing:
-            raise ParameterError(f"stats CSV missing columns: {sorted(missing)}")
+            raise ParameterError(f"stats CSV {name} missing columns: {sorted(missing)}")
         out: dict[str, BuildingStats] = {}
-        for row in reader:
-            out[row["region"]] = BuildingStats(
-                avg_perimeter=float(row["avg_perimeter_m"]),
-                avg_area=float(row["avg_area_m2"]),
-                coverage=float(row["coverage_fraction"]),
-                mu_ln=float(row["lognormal_mu"]),
-                sigma_ln=float(row["lognormal_sigma"]),
-                floor_height=float(row["floor_height_m"]),
-                bs_height=float(row["bs_height_m"]),
-            )
+        for n, row in enumerate(reader, 1):
+            try:
+                # The columns after ``region`` are BuildingStats' fields in order.
+                values = [float(row[col]) for col in STATS_CSV_HEADER[1:]]
+            except (TypeError, ValueError) as exc:
+                raise ParameterError(
+                    f"stats CSV {name}, data row {n} ({row['region']!r}): {exc}"
+                ) from exc
+            out[row["region"]] = BuildingStats(*values)
         return out
     finally:
         if close:

@@ -60,10 +60,10 @@ def _parse_bool(s: str) -> bool:
 
 
 def _parse_ratio(s: str) -> float:
-    """A density ratio, which must be positive."""
+    """A density ratio, which must be positive and finite."""
     v = float(s)
-    if not v > 0:
-        raise ValueError(f"density ratio must be positive, got {s.strip()!r}")
+    if not 0 < v < math.inf:
+        raise ValueError(f"density ratio must be positive and finite, got {s.strip()!r}")
     return v
 
 
@@ -73,8 +73,8 @@ def _parse_grid(s: str) -> list[float]:
     s = s.strip()
     if ":" in s:
         start, stop, count = s.split(":")
-        start, stop, count = float(start), float(stop), int(count)
-        if start <= 0 or stop <= start or count < 2:
+        start, stop, count = _parse_ratio(start), _parse_ratio(stop), int(count)
+        if stop <= start or count < 2:
             raise ValueError(f"bad log grid spec: {s!r}")
         import numpy as np
 
@@ -103,7 +103,7 @@ _KEYS = {
     "decoupled": (_parse_bool, False),
     "replications": (int, 200),
     "fading_draws": (int, 20),
-    "window_side_m": (float, 0.0),  # 0 = auto-size for 1000 expected users
+    "window_side_m": (float, 0.0),  # 0 = auto-size for 1000 expected users, else > 0
     "seed": (int, 0),
     "threads": (int, 1),
     # blockage
@@ -185,12 +185,10 @@ def _sim_config(cfg: dict):
     from .pointprocess import Window
     from .simulator import SimConfig
 
-    window = None
-    if cfg["window_side_m"] > 0:
-        window = Window(cfg["window_side_m"])
+    side = cfg["window_side_m"]
     return SimConfig(
         params=_network_params(cfg),
-        window=window,
+        window=None if side == 0 else Window(side),
         replications=cfg["replications"],
         fading_draws=cfg["fading_draws"],
         master_seed=cfg["seed"],
@@ -368,8 +366,12 @@ def run(argv: list[str]) -> int:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     if args.output:
-        with open(args.output, "w", newline="") as fh:
-            fh.write(buf.getvalue())
+        try:
+            with open(args.output, "w", newline="") as fh:
+                fh.write(buf.getvalue())
+        except OSError as exc:
+            print(f"configuration error: cannot write output: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
     else:
         sys.stdout.write(buf.getvalue())
     return EXIT_OK

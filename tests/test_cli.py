@@ -253,6 +253,74 @@ def test_nonpositive_density_ratio_exits_2(capsys, argv):
     assert "density ratio must be positive" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["se", "--set", "alpha_mu=nan", "--set", "lambda_hat_grid=10"],
+        ["se", "--set", "lambda_hat_grid=nan:10:3"],
+        ["se", "--set", "lambda_hat_grid=1:inf:3"],
+        ["allocate", "--set", "lambda_mu_per_m2=nan"],
+        ["allocate", "--set", "w_m_ul_hz=nan"],
+        ["allocate", "--set", "w_m_hz=inf"],
+        ["se", "--set", "tier=mmw", "--set", "lambda_hat_grid=inf"],
+        ["se", "--set", "alpha_mu=inf"],
+        ["se", "--set", "tier=mmw", "--set", "r_los_m=nan"],
+        ["sweep", "--set", "lambda_hat_grid=10", *FAST_SIM, "--set", "window_side_m=-5"],
+        ["sweep", "--set", "lambda_hat_grid=10", *FAST_SIM, "--set", "window_side_m=nan"],
+    ],
+    ids=[
+        "se_alpha_nan", "se_grid_start_nan", "se_grid_stop_inf", "allocate_density_nan",
+        "allocate_ul_band_nan", "allocate_band_inf", "se_mmw_ratio_inf", "se_alpha_inf",
+        "se_mmw_r_los_nan", "sweep_window_negative", "sweep_window_nan",
+    ],
+)
+def test_non_finite_or_out_of_range_input_exits_2(capsys, argv):
+    code, out, _ = _run(capsys, *argv)
+    assert code == EXIT_CONFIG
+    assert out == ""
+
+
+@pytest.mark.parametrize("command", ["se", "allocate", "sweep"])
+def test_infinite_los_distance_means_no_blockage(capsys, command):
+    argv = [command, "--set", "tier=mmw", "--set", "r_los_m=inf", "--set", "lambda_hat_grid=10"]
+    if command == "sweep":
+        argv += FAST_SIM
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the MC window warns
+        code, out, _ = _run(capsys, *argv)
+    assert code == EXIT_OK
+    row = next(line for line in out.splitlines() if line.startswith("10,"))
+    assert "nan" not in row and "inf" not in row
+
+
+def test_missing_input_file_exits_2(tmp_path, capsys):
+    missing = tmp_path / "missing.csv"
+    code, _, err = _run(capsys, "blockage", "--set", f"input={missing}")
+    assert code == EXIT_CONFIG
+    assert str(missing) in err
+
+
+def test_non_numeric_input_cell_exits_2(tmp_path, capsys):
+    src = tmp_path / "stats.csv"
+    src.write_text(
+        "region,avg_perimeter_m,avg_area_m2,coverage_fraction,"
+        "lognormal_mu,lognormal_sigma,floor_height_m,bs_height_m\n"
+        "Good,120.0,600.0,0.3,1.5,0.3,3.0,12.0\n"
+        "Bad,120.0,abc,0.3,1.5,0.3,3.0,12.0\n"
+    )
+    code, _, err = _run(capsys, "blockage", "--set", f"input={src}")
+    assert code == EXIT_CONFIG
+    assert str(src) in err and "data row 2 ('Bad')" in err
+
+
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    out = tmp_path / "no_such_dir" / "x.csv"
+    code, _, err = _run(capsys, "se", "--output", str(out))
+    assert code == EXIT_CONFIG
+    assert "cannot write output" in err
+    assert not out.exists()
+
+
 def test_bad_value_exits_2(capsys):
     code, _, err = _run(capsys, "allocate", "--set", "zeta=abc")
     assert code == EXIT_CONFIG
