@@ -24,8 +24,8 @@ def main() -> None:
         )
     print(
         "\nNotes: recomputed eta uses the printed height-fraction formula with "
-        "floor height 3 m;\nthe published eta column is reproduced downstream "
-        "via eta_override where needed."
+        "floor height 3 m;\nthe recomputed 3D LOS distance divides the "
+        "recomputed 2D one by the published eta."
     )
 
 

@@ -1,13 +1,24 @@
 import io
 import json
 import math
+import re
 import warnings
+from pathlib import Path
 
 import pytest
 
 from mmudn import blockage as blk
 from mmudn.allocation import SWEEP_CSV_HEADER
-from mmudn.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, _emit, read_output_csv, run
+from mmudn.cli import (
+    _COMMANDS,
+    _KEYS,
+    EXIT_CONFIG,
+    EXIT_NUMERIC,
+    EXIT_OK,
+    _emit,
+    read_output_csv,
+    run,
+)
 from mmudn.simulator import SE_CSV_HEADER
 
 FAST_SIM = [
@@ -137,6 +148,27 @@ def test_recipe_mc_validation(capsys):
         "--set", "threads=2",
     )
     assert header.split(",") == SE_CSV_HEADER
+
+
+def _readme_invocations() -> list[str]:
+    """Every ``mmudn ...`` command in README's code blocks, with backslash
+    continuations joined."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    commands = []
+    for block in re.findall(r"```[a-z]*\n(.*?)```", readme, flags=re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.strip().startswith("mmudn "):
+                commands.append(line.split("#", 1)[0].strip())
+    return commands
+
+
+def test_readme_commands_name_known_subcommands_and_keys():
+    commands = _readme_invocations()
+    assert commands, "README shows no mmudn command"
+    for command in commands:
+        assert command.split()[1] in _COMMANDS, command
+        for key in re.findall(r"--set\s+([A-Za-z_]\w*)=", command):
+            assert key in _KEYS, f"{command}: unknown key {key!r}"
 
 
 # --- sweep ------------------------------------------------------------------------
