@@ -230,12 +230,13 @@ def read_building_stats_csv(source) -> dict[str, BuildingStats]:
         for n, row in enumerate(reader, 1):
             try:
                 # The columns after ``region`` are BuildingStats' fields in order.
-                values = [float(row[col]) for col in STATS_CSV_HEADER[1:]]
-            except (TypeError, ValueError) as exc:
+                out[row["region"]] = BuildingStats(
+                    *(float(row[col]) for col in STATS_CSV_HEADER[1:])
+                )
+            except (TypeError, ValueError) as exc:  # ParameterError is a ValueError
                 raise ParameterError(
                     f"stats CSV {name}, data row {n} ({row['region']!r}): {exc}"
                 ) from exc
-            out[row["region"]] = BuildingStats(*values)
         return out
     finally:
         if close:

@@ -332,13 +332,14 @@ def test_missing_input_file_exits_2(tmp_path, capsys):
     assert str(missing) in err
 
 
-def test_non_numeric_input_cell_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize("cell", ["abc", "nan"])
+def test_non_numeric_input_cell_exits_2(tmp_path, capsys, cell):
     src = tmp_path / "stats.csv"
     src.write_text(
         "region,avg_perimeter_m,avg_area_m2,coverage_fraction,"
         "lognormal_mu,lognormal_sigma,floor_height_m,bs_height_m\n"
         "Good,120.0,600.0,0.3,1.5,0.3,3.0,12.0\n"
-        "Bad,120.0,abc,0.3,1.5,0.3,3.0,12.0\n"
+        f"Bad,120.0,{cell},0.3,1.5,0.3,3.0,12.0\n"
     )
     code, _, err = _run(capsys, "blockage", "--set", f"input={src}")
     assert code == EXIT_CONFIG
