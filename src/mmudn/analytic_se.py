@@ -157,10 +157,10 @@ def los_probability(lambda_m: float, r_los: float) -> float:
     """Probability the nearest mmW BS is within the LOS distance,
     ``1 - exp(-lambda_m * pi * r_los^2)``.
     """
-    if lambda_m < 0:
-        raise ParameterError("lambda_m must be nonnegative")
-    if r_los <= 0:
-        raise ParameterError("r_los must be positive")
+    if not (lambda_m >= 0):
+        raise ParameterError(f"lambda_m must be nonnegative, got {lambda_m}")
+    if not (r_los > 0):
+        raise ParameterError(f"r_los must be positive, got {r_los}")
     return -math.expm1(-lambda_m * math.pi * r_los**2)
 
 

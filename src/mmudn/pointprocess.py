@@ -121,7 +121,7 @@ class AssociationMap:
 
 def sample_ppp(density: float, window: Window, rng: np.random.Generator) -> PointSet:
     """Homogeneous PPP restricted to the window: Poisson count, uniform locations."""
-    if density < 0:
+    if not (density >= 0):
         raise ParameterError(f"density must be nonnegative, got {density}")
     n = rng.poisson(density * window.area)
     pts = rng.uniform(0.0, window.side, size=(n, 2))

@@ -127,6 +127,15 @@ def test_los_probability_monotone():
     assert np.all(np.diff(vals) > 0)
 
 
+def test_los_probability_rejects_nan():
+    with pytest.raises(ParameterError):
+        los_probability(math.nan, 10.0)
+    with pytest.raises(ParameterError):
+        los_probability(1e-3, math.nan)
+    # An unbounded LOS distance stays legal.
+    assert los_probability(1e-3, math.inf) == 1.0
+
+
 # --- millimeter-wave tier -------------------------------------------------------
 
 

@@ -94,6 +94,11 @@ def test_sample_ppp_negative_density():
         sample_ppp(-1.0, Window(10.0), np.random.default_rng(0))
 
 
+def test_sample_ppp_nan_density():
+    with pytest.raises(ParameterError):
+        sample_ppp(math.nan, Window(10.0), np.random.default_rng(0))
+
+
 def test_pointset_rejects_outside_points():
     with pytest.raises(ParameterError):
         PointSet(points=np.array([[11.0, 1.0]]), window=Window(10.0))

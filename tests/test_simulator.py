@@ -1,8 +1,10 @@
 import math
 import warnings
 
+import numpy as np
 import pytest
 
+from mmudn import simulator as sim
 from mmudn.analytic_se import NetworkParams
 from mmudn.errors import ParameterError
 from mmudn.pointprocess import Window, active_bs_probability
@@ -89,12 +91,128 @@ def test_workers_do_not_change_results():
         serial = estimate_se(cfg(replications=reps))
         parallel = estimate_se(cfg(replications=reps, workers=2))
         assert serial == parallel
+    # All-receiver mode too, where one replication yields many SIR rows.
+    every = dict(tier="mmw", direction="ul", average_all_receivers=True, replications=6)
+    serial = estimate_se(cfg(**every))
+    assert serial.n > 0
+    assert serial == estimate_se(cfg(workers=2, **every))
 
 
 def test_different_seeds_differ():
     a = estimate_se(cfg(master_seed=1))
     b = estimate_se(cfg(master_seed=2))
     assert a.mean != b.mean
+
+
+# --- block geometry against the per-receiver loop ------------------------------------
+
+
+def _per_receiver_sir(config, rep):
+    """Reference for ``_replication_sir``: the geometry one receiver at a time,
+    by ``Window.distance`` and an explicit mainlobe test, with the same draws.
+
+    Returns (status, sir, rows); ``rows`` holds every receiver's SIR row, all
+    zeros when its own link breaks the LOS indicator and None when no
+    interferer reaches it.
+    """
+    rng = np.random.default_rng([config.master_seed, rep])
+    window, alpha, n_draws = config.window, config.alpha, config.fading_draws
+    mmw = config.tier == "mmw"
+    r_los = config.params.r_los
+    network = sim._scheduled_network(config, rng, r_los if mmw else math.inf)
+    if network is None or network[2].active_bs.size == 0:
+        return "no_active", None, []
+    bss, users, assoc = network
+    active = assoc.active_bs
+    bs_pos = bss.points[active]
+    user_pos = users.points[assoc.scheduled_user[active]]
+    if config.direction == "dl":
+        rx_all, tx_all, partner_all = user_pos, bs_pos, user_pos
+    else:
+        rx_all, tx_all, partner_all = bs_pos, user_pos, bs_pos
+    if config.average_all_receivers:
+        receiver_ids = range(active.size)
+    else:
+        receiver_ids = [int(rng.integers(active.size))]
+    rows = []
+    for ridx in receiver_ids:
+        rx = rx_all[ridx]
+        r0 = float(window.distance(tx_all[ridx], rx))
+        if r0 <= 0 or (mmw and r0 > r_los):
+            rows.append(np.zeros(n_draws))
+            continue
+        others = np.flatnonzero(np.arange(active.size) != ridx)
+        tx_i = tx_all[others]
+        d_i = window.distance(rx, tx_i)
+        keep = d_i > 0
+        if mmw:
+            keep &= d_i <= r_los
+            to_partner = window.displacement(tx_i, partner_all[others])
+            to_rx = window.displacement(tx_i, rx[None, :])
+            num = np.einsum("ij,ij->i", to_partner, to_rx)
+            den = np.linalg.norm(to_partner, axis=1) * np.linalg.norm(to_rx, axis=1)
+            cos_angle = np.where(den > 0, num / np.maximum(den, 1e-300), 1.0)
+            keep &= cos_angle >= math.cos(config.params.theta / 2.0)
+        d_i = d_i[keep]
+        if d_i.size == 0:
+            rows.append(None)
+            continue
+        g0 = rng.exponential(size=n_draws)
+        g_i = rng.exponential(size=(n_draws, d_i.size))
+        rows.append(g0 * r0 ** (-alpha) / (g_i @ d_i ** (-alpha)))
+    kept = [row for row in rows if row is not None]
+    if not kept:
+        return "interference_free", None, rows
+    return "ok", np.stack(kept) if config.average_all_receivers else kept[0], rows
+
+
+@pytest.mark.parametrize("block_pairs", [sim._BLOCK_PAIRS, 1])
+@pytest.mark.parametrize("tier", ["muw", "mmw"])
+@pytest.mark.parametrize("direction", ["dl", "ul"])
+def test_block_geometry_is_bit_identical(monkeypatch, tier, direction, block_pairs):
+    # block_pairs = 1 puts one receiver in each block, however many are active.
+    monkeypatch.setattr(sim, "_BLOCK_PAIRS", block_pairs)
+    real_network = sim._scheduled_network
+
+    def unrestricted_network(config, rng, los_radius):
+        return real_network(config, rng, math.inf)
+
+    seen = set()
+
+    def check(config, reps):
+        for rep in reps:
+            status, sir = sim._replication_sir(config, rep)
+            ref_status, ref_sir, rows = _per_receiver_sir(config, rep)
+            assert status == ref_status, (config, rep)
+            if ref_sir is None:
+                assert sir is None
+            else:
+                assert np.array_equal(sir, ref_sir), (config, rep)
+            if not config.average_all_receivers:
+                continue
+            cases = {
+                status: True,
+                "one active": len(rows) == 1,
+                "several blocks": len(rows) > max(1, sim._BLOCK_PAIRS // max(len(rows), 1)),
+                "free row": any(row is None for row in rows),
+                "zero row": any(row is not None and not row.any() for row in rows),
+            }
+            seen.update(case for case, hit in cases.items() if hit)
+
+    for every in (False, True):
+        base = dict(tier=tier, direction=direction, average_all_receivers=every)
+        check(cfg(replications=1, **base), range(4))
+        # About two users in the window: some replications have one active BS.
+        check(cfg(replications=1, window=Window(side=150.0), **base), range(12))
+        if tier == "mmw":
+            # Association ignoring R_L gives links the LOS indicator zeroes.
+            with monkeypatch.context() as m:
+                m.setattr(sim, "_scheduled_network", unrestricted_network)
+                check(cfg(replications=1, params=net(lhat_m=2.0), **base), range(4))
+    expected = {"one active", "several blocks", "free row", "ok", "interference_free"}
+    if tier == "mmw":
+        expected.add("zero row")
+    assert expected <= seen
 
 
 # --- power invariance -----------------------------------------------------------------
