@@ -23,12 +23,14 @@ draw per replication would reorder the stream, and measured slower.
 
 Replications are independent and reproducible: replication ``i`` runs on
 ``default_rng([master_seed, i])`` regardless of execution order or worker
-count.
+count.  Parallel estimates share one worker pool per process (see
+:func:`_run_reps`).
 """
 
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -250,8 +252,8 @@ def _replication_sir(config: SimConfig, rep: int):
             if d_i.size == 0:
                 sir_rows.append(None)
                 continue
-            g0 = rng.exponential(size=n_draws)
-            g_i = rng.exponential(size=(n_draws, d_i.size))
+            g0 = rng.standard_exponential(n_draws)
+            g_i = rng.standard_exponential((n_draws, d_i.size))
             signal = g0 * r0 ** (-alpha)
             interference = g_i @ d_i ** (-alpha)
             sir_rows.append(signal / interference)
@@ -273,19 +275,44 @@ def _rep_se(config: SimConfig, rep: int):
     return status, se
 
 
+# The process's worker pool: created at the first parallel call, replaced
+# when the worker count changes or the pool stops taking work.
+_pool: ProcessPoolExecutor | None = None
+
+
+def _executor(workers: int) -> ProcessPoolExecutor:
+    global _pool
+    if _pool is not None:
+        # ProcessPoolExecutor's own state: its size, and the flag that
+        # shutdown() and a dead worker (BrokenProcessPool) both set.
+        if _pool._max_workers == workers and not _pool._shutdown_thread:
+            return _pool
+        _pool.shutdown()
+    _pool = ProcessPoolExecutor(max_workers=workers)
+    return _pool
+
+
 def _run_reps(config: SimConfig, fn):
     """Apply fn(config, rep) over all replications, optionally in parallel,
-    reducing in replication order so results are interleaving-independent."""
+    reducing in replication order so results are interleaving-independent.
+
+    Parallel calls share one pool per process, with min(workers,
+    replications, CPU count) workers; the output does not depend on that
+    count.  The workers are forked at the first parallel call (or when the
+    pool is replaced) and see module state as of then.
+    """
     reps = range(config.replications)
-    if config.workers == 1:
+    workers = min(config.workers, config.replications, os.cpu_count() or 1)
+    if workers == 1:
         return [fn(config, rep) for rep in reps]
     # About four chunks per worker: few enough to amortize the hand-off,
     # enough that even a short estimate reaches every worker.
-    chunksize = max(1, math.ceil(config.replications / (4 * config.workers)))
-    with ProcessPoolExecutor(max_workers=config.workers) as pool:
-        return list(
-            pool.map(fn, [config] * config.replications, reps, chunksize=chunksize)
+    chunksize = max(1, math.ceil(config.replications / (4 * workers)))
+    return list(
+        _executor(workers).map(
+            fn, [config] * config.replications, reps, chunksize=chunksize
         )
+    )
 
 
 def estimate_se(config: SimConfig) -> SEEstimate:

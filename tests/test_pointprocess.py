@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import gamma as gamma_dist
 
+from mmudn import pointprocess as pp
 from mmudn.errors import DomainError, ParameterError
 from mmudn.pointprocess import (
     PointSet,
@@ -146,12 +147,16 @@ def test_associate_empty_bs_set_is_error():
 
 # (BS density, los_radius, layout) in a 20 m window.  At 20 BSs/m^2
 # against ~8 users association takes its cell-pruned path, on a grid of
-# 0.65 m cells.  "edge" puts users and BSs exactly at x == side and y == side,
+# 0.45 m cells.  "edge" puts users and BSs exactly at x == side and y == side,
 # and a user just inside the corner next to the BS at (side, side);
 # "holes" clears a disc of 0.3-1.2 m around each user, so nearest BSs sit
-# near the certification distance of one cell side; "clustered" packs the BSs
-# into one corner, so users far from it have no candidate near enough to
-# certify and are re-queried against all BSs.
+# near the certification distance of one cell side, and a LOS radius of
+# 0.6 m lies between that distance and many users' nearest BS;
+# "clustered" packs the BSs into one corner, so users far from it have no
+# candidate near enough to certify and are re-queried against all BSs;
+# "dense" draws users as densely as the cells (2 BSs/m^2: 196 cells
+# against ~200 users), so their blocks cover the grid and the tree holds
+# every BS.
 _ASSOC_CASES = [
     (0.05, math.inf, "uniform"),
     (20.0, math.inf, "uniform"),
@@ -159,9 +164,12 @@ _ASSOC_CASES = [
     (20.0, 3.0, "uniform"),
     (20.0, math.inf, "edge"),
     (20.0, math.inf, "holes"),
+    (20.0, 0.6, "holes"),
     (20.0, 3.0, "holes"),
     (20.0, math.inf, "clustered"),
     (20.0, 4.0, "clustered"),
+    (2.0, math.inf, "dense"),
+    (2.0, 0.5, "dense"),
 ]
 
 
@@ -177,7 +185,11 @@ def _check_association(seed, bs_density, los_radius, layout):
     side = 20.0
     rng = np.random.default_rng(seed)
     w = Window(side=side)
-    users = sample_ppp(0.05 if bs_density < 1 else 0.02, w, rng).points
+    if layout == "dense":
+        user_density = bs_density / pp._BS_PER_CELL
+    else:
+        user_density = 0.05 if bs_density < 1 else 0.02
+    users = sample_ppp(user_density, w, rng).points
     bss = sample_ppp(bs_density, w, rng).points
     if len(users) == 0 or len(bss) < 2:
         return

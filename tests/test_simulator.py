@@ -1,5 +1,8 @@
 import math
+import os
 import warnings
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -96,6 +99,49 @@ def test_workers_do_not_change_results():
     serial = estimate_se(cfg(**every))
     assert serial.n > 0
     assert serial == estimate_se(cfg(workers=2, **every))
+
+
+def _exit_worker(config, rep):
+    os._exit(1)
+
+
+def test_parallel_estimates_share_one_pool():
+    serial = estimate_se(cfg(replications=4))
+    parallel = cfg(replications=4, workers=2)
+    assert estimate_se(parallel) == serial
+    pool = sim._pool
+    assert estimate_se(parallel) == serial
+    assert sim._pool is pool
+    # A pool shut down from outside is replaced by the next call.
+    pool.shutdown()
+    assert estimate_se(parallel) == serial
+    assert sim._pool is not pool
+    # So is one a dead worker broke; the call that broke it still raises.
+    pool = sim._pool
+    with pytest.raises(BrokenProcessPool):
+        sim._run_reps(parallel, _exit_worker)
+    assert estimate_se(parallel) == serial
+    assert sim._pool is not pool
+
+
+def test_pool_size_is_capped_by_cpu_count(monkeypatch):
+    sizes = []
+
+    class AtMostTwo(ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            if max_workers > 2:
+                raise AssertionError(f"asked for {max_workers} workers")
+            super().__init__(max_workers=max_workers)
+
+    if sim._pool is not None:
+        sim._pool.shutdown()  # so that the next parallel call starts a pool
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(sim, "ProcessPoolExecutor", AtMostTwo)
+    serial = estimate_se(cfg(replications=8))
+    assert estimate_se(cfg(replications=8, workers=64)) == serial
+    assert sizes == [2]
+    assert len(sim._pool._processes) == 2
 
 
 def test_different_seeds_differ():
