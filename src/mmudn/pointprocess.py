@@ -13,8 +13,9 @@ user's cell.  Any BS outside a user's block lies at least one cell side away,
 so a candidate found closer than that (less a small floating-point margin) is
 the true nearest BS; a user with no candidate that close (about 3.5e-6 of
 users) is re-queried against a tree over all BSs.  When there are at least
-one ninth as many users as cells, the blocks could cover the whole grid, and
-the tree holds all BSs from the start.  No random draw is involved, so the
+two ninths as many users as cells, the blocks cover all but about exp(-2) of
+the grid, and a tree over all BSs is built at once: there the per-BS pass
+would cost more than it prunes.  No random draw is involved, so the
 result is the same as an unpruned search.
 """
 
@@ -157,6 +158,12 @@ def _nearest(
 # beyond one cell side with probability exp(-4 pi), about 3.5e-6.
 _BS_PER_CELL = 4
 
+# Above this ratio of 9 x users (block cells, with overlaps) to cells, a tree
+# over all BSs is faster than the per-BS pass plus a tree over the users'
+# blocks.  Interleaved per-association timings put the crossover at 1.0-1.75
+# for 100 to 2,500 users (BENCH_13.json, "association_crossover").
+_FULL_TREE_COVER = 2
+
 
 def associate_strongest(
     users: PointSet, bss: PointSet, los_radius: float = math.inf
@@ -176,9 +183,9 @@ def associate_strongest(
     window = bss.window
     bound = los_radius if math.isfinite(los_radius) else np.inf
     n_cells = math.isqrt(len(bss) // _BS_PER_CELL)
-    if 9 * len(users) >= n_cells * n_cells:
-        # The users' 3x3 blocks could cover every cell: a per-BS pass would
-        # cost more than it prunes.
+    if 9 * len(users) >= _FULL_TREE_COVER * n_cells * n_cells:
+        # The users' 3x3 blocks cover all but about exp(-2) of the cells:
+        # the per-BS pass would cost more than it prunes from the tree.
         user_to_bs = _nearest(bss.points, users.points, window, bound)
         return AssociationMap(user_to_bs=user_to_bs, n_bs=len(bss))
 

@@ -33,6 +33,7 @@ import math
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -275,44 +276,41 @@ def _rep_se(config: SimConfig, rep: int):
     return status, se
 
 
-# The process's worker pool: created at the first parallel call, replaced
-# when the worker count changes or the pool stops taking work.
+# The process's worker pool and its size: created at the first parallel
+# call, replaced when the worker count changes, dropped when it breaks.
 _pool: ProcessPoolExecutor | None = None
-
-
-def _executor(workers: int) -> ProcessPoolExecutor:
-    global _pool
-    if _pool is not None:
-        # ProcessPoolExecutor's own state: its size, and the flag that
-        # shutdown() and a dead worker (BrokenProcessPool) both set.
-        if _pool._max_workers == workers and not _pool._shutdown_thread:
-            return _pool
-        _pool.shutdown()
-    _pool = ProcessPoolExecutor(max_workers=workers)
-    return _pool
+_pool_workers = 0
 
 
 def _run_reps(config: SimConfig, fn):
     """Apply fn(config, rep) over all replications, optionally in parallel,
     reducing in replication order so results are interleaving-independent.
 
-    Parallel calls share one pool per process, with min(workers,
-    replications, CPU count) workers; the output does not depend on that
-    count.  The workers are forked at the first parallel call (or when the
-    pool is replaced) and see module state as of then.
+    Parallel calls share one pool per process, with min(workers, CPU count)
+    workers; the output does not depend on that count.  The workers are
+    forked at the first parallel call (or when the pool is replaced) and see
+    module state as of then.  A call whose worker dies raises
+    ``BrokenProcessPool``, and the next call forks a new pool.
     """
+    global _pool, _pool_workers
     reps = range(config.replications)
-    workers = min(config.workers, config.replications, os.cpu_count() or 1)
-    if workers == 1:
+    workers = min(config.workers, os.cpu_count() or 1)
+    if workers == 1 or config.replications == 1:
         return [fn(config, rep) for rep in reps]
+    if _pool is None or _pool_workers != workers:
+        if _pool is not None:
+            _pool.shutdown()
+        _pool, _pool_workers = ProcessPoolExecutor(max_workers=workers), workers
     # About four chunks per worker: few enough to amortize the hand-off,
     # enough that even a short estimate reaches every worker.
     chunksize = max(1, math.ceil(config.replications / (4 * workers)))
-    return list(
-        _executor(workers).map(
-            fn, [config] * config.replications, reps, chunksize=chunksize
+    try:
+        return list(
+            _pool.map(fn, [config] * config.replications, reps, chunksize=chunksize)
         )
-    )
+    except BrokenProcessPool:
+        _pool = None
+        raise
 
 
 def estimate_se(config: SimConfig) -> SEEstimate:

@@ -1,7 +1,6 @@
 import io
 import json
 import math
-import os
 import re
 import warnings
 from pathlib import Path
@@ -185,21 +184,6 @@ def test_simulate_identical_reruns(tmp_path, capsys):
         )
         assert code == EXIT_OK
     assert a.read_bytes() == b.read_bytes()
-
-
-def test_sweep_output_does_not_depend_on_threads(tmp_path, capsys, monkeypatch):
-    # The pool is capped at the CPU count, 2 here: threads=64 starts two workers.
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    outputs = {}
-    for threads in (1, 64):
-        out = tmp_path / f"t{threads}.csv"
-        code, _, _ = _run(
-            capsys, "sweep", "--set", f"threads={threads}", "--output", str(out),
-            "--set", "lambda_hat_grid=10,100", *FAST_SIM,
-        )
-        assert code == EXIT_OK
-        outputs[threads] = out.read_bytes().replace(f"# threads = {threads}\n".encode(), b"")
-    assert outputs[1] == outputs[64]
 
 
 def test_simulate_seed_echoed(tmp_path, capsys):

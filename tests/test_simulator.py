@@ -105,23 +105,27 @@ def _exit_worker(config, rep):
     os._exit(1)
 
 
+def _drop_pool():
+    # So that the next parallel call forks a new pool.
+    if sim._pool is not None:
+        sim._pool.shutdown()
+    sim._pool = None
+
+
 def test_parallel_estimates_share_one_pool():
     serial = estimate_se(cfg(replications=4))
     parallel = cfg(replications=4, workers=2)
     assert estimate_se(parallel) == serial
     pool = sim._pool
+    assert pool is not None
     assert estimate_se(parallel) == serial
     assert sim._pool is pool
-    # A pool shut down from outside is replaced by the next call.
-    pool.shutdown()
-    assert estimate_se(parallel) == serial
-    assert sim._pool is not pool
-    # So is one a dead worker broke; the call that broke it still raises.
-    pool = sim._pool
+    # A dead worker breaks the pool: the call raises, the next call forks a
+    # new pool and gives the same result.
     with pytest.raises(BrokenProcessPool):
         sim._run_reps(parallel, _exit_worker)
     assert estimate_se(parallel) == serial
-    assert sim._pool is not pool
+    assert sim._pool is not None and sim._pool is not pool
 
 
 def test_pool_size_is_capped_by_cpu_count(monkeypatch):
@@ -134,14 +138,13 @@ def test_pool_size_is_capped_by_cpu_count(monkeypatch):
                 raise AssertionError(f"asked for {max_workers} workers")
             super().__init__(max_workers=max_workers)
 
-    if sim._pool is not None:
-        sim._pool.shutdown()  # so that the next parallel call starts a pool
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    _drop_pool()
     monkeypatch.setattr(sim, "ProcessPoolExecutor", AtMostTwo)
     serial = estimate_se(cfg(replications=8))
     assert estimate_se(cfg(replications=8, workers=64)) == serial
+    # Fewer replications than workers reuse the pool.
+    assert estimate_se(cfg(replications=2, workers=64)) == estimate_se(cfg(replications=2))
     assert sizes == [2]
-    assert len(sim._pool._processes) == 2
 
 
 def test_different_seeds_differ():
