@@ -160,8 +160,8 @@ _BS_PER_CELL = 4
 
 # Above this ratio of 9 x users (block cells, with overlaps) to cells, a tree
 # over all BSs is faster than the per-BS pass plus a tree over the users'
-# blocks.  Interleaved per-association timings put the crossover at 1.0-1.75
-# for 100 to 2,500 users (BENCH_13.json, "association_crossover").
+# blocks.  Interleaved per-association timings put the crossover between 1
+# and 1.8 for 100 to 2,500 users (BENCH_13.json, "association_crossover").
 _FULL_TREE_COVER = 2
 
 
