@@ -9,8 +9,11 @@ Modules:
   cli          — batch front end (``mmudn`` console script)
 
 The re-exported names below load their home module on first access, so
-``import mmudn`` (and the CLI behind it) pulls in numpy and scipy only for the
-modules a caller actually uses.
+``import mmudn`` (and the CLI behind it) pulls in numpy only for the modules a
+caller actually uses.  No module imports scipy when it loads: the three
+functions that need it (``allocation.cl_boundary``,
+``blockage.fit_floor_lognormal`` and ``pointprocess.estimate_cell_areas``)
+import it when called.
 """
 
 from importlib import import_module

@@ -14,8 +14,8 @@ way to set a key on the command line.  Every output carries a
 ``# key = value`` header echoing the resolved configuration.  Exit codes:
 0 success, 2 configuration error, 3 numeric failure.
 
-Each command imports the modules it runs on demand, so ``allocate``,
-``blockage`` and ``se`` load no scipy, and numpy only to expand a
+Each command imports the modules it runs on demand, and none loads scipy.
+``allocate``, ``blockage`` and ``se`` load numpy only to expand a
 ``start:stop:count`` grid; only ``sweep`` loads the simulator and its
 point-process stack.
 """

@@ -5,18 +5,18 @@ All stochastic routines take an explicit numpy Generator so that every
 replication of an experiment can run on its own deterministic stream.
 
 Association is exact but pruned.  At the densities of interest a window holds
-up to hundreds of thousands of BSs against a few hundred users, and building a
-KD-tree over every BS would dominate a replication.  :func:`associate_strongest`
-therefore tiles the window into a grid of cells holding about four BSs each
-and builds its tree only over the BSs in the 3x3 block of cells around each
-user's cell.  Any BS outside a user's block lies at least one cell side away,
-so a candidate found closer than that (less a small floating-point margin) is
-the true nearest BS; a user with no candidate that close (about 3.5e-6 of
-users) is re-queried against a tree over all BSs.  When there are at least
-two ninths as many users as cells, the blocks cover all but about exp(-2) of
-the grid, and a tree over all BSs is built at once: there the per-BS pass
-would cost more than it prunes.  No random draw is involved, so the
-result is the same as an unpruned search.
+up to hundreds of thousands of BSs against a few hundred users.
+:func:`associate_strongest` therefore tiles the window into a grid of cells
+holding about four BSs each (or, for a shorter LOS radius, cells just wider
+than that radius), keeps only the BSs in the 3x3 block of cells around some
+user's cell, and sorts them by cell.  Each user is then measured against the
+BSs of its own block, all users at once in numpy.  Any BS outside a user's
+block lies at least one cell side away, so a candidate found closer than
+that (less a small floating-point margin) is the true nearest BS; a user
+with no candidate that close (about 3.5e-6 of users) is measured against all
+BSs.  No random draw is involved, so the result is the same as an unpruned
+search, exact ties included (the lowest BS index wins).  The module loads
+no scipy for any of this: only :func:`estimate_cell_areas` builds a KD-tree.
 """
 
 from __future__ import annotations
@@ -25,13 +25,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-# Imported eagerly, unlike the scipy pieces of the analytic modules: the
-# simulator's worker pool forks from the importing process (the Linux default),
-# so a module-level import is paid once per process, where an import inside
-# the association would be paid again by every pool worker (~0.5 s).
-from scipy.spatial import cKDTree
-from scipy.special import gamma as gamma_fn
 
 from .errors import DomainError, ParameterError
 
@@ -131,38 +124,109 @@ def sample_ppp(density: float, window: Window, rng: np.random.Generator) -> Poin
     return PointSet(points=pts, window=window)
 
 
-def _tree(points: np.ndarray, window: Window) -> cKDTree:
-    # The unbalanced, non-compact build is ~1.7x faster to construct and
-    # finds the same nearest neighbours; leaves of 32 points cut a
-    # replication's association time by ~5 % against the default 16.  The
-    # periodic tree rejects a coordinate equal to the box side; on the torus
-    # that point is the one at 0.
-    if points.size and points.max() >= window.side:
-        points = np.where(points >= window.side, points - window.side, points)
-    return cKDTree(
-        points, leafsize=32, boxsize=window.side, balanced_tree=False, compact_nodes=False
-    )
-
-
-def _nearest(
-    bs_points: np.ndarray, user_points: np.ndarray, window: Window, bound: float
-) -> np.ndarray:
-    """Index of each user's nearest BS closer than ``bound``, or -1."""
-    dist, idx = _tree(bs_points, window).query(
-        user_points, k=1, distance_upper_bound=bound
-    )
-    return np.where(np.isfinite(dist), idx, -1).astype(np.int64)
-
-
 # Expected BSs per cell of the association grid.  A user's nearest BS lies
 # beyond one cell side with probability exp(-4 pi), about 3.5e-6.
 _BS_PER_CELL = 4
 
-# Above this ratio of 9 x users (block cells, with overlaps) to cells, a tree
-# over all BSs is faster than the per-BS pass plus a tree over the users'
-# blocks.  Interleaved per-association timings put the crossover between 1
-# and 1.8 for 100 to 2,500 users (BENCH_13.json, "association_crossover").
-_FULL_TREE_COVER = 2
+# (user, BS) pairs per search block: a block's handful of pair arrays stays
+# near 1 MiB however many users share a replication.
+_BLOCK_PAIRS = 1 << 14
+
+# Row and column offsets of the nine cells of a 3x3 block.
+_BLOCK_DX = np.repeat((-1, 0, 1), 3)
+_BLOCK_DY = np.tile((-1, 0, 1), 3)
+
+
+def _brute_nearest(
+    bs_points: np.ndarray, user_points: np.ndarray, window: Window, bound: float
+) -> np.ndarray:
+    """Index of each user's nearest BS closer than ``bound``, or -1, found by
+    measuring every BS; an exact tie goes to the lowest index."""
+    out = np.full(len(user_points), -1, dtype=np.int64)
+    step = max(1, _BLOCK_PAIRS // len(bs_points))
+    for lo in range(0, len(user_points), step):
+        u = user_points[lo : lo + step]
+        dx = window.displacement(u[:, :1], bs_points[:, 0])
+        dy = window.displacement(u[:, 1:], bs_points[:, 1])
+        d2 = dx * dx + dy * dy
+        best = np.argmin(d2, axis=1)
+        hit = d2[np.arange(len(u)), best] < bound * bound
+        out[lo : lo + len(u)][hit] = best[hit]
+    return out
+
+
+def _nearest_in_blocks(
+    user_points: np.ndarray, bs_points: np.ndarray, side: float, n_cells: int, limit: float
+) -> np.ndarray:
+    """Index of each user's nearest BS closer than ``limit`` among the BSs in
+    the 3x3 block of cells around the user's cell, or -1; ``n_cells`` >= 3
+    cells per side, so a block never wraps onto itself."""
+    scale = n_cells / side
+
+    def cells(points):
+        xy = (points * scale).astype(np.intp)
+        np.minimum(xy, n_cells - 1, out=xy)
+        return xy[:, 0], xy[:, 1]
+
+    ux, uy = cells(user_points)
+    # Each user's block as nine (cell, image shift) slots: the cell wrapped
+    # onto the grid, and the shift of 0 or one window side that brings the
+    # cell's BSs next to the user across the window edge.
+    nx = ux[:, None] + _BLOCK_DX
+    ny = uy[:, None] + _BLOCK_DY
+    slot_keys = nx % n_cells * n_cells + ny % n_cells
+    # User coordinates in each slot's frame: a BS there less these is the
+    # displacement to the BS's image next to the user.
+    frame_x = user_points[:, :1] - side * (nx // n_cells)
+    frame_y = user_points[:, 1:] - side * (ny // n_cells)
+
+    # Keep the BSs in some user's block, with their cell keys.  The pass runs
+    # in slices of BSs: whole-array temporaries measured twice as slow.
+    block = np.zeros(n_cells * n_cells, dtype=bool)
+    block[slot_keys] = True
+    kept, kept_keys = [], []
+    for lo in range(0, len(bs_points), _BLOCK_PAIRS):
+        bx, by = cells(bs_points[lo : lo + _BLOCK_PAIRS])
+        keys = bx * n_cells + by
+        inside = np.flatnonzero(block[keys])
+        kept.append(inside + lo)
+        kept_keys.append(keys[inside])
+    kept, kept_keys = np.concatenate(kept), np.concatenate(kept_keys)
+    # Sort them by cell; each cell's BSs are then one run, found by counting.
+    order = np.argsort(kept_keys)
+    kept = kept[order]
+    counts = np.bincount(kept_keys[order], minlength=n_cells * n_cells)
+    starts = np.cumsum(counts) - counts
+    sorted_x, sorted_y = bs_points[kept, 0], bs_points[kept, 1]
+
+    slot_counts = counts[slot_keys]
+    user_pairs = slot_counts.sum(axis=1)
+    pair_ends = np.cumsum(user_pairs)
+    user_to_bs = np.full(len(user_points), -1, dtype=np.int64)
+    lo = 0
+    while lo < len(user_points):
+        # The next users with at most _BLOCK_PAIRS (user, BS) pairs in all,
+        # or one user with more.
+        done = pair_ends[lo - 1] if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(pair_ends, done + _BLOCK_PAIRS, side="right")))
+        per_user = user_pairs[lo:hi]
+        has = np.flatnonzero(per_user)
+        if has.size:
+            cnt = slot_counts[lo:hi].ravel()
+            pos = np.repeat(starts[slot_keys[lo:hi].ravel()] - (np.cumsum(cnt) - cnt), cnt)
+            pos += np.arange(pos.size)
+            dx = sorted_x[pos] - np.repeat(frame_x[lo:hi].ravel(), cnt)
+            dy = sorted_y[pos] - np.repeat(frame_y[lo:hi].ravel(), cnt)
+            d2 = dx * dx + dy * dy
+            first = (np.cumsum(per_user) - per_user)[has]
+            best = np.minimum.reduceat(d2, first)
+            # The lowest BS index among a user's pairs at its minimum.
+            at_best = d2 == np.repeat(best, per_user[has])
+            nearest = np.minimum.reduceat(np.where(at_best, kept[pos], len(bs_points)), first)
+            ok = best < limit * limit
+            user_to_bs[lo + has[ok]] = nearest[ok]
+        lo = hi
+    return user_to_bs
 
 
 def associate_strongest(
@@ -172,50 +236,40 @@ def associate_strongest(
 
     With equal per-tier transmit powers this is the nearest BS under the
     window metric; a finite ``los_radius`` restricts candidates to BSs
-    within line of sight and leaves users with none unassociated.  The
-    search is pruned to BSs near the users (see the module docstring) and
-    returns the same association as a search over all BSs.
+    within line of sight and leaves users with none unassociated.  An exact
+    distance tie goes to the lowest BS index.  The search is pruned to BSs
+    near the users (see the module docstring) and returns the same
+    association as a search over all BSs.
     """
     if len(bss) == 0:
         raise DomainError("cannot associate against an empty BS set")
     if len(users) == 0:
         return AssociationMap(user_to_bs=np.full(0, -1, dtype=np.int64), n_bs=len(bss))
     window = bss.window
-    bound = los_radius if math.isfinite(los_radius) else np.inf
+    side = window.side
     n_cells = math.isqrt(len(bss) // _BS_PER_CELL)
-    if 9 * len(users) >= _FULL_TREE_COVER * n_cells * n_cells:
-        # The users' 3x3 blocks cover all but about exp(-2) of the cells:
-        # the per-BS pass would cost more than it prunes from the tree.
-        user_to_bs = _nearest(bss.points, users.points, window, bound)
+    if n_cells < 3:
+        # A 3x3 block would wrap onto itself: every BS is a candidate.
+        user_to_bs = _brute_nearest(bss.points, users.points, window, los_radius)
         return AssociationMap(user_to_bs=user_to_bs, n_bs=len(bss))
-
-    scale = n_cells / window.side
-
-    def flat_cells(points):
-        cells = (points * scale).astype(np.int32)
-        np.minimum(cells, n_cells - 1, out=cells)
-        return cells[:, 0] * n_cells + cells[:, 1]
-
-    block = np.zeros(n_cells * n_cells, dtype=bool)
-    user_cells = flat_cells(users.points)
-    ux, uy = np.divmod(user_cells, n_cells)
-    for dx in (-1, 0, 1):
-        for dy in (-1, 0, 1):
-            block[(ux + dx) % n_cells * n_cells + (uy + dy) % n_cells] = True
-    candidates = np.flatnonzero(block[flat_cells(bss.points)])
     # A BS outside a user's block is at least one cell side away; the margin
-    # absorbs rounding in the cell assignment and in the tree's distances.
-    reach = window.side / n_cells - 1e-9 * window.side
-    user_to_bs = _nearest(bss.points[candidates], users.points, window, min(bound, reach))
-    hit = user_to_bs >= 0
-    user_to_bs[hit] = candidates[user_to_bs[hit]]
-    if bound > reach:
+    # absorbs rounding in the cell assignment and in the distances.
+    margin = 1e-9 * side
+    if los_radius + 2 * margin < side / n_cells:
+        # Cells wider than the LOS radius by a margin still hold every BS
+        # within it in a user's block, and fewer other BSs.
+        n_cells = min(int(side / (los_radius + 2 * margin)), math.isqrt(4 * len(bss)))
+    reach = side / n_cells - margin
+    user_to_bs = _nearest_in_blocks(
+        users.points, bss.points, side, n_cells, min(los_radius, reach)
+    )
+    if los_radius > reach:
         # A user with no candidate inside ``reach`` may still have a farther
-        # BS within ``bound``: ask all BSs.
+        # BS within the LOS radius: measure all BSs.
         open_users = np.flatnonzero(user_to_bs < 0)
         if open_users.size:
-            user_to_bs[open_users] = _nearest(
-                bss.points, users.points[open_users], window, bound
+            user_to_bs[open_users] = _brute_nearest(
+                bss.points, users.points[open_users], window, los_radius
             )
     return AssociationMap(user_to_bs=user_to_bs, n_bs=len(bss))
 
@@ -249,6 +303,19 @@ def scheduled_user_density(lambda_hat: float) -> float:
     return active_bs_probability(lambda_hat) * lambda_hat
 
 
+def _tree(points: np.ndarray, window: Window):
+    # Imported here: only the Voronoi diagnostics need scipy, and the
+    # simulator and its forked pool workers load none.
+    from scipy.spatial import cKDTree
+
+    # The unbalanced, non-compact build is faster to construct and finds the
+    # same nearest neighbours.  The periodic tree rejects a coordinate equal
+    # to the box side; on the torus that point is the one at 0.
+    if points.size and points.max() >= window.side:
+        points = np.where(points >= window.side, points - window.side, points)
+    return cKDTree(points, boxsize=window.side, balanced_tree=False, compact_nodes=False)
+
+
 def estimate_cell_areas(
     bss: PointSet, n_samples: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -279,7 +346,7 @@ def voronoi_cell_pdf(x, bs_density: float):
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):
         raise ParameterError("cell size must be nonnegative")
-    coef = _VOR_RATE**_VOR_RATE / gamma_fn(_VOR_RATE) * bs_density**_VOR_SHAPE
+    coef = _VOR_RATE**_VOR_RATE / math.gamma(_VOR_RATE) * bs_density**_VOR_SHAPE
     out = coef * x**_VOR_RATE * np.exp(-_VOR_RATE * bs_density * x)
     return float(out) if out.ndim == 0 else out
 

@@ -24,7 +24,8 @@ draw per replication would reorder the stream, and measured slower.
 Replications are independent and reproducible: replication ``i`` runs on
 ``default_rng([master_seed, i])`` regardless of execution order or worker
 count.  Parallel estimates share one worker pool per process (see
-:func:`_run_reps`).
+:func:`_run_reps`).  The simulator and the point-process stack it imports
+load numpy but no scipy, so a forked worker starts with all it needs.
 """
 
 from __future__ import annotations
@@ -48,8 +49,7 @@ from .analytic_se import (
 )
 from .errors import ParameterError
 
-# Eager on purpose: forked pool workers inherit the point-process stack and
-# its scipy.spatial import instead of importing it again (see pointprocess).
+# Forked pool workers inherit this numpy-only stack: no worker imports scipy.
 from .pointprocess import (
     Window,
     associate_strongest,

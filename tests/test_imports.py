@@ -19,17 +19,21 @@ import mmudn
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def _modules_after(code: str) -> set[str]:
-    """``sys.modules`` after running ``code`` in a fresh interpreter that
-    imports mmudn from this checkout."""
+def _last_json(code: str):
+    """The JSON value printed last by ``code`` run in a fresh interpreter
+    that imports mmudn from this checkout."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    script = f"{code}\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
     proc = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    return set(json.loads(proc.stdout.splitlines()[-1]))
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _modules_after(code: str) -> set[str]:
+    """``sys.modules`` after running ``code`` in a fresh interpreter."""
+    return set(_last_json(f"{code}\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"))
 
 
 def _scipy(modules: set[str]) -> list[str]:
@@ -69,9 +73,28 @@ def test_se_muw_loads_no_numpy():
     assert "numpy" not in loaded
 
 
-def test_simulator_imports_scipy_spatial_eagerly():
-    # Forked pool workers inherit it instead of importing it once each.
-    assert "scipy.spatial" in _modules_after("import mmudn.simulator")
+def test_simulator_and_parallel_sweep_load_no_scipy():
+    # Association searches a cell list, not a KD-tree.  The sweep's pool
+    # workers are forked during the run, so they are asked for their modules
+    # by a function defined before it; two CPUs are pinned so that the pool
+    # exists on any host.
+    assert _scipy(_modules_after("import mmudn.simulator")) == []
+    sweep = _cli_run(
+        "sweep", "--set", "threads=2", "--set", "replications=4",
+        "--set", "fading_draws=2", "--set", "lambda_hat_grid=10",
+    )
+    code = (
+        "import json, os, sys\n"
+        "def worker_modules():\n"
+        "    return sorted(sys.modules)\n"
+        "os.cpu_count = lambda: 2\n"
+        f"{sweep}\n"
+        "from mmudn import simulator\n"
+        "print(json.dumps([sorted(sys.modules), simulator._pool.submit(worker_modules).result()]))"
+    )
+    main, worker = _last_json(code)
+    assert "mmudn.simulator" in main and "mmudn.pointprocess" in worker
+    assert _scipy(set(main)) == [] and _scipy(set(worker)) == []
 
 
 _HOMES = {

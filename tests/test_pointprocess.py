@@ -146,20 +146,29 @@ def test_associate_empty_bs_set_is_error():
 
 
 # (BS density, los_radius, layout) in a 20 m window.  At 20 BSs/m^2
-# against ~8 users association takes its cell-pruned path, on a grid of
-# 0.45 m cells.  "edge" puts users and BSs exactly at x == side and y == side,
-# and a user just inside the corner next to the BS at (side, side);
-# "holes" clears a disc of 0.3-1.2 m around each user, so nearest BSs sit
-# near the certification distance of one cell side, and a LOS radius of
-# 0.6 m lies between that distance and many users' nearest BS;
-# "clustered" packs the BSs into one corner, so users far from it have no
-# candidate near enough to certify and are re-queried against all BSs;
-# "dense" draws users as densely as the cells (2 BSs/m^2: 196 cells
-# against ~200 users), so their blocks cover the grid and the tree holds
-# every BS.
+# against ~8 users association searches a grid of 0.45 m cells.  "edge" puts
+# users and BSs exactly at x == side and y == side, and a user just inside
+# the corner next to the BS at (side, side); "holes" clears a disc of
+# 0.3-1.2 m around each user, so nearest BSs sit near the certification
+# distance of one cell side, and a LOS radius of 0.6 m lies between that
+# distance and many users' nearest BS; "clustered" packs the BSs into one
+# corner, so users far from it have no candidate near enough to certify and
+# are checked against all BSs; "dense" draws users as densely as the cells
+# (2 BSs/m^2: 196 cells against ~200 users), so their blocks cover the grid.
+# LOS radii of 0.3, 0.25 and 0.05 m are shorter than the 0.45 m cell side,
+# so cells are sized by the LOS radius instead (0.25 m divides the window
+# exactly; 0.05 m hits the cap on the cell count).  At 0.05 and 0.08
+# BSs/m^2 a window holds fewer than 36 BSs (mostly), so the 3x3 block would
+# wrap onto itself.  "ties" puts the BSs on a 0.5 m lattice in shuffled
+# index order and the users midway between two or four of them, across the
+# window edge too: exact distance ties on dyadic coordinates.
 _ASSOC_CASES = [
     (0.05, math.inf, "uniform"),
+    (0.08, math.inf, "edge"),
+    (0.08, 4.0, "uniform"),
     (20.0, math.inf, "uniform"),
+    (20.0, 0.05, "uniform"),
+    (20.0, 0.25, "uniform"),
     (20.0, 0.3, "uniform"),
     (20.0, 3.0, "uniform"),
     (20.0, math.inf, "edge"),
@@ -170,6 +179,8 @@ _ASSOC_CASES = [
     (20.0, 4.0, "clustered"),
     (2.0, math.inf, "dense"),
     (2.0, 0.5, "dense"),
+    (4.0, math.inf, "ties"),
+    (4.0, 0.3, "ties"),
 ]
 
 
@@ -179,6 +190,13 @@ def test_association_invariant_nearest_among_candidates(seed):
     # Every case runs on every drawn seed, so each gets all 25 examples.
     for case in _ASSOC_CASES:
         _check_association(seed, *case)
+
+
+def _brute_force(users, bss, w, los_radius):
+    """Nearest BS of each user by the torus distance to every BS (the
+    lowest index on a tie), or -1 when none is closer than ``los_radius``."""
+    d_all = np.array([w.distance(u, bss) for u in users])
+    return np.where(d_all.min(axis=1) < los_radius, np.argmin(d_all, axis=1), -1)
 
 
 def _check_association(seed, bs_density, los_radius, layout):
@@ -207,12 +225,40 @@ def _check_association(seed, bs_density, los_radius, layout):
         bss = bss[np.all(d > radius[:, None], axis=0)]
     elif layout == "clustered":
         bss = bss / 4.0
+    elif layout == "ties":
+        grid = np.arange(0.0, side, 0.5)
+        bss = rng.permutation(np.stack(np.meshgrid(grid, grid), axis=-1).reshape(-1, 2))
+        offsets = np.array([[0.25, 0.25], [0.25, 0.0], [0.0, 0.25]])
+        users = grid[rng.integers(0, grid.size, size=(30, 2))] + offsets[rng.integers(0, 3, size=30)]
+        users = np.vstack([users, [side - 0.25, side - 0.25], [side - 0.25, 0.0]])
     assoc = associate_strongest(_point_set(users, w), _point_set(bss, w), los_radius)
-    d_all = np.array([w.distance(u, bss) for u in users])
-    expected = np.where(d_all.min(axis=1) < los_radius, np.argmin(d_all, axis=1), -1)
     np.testing.assert_array_equal(
-        assoc.user_to_bs, expected, err_msg=f"{bs_density, los_radius, layout}"
+        assoc.user_to_bs,
+        _brute_force(users, bss, w, los_radius),
+        err_msg=f"{bs_density, los_radius, layout}",
     )
+
+
+@pytest.mark.parametrize("los_radius", [0.25, 0.3])
+def test_los_sized_cells_hold_every_bs_within_los_radius(monkeypatch, los_radius):
+    # Both radii are shorter than the 0.45 m side of 4-BS cells at 20 BSs/m^2.
+    # Cells just wider than the radius put every BS within it in a user's
+    # block, so no user is measured against all BSs.  0.25 m divides the
+    # 20 m window: cells without the margin would be exactly that wide, and
+    # every user with no BS in reach would be searched against all BSs.
+    w = Window(side=20.0)
+    rng = np.random.default_rng(17)
+    users = sample_ppp(0.5, w, rng)
+    bss = sample_ppp(20.0, w, rng)
+
+    def refuse(*args):
+        raise AssertionError("a user was measured against all BSs")
+
+    monkeypatch.setattr(pp, "_brute_nearest", refuse)
+    assoc = associate_strongest(users, bss, los_radius)
+    expected = _brute_force(users.points, bss.points, w, los_radius)
+    assert np.any(expected < 0) and np.any(expected >= 0)
+    np.testing.assert_array_equal(assoc.user_to_bs, expected)
 
 
 # --- Scheduling -------------------------------------------------------------
