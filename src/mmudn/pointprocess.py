@@ -128,8 +128,10 @@ def sample_ppp(density: float, window: Window, rng: np.random.Generator) -> Poin
 # beyond one cell side with probability exp(-4 pi), about 3.5e-6.
 _BS_PER_CELL = 4
 
-# (user, BS) pairs per search block: a block's handful of pair arrays stays
-# near 1 MiB however many users share a replication.
+# (user, BS) pairs per search block, and BSs per slice of the pass over all
+# BSs: the scratch arrays stay under 1 MiB however many users and BSs a
+# replication holds.  An unblocked search raised the all-receiver
+# benchmark's peak RSS by 1.9 MiB (2 %).
 _BLOCK_PAIRS = 1 << 14
 
 # Row and column offsets of the nine cells of a 3x3 block.
@@ -155,76 +157,93 @@ def _brute_nearest(
     return out
 
 
+def _cell_xy(points: np.ndarray, side: float, n_cells: int) -> tuple[np.ndarray, np.ndarray]:
+    """Column and row of the grid cell holding each point."""
+    xy = (points * (n_cells / side)).astype(np.intp)
+    np.minimum(xy, n_cells - 1, out=xy)
+    return xy[:, 0], xy[:, 1]
+
+
+def _block_slots(user_points: np.ndarray, side: float, n_cells: int):
+    """Each user's 3x3 block of cells as nine (cell, image shift) slots:
+    the cell's key, wrapped onto the grid, and the user's coordinates in the
+    slot's frame, shifted by 0 or one window side, so that a BS in the cell
+    less them is the displacement to the BS's image next to the user."""
+    ux, uy = _cell_xy(user_points, side, n_cells)
+    nx = ux[:, None] + _BLOCK_DX
+    ny = uy[:, None] + _BLOCK_DY
+    keys = nx % n_cells * n_cells + ny % n_cells
+    frame_x = user_points[:, :1] - side * (nx // n_cells)
+    frame_y = user_points[:, 1:] - side * (ny // n_cells)
+    return keys, frame_x, frame_y
+
+
+def _bs_by_cell(bs_points: np.ndarray, slot_keys: np.ndarray, side: float, n_cells: int):
+    """Indices of the BSs in some slot's cell, sorted by cell, and the count
+    of those BSs in every cell.  The pass over the BSs runs in slices:
+    whole-array temporaries measured twice as slow."""
+    block = np.zeros(n_cells * n_cells, dtype=bool)
+    block[slot_keys] = True
+    kept, kept_keys = [], []
+    for lo in range(0, len(bs_points), _BLOCK_PAIRS):
+        bx, by = _cell_xy(bs_points[lo : lo + _BLOCK_PAIRS], side, n_cells)
+        keys = bx * n_cells + by
+        inside = np.flatnonzero(block[keys])
+        kept.append(inside + lo)
+        kept_keys.append(keys[inside])
+    kept_keys = np.concatenate(kept_keys)
+    order = np.argsort(kept_keys)
+    return np.concatenate(kept)[order], np.bincount(kept_keys, minlength=n_cells * n_cells)
+
+
 def _nearest_in_blocks(
     user_points: np.ndarray, bs_points: np.ndarray, side: float, n_cells: int, limit: float
 ) -> np.ndarray:
     """Index of each user's nearest BS closer than ``limit`` among the BSs in
     the 3x3 block of cells around the user's cell, or -1; ``n_cells`` >= 3
     cells per side, so a block never wraps onto itself."""
-    scale = n_cells / side
-
-    def cells(points):
-        xy = (points * scale).astype(np.intp)
-        np.minimum(xy, n_cells - 1, out=xy)
-        return xy[:, 0], xy[:, 1]
-
-    ux, uy = cells(user_points)
-    # Each user's block as nine (cell, image shift) slots: the cell wrapped
-    # onto the grid, and the shift of 0 or one window side that brings the
-    # cell's BSs next to the user across the window edge.
-    nx = ux[:, None] + _BLOCK_DX
-    ny = uy[:, None] + _BLOCK_DY
-    slot_keys = nx % n_cells * n_cells + ny % n_cells
-    # User coordinates in each slot's frame: a BS there less these is the
-    # displacement to the BS's image next to the user.
-    frame_x = user_points[:, :1] - side * (nx // n_cells)
-    frame_y = user_points[:, 1:] - side * (ny // n_cells)
-
-    # Keep the BSs in some user's block, with their cell keys.  The pass runs
-    # in slices of BSs: whole-array temporaries measured twice as slow.
-    block = np.zeros(n_cells * n_cells, dtype=bool)
-    block[slot_keys] = True
-    kept, kept_keys = [], []
-    for lo in range(0, len(bs_points), _BLOCK_PAIRS):
-        bx, by = cells(bs_points[lo : lo + _BLOCK_PAIRS])
-        keys = bx * n_cells + by
-        inside = np.flatnonzero(block[keys])
-        kept.append(inside + lo)
-        kept_keys.append(keys[inside])
-    kept, kept_keys = np.concatenate(kept), np.concatenate(kept_keys)
-    # Sort them by cell; each cell's BSs are then one run, found by counting.
-    order = np.argsort(kept_keys)
-    kept = kept[order]
-    counts = np.bincount(kept_keys[order], minlength=n_cells * n_cells)
+    slot_keys, frame_x, frame_y = _block_slots(user_points, side, n_cells)
+    kept, counts = _bs_by_cell(bs_points, slot_keys, side, n_cells)
+    # Each cell's BSs are one run of the sorted BSs.
     starts = np.cumsum(counts) - counts
     sorted_x, sorted_y = bs_points[kept, 0], bs_points[kept, 1]
-
     slot_counts = counts[slot_keys]
     user_pairs = slot_counts.sum(axis=1)
-    pair_ends = np.cumsum(user_pairs)
     user_to_bs = np.full(len(user_points), -1, dtype=np.int64)
-    lo = 0
-    while lo < len(user_points):
-        # The next users with at most _BLOCK_PAIRS (user, BS) pairs in all,
-        # or one user with more.
-        done = pair_ends[lo - 1] if lo else 0
-        hi = max(lo + 1, int(np.searchsorted(pair_ends, done + _BLOCK_PAIRS, side="right")))
+
+    def search(lo, hi):
+        # Expand users lo..hi-1 into their (user, BS) pairs, user by user.
         per_user = user_pairs[lo:hi]
         has = np.flatnonzero(per_user)
-        if has.size:
-            cnt = slot_counts[lo:hi].ravel()
-            pos = np.repeat(starts[slot_keys[lo:hi].ravel()] - (np.cumsum(cnt) - cnt), cnt)
-            pos += np.arange(pos.size)
-            dx = sorted_x[pos] - np.repeat(frame_x[lo:hi].ravel(), cnt)
-            dy = sorted_y[pos] - np.repeat(frame_y[lo:hi].ravel(), cnt)
-            d2 = dx * dx + dy * dy
-            first = (np.cumsum(per_user) - per_user)[has]
-            best = np.minimum.reduceat(d2, first)
-            # The lowest BS index among a user's pairs at its minimum.
-            at_best = d2 == np.repeat(best, per_user[has])
-            nearest = np.minimum.reduceat(np.where(at_best, kept[pos], len(bs_points)), first)
-            ok = best < limit * limit
-            user_to_bs[lo + has[ok]] = nearest[ok]
+        if not has.size:
+            return
+        cnt = slot_counts[lo:hi].ravel()
+        pos = np.repeat(starts[slot_keys[lo:hi].ravel()] - (np.cumsum(cnt) - cnt), cnt)
+        pos += np.arange(pos.size)
+        # d2 = dx * dx + dy * dy, in place to keep the scratch small.
+        d2 = sorted_x[pos]
+        d2 -= np.repeat(frame_x[lo:hi].ravel(), cnt)
+        d2 *= d2
+        dy = sorted_y[pos]
+        dy -= np.repeat(frame_y[lo:hi].ravel(), cnt)
+        dy *= dy
+        d2 += dy
+        first = (np.cumsum(per_user) - per_user)[has]
+        best = np.minimum.reduceat(d2, first)
+        # The lowest BS index among a user's pairs at its minimum.
+        at_best = d2 == np.repeat(best, per_user[has])
+        nearest = np.minimum.reduceat(np.where(at_best, kept[pos], len(bs_points)), first)
+        ok = best < limit * limit
+        user_to_bs[lo + has[ok]] = nearest[ok]
+
+    pair_ends = np.cumsum(user_pairs)
+    lo = 0
+    while lo < len(user_points):
+        # The next users with at most _BLOCK_PAIRS pairs in all, or one user
+        # with more.
+        done = pair_ends[lo - 1] if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(pair_ends, done + _BLOCK_PAIRS, side="right")))
+        search(lo, hi)
         lo = hi
     return user_to_bs
 

@@ -229,7 +229,8 @@ def _check_association(seed, bs_density, los_radius, layout):
         grid = np.arange(0.0, side, 0.5)
         bss = rng.permutation(np.stack(np.meshgrid(grid, grid), axis=-1).reshape(-1, 2))
         offsets = np.array([[0.25, 0.25], [0.25, 0.0], [0.0, 0.25]])
-        users = grid[rng.integers(0, grid.size, size=(30, 2))] + offsets[rng.integers(0, 3, size=30)]
+        users = grid[rng.integers(0, grid.size, size=(30, 2))]
+        users += offsets[rng.integers(0, 3, size=30)]
         users = np.vstack([users, [side - 0.25, side - 0.25], [side - 0.25, 0.0]])
     assoc = associate_strongest(_point_set(users, w), _point_set(bss, w), los_radius)
     np.testing.assert_array_equal(
