@@ -130,8 +130,9 @@ _BS_PER_CELL = 4
 
 # (user, BS) pairs per search block, and BSs per slice of the pass over all
 # BSs: the scratch arrays stay under 1 MiB however many users and BSs a
-# replication holds.  An unblocked search raised the all-receiver
-# benchmark's peak RSS by 1.9 MiB (2 %).
+# replication holds.  Blocks whose arrays outlived them raised the
+# all-receiver benchmark's peak RSS by 1.1 MiB; freed, it matches the
+# KD-tree search's.
 _BLOCK_PAIRS = 1 << 14
 
 # Row and column offsets of the nine cells of a 3x3 block.
@@ -158,7 +159,7 @@ def _brute_nearest(
 
 
 def _cell_xy(points: np.ndarray, side: float, n_cells: int) -> tuple[np.ndarray, np.ndarray]:
-    """Column and row of the grid cell holding each point."""
+    """x and y index of the grid cell holding each point."""
     xy = (points * (n_cells / side)).astype(np.intp)
     np.minimum(xy, n_cells - 1, out=xy)
     return xy[:, 0], xy[:, 1]
