@@ -275,7 +275,14 @@ def region_classify(
     the allocation branch switch); zeta = 0 is C_L by convention.  D holds iff
     ln(lhat_m + lhat_mu) >= (W_m / W_m.u) ln(lhat_m), evaluated in log form.
     """
-    g = gammas_from_params(params, p_l=p_l)
+    return _classify(params, spectrum, gammas_from_params(params, p_l=p_l), decoupled)
+
+
+def _classify(
+    params: NetworkParams, spectrum: SpectrumParams, g: Gammas, decoupled: bool
+) -> RegionLabel:
+    """:func:`region_classify` from the gammas already in hand (their mmW UL
+    SE is not read, so decoupled gammas serve as well)."""
     if spectrum.zeta == 0:
         low = True
     else:
@@ -394,7 +401,7 @@ def optimal_allocation(
     """
     g = gammas_from_params(params, p_l=p_l, decoupled=decoupled)
     a1 = _check_a1(spectrum, g, strict)
-    region = region_classify(params, spectrum, decoupled=decoupled, p_l=p_l)
+    region = _classify(params, spectrum, g, decoupled)
     alloc = _closed_form(spectrum, g, region)
     return AllocationResult(
         allocation=alloc,
@@ -506,13 +513,14 @@ def lp_oracle(
             f"(A={a:.6g}, B={b:.6g}, C={c:.6g})"
         )
 
-    def r_d(v: tuple[float, float]) -> float:
-        return rates(Allocation(*v), spectrum, g).r_d
-
-    best = max(r_d(v) for v in candidates)
+    # R_d of each vertex, in the floating-point order of :func:`rates`.
+    r_d = [
+        (1.0 - bm) * spectrum.w_m * g.gamma_m + (1.0 - bmu) * spectrum.w_mu_band * g.gamma_mu
+        for bm, bmu in candidates
+    ]
+    best = max(r_d)
     tol = 1e-15 * best
-    tied = sorted(v for v in candidates if r_d(v) >= best - tol)
-    bm, bmu = tied[0]
+    bm, bmu = min(v for v, r in zip(candidates, r_d) if r >= best - tol)
     return Allocation(bm, bmu), best
 
 
