@@ -5,22 +5,31 @@ All stochastic routines take an explicit numpy Generator so that every
 replication of an experiment can run on its own deterministic stream.
 
 Association is exact but pruned.  At the densities of interest a window holds
-up to hundreds of thousands of BSs against a few hundred users.
-:func:`associate_strongest` therefore tiles the window into a grid of cells
-holding about four BSs each (or, for a shorter LOS radius, cells just wider
-than that radius), keeps only the BSs in the 3x3 block of cells around some
-user's cell, and sorts them by cell.  Each user is then measured against the
-BSs of its own block, all users at once in numpy.  Any BS outside a user's
-block lies at least one cell side away, so a candidate found closer than
-that (less a small floating-point margin) is the true nearest BS; a user
-with no candidate that close (about 3.5e-6 of users) is measured against all
-BSs.  No random draw is involved, so the result is the same as an unpruned
-search, exact ties included (the lowest BS index wins).  The module loads
-no scipy for any of this: only :func:`estimate_cell_areas` builds a KD-tree.
+up to millions of BSs against a few hundred users, and only a BS that serves
+a user ever transmits.  :func:`associate_strongest` tiles the window into a
+grid of cells holding about four BSs each (or, for a shorter LOS radius,
+cells just wider than that radius) and measures each user against the BSs of
+the 3x3 block of cells around its own, all users at once in numpy.  Any BS
+outside a user's block lies at least one cell side away, so a candidate
+found closer than that (less a small floating-point margin) is the true
+nearest BS.  A user with no candidate that close (about 3.5e-6 of users) is
+measured against its block grown ring by ring, each ring certifying one more
+cell side, until it is settled or the block would wrap onto itself; then
+against every BS.  Exact ties go to the lowest BS index, as in a search over
+all BSs.
+
+The BSs are either a :class:`PointSet`, whose points association sorts into
+the cells it visits, or a :class:`LazyPPP`, which association draws cell by
+cell: only the cells it visits, then one Poisson count for the rest of the
+window.  The simulator draws its users first and its BSs lazily, so a
+replication costs about the same at any BS density.  The module loads no
+scipy: only :func:`estimate_cell_areas` builds a KD-tree, and imports it
+when called.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -31,6 +40,7 @@ from .errors import DomainError, ParameterError
 __all__ = [
     "Window",
     "PointSet",
+    "LazyPPP",
     "AssociationMap",
     "sample_ppp",
     "associate_strongest",
@@ -90,24 +100,97 @@ class PointSet:
     def __len__(self) -> int:
         return self.points.shape[0]
 
+    def _cells(self, keys: np.ndarray, n: int):
+        """The points in the given cells of an n x n grid (ascending keys),
+        sorted by cell: (x, y, their indices, count per cell).  One pass
+        over all points, in slices: whole-array temporaries measured twice as
+        slow."""
+        side = self.window.side
+        wanted = np.zeros(n * n, dtype=bool)
+        wanted[keys] = True
+        kept, kept_keys = [], []
+        for lo in range(0, len(self), _BLOCK_PAIRS):
+            cx, cy = _cell_xy(self.points[lo : lo + _BLOCK_PAIRS], side, n)
+            cell = cx * n + cy
+            inside = np.flatnonzero(wanted[cell])
+            kept.append(inside + lo)
+            kept_keys.append(cell[inside])
+        kept_keys = np.concatenate(kept_keys)
+        order = np.argsort(kept_keys)
+        ids = np.concatenate(kept)[order]
+        kept_keys = kept_keys[order]
+        counts = np.searchsorted(kept_keys, keys, side="right") - np.searchsorted(kept_keys, keys)
+        return self.points[ids, 0], self.points[ids, 1], ids, counts
+
+
+class LazyPPP:
+    """Homogeneous PPP on the window, drawn only where
+    :func:`associate_strongest` looks for BSs.
+
+    Nothing is drawn at construction.  Association draws, from ``rng``, the
+    cells its users' blocks cover, all in one Poisson count spread over them
+    (cells of equal area), then any cells its ring growth adds, and last the
+    count of BSs in the cells left undrawn (``AssociationMap.n_bs``).  PPP
+    counts on disjoint regions are independent, so the drawn cells have the
+    law of the same cells of a PPP drawn over the whole window, and a BS left
+    undrawn serves no user, so it is inactive.  ``points`` and ``len()`` are
+    the BSs drawn so far, cell by cell.
+    """
+
+    def __init__(self, density: float, window: Window, rng: np.random.Generator):
+        if not (density >= 0):
+            raise ParameterError(f"density must be nonnegative, got {density}")
+        self.density, self.window, self.rng = density, window, rng
+        self.points = np.empty((0, 2))
+        self._associated = False
+
+    def __len__(self) -> int:
+        return self.points.shape[0]
+
+    def _cells(self, keys: np.ndarray, n: int):
+        """Draw the given cells of an n x n grid (ascending keys, none drawn
+        before): one Poisson count over their area, spread over them
+        uniformly, then uniform x and y offsets inside each cell.  Returns
+        (x, y, their indices, count per cell); the points come out sorted by
+        cell."""
+        side = self.window.side
+        h = side / n
+        count = self.rng.poisson(self.density * keys.size * h * h)
+        counts = np.bincount(self.rng.integers(keys.size, size=count), minlength=keys.size)
+        cells = np.repeat(keys, counts)
+        x, y = self.rng.random((2, count))
+        x += cells // n
+        y += cells % n
+        for c in (x, y):
+            c *= h
+            np.minimum(c, side, out=c)
+        ids = np.arange(len(self), len(self) + count)
+        self.points = np.concatenate((self.points, np.column_stack((x, y))))
+        return x, y, ids, counts
+
 
 @dataclass
 class AssociationMap:
     """User-to-BS association plus (after scheduling) one active user per BS.
 
     ``user_to_bs[u]`` is the serving BS index or -1 when no BS qualifies
-    (mmW users with no BS inside the LOS radius).  ``scheduled_user[b]`` is
-    -1 until :func:`schedule_active` fills it; BSs with no associated user
-    stay at -1 and are marked inactive.
+    (mmW users with no BS inside the LOS radius).  ``n_bs`` is the window's
+    BS count and ``n_drawn`` the number of BSs with an index (all of them
+    unless the BSs were drawn lazily; the others serve no user).
+    ``scheduled_user[b]`` is -1 until :func:`schedule_active` fills it;
+    BSs with no associated user stay at -1 and are marked inactive.
     """
 
     user_to_bs: np.ndarray
     n_bs: int
     scheduled_user: np.ndarray = field(default=None)
+    n_drawn: int | None = None
 
     def __post_init__(self):
+        if self.n_drawn is None:
+            self.n_drawn = self.n_bs
         if self.scheduled_user is None:
-            self.scheduled_user = np.full(self.n_bs, -1, dtype=np.int64)
+            self.scheduled_user = np.full(self.n_drawn, -1, dtype=np.int64)
 
     @property
     def active_bs(self) -> np.ndarray:
@@ -128,16 +211,12 @@ def sample_ppp(density: float, window: Window, rng: np.random.Generator) -> Poin
 # beyond one cell side with probability exp(-4 pi), about 3.5e-6.
 _BS_PER_CELL = 4
 
-# (user, BS) pairs per search block, and BSs per slice of the pass over all
+# (user, BS) pairs per search block, and BSs per slice of a pass over all
 # BSs: the scratch arrays stay under 1 MiB however many users and BSs a
 # replication holds.  Blocks whose arrays outlived them raised the
 # all-receiver benchmark's peak RSS by 1.1 MiB; freed, it matches the
 # KD-tree search's.
 _BLOCK_PAIRS = 1 << 14
-
-# Row and column offsets of the nine cells of a 3x3 block.
-_BLOCK_DX = np.repeat((-1, 0, 1), 3)
-_BLOCK_DY = np.tile((-1, 0, 1), 3)
 
 
 def _brute_nearest(
@@ -146,6 +225,8 @@ def _brute_nearest(
     """Index of each user's nearest BS closer than ``bound``, or -1, found by
     measuring every BS; an exact tie goes to the lowest index."""
     out = np.full(len(user_points), -1, dtype=np.int64)
+    if not len(bs_points):
+        return out
     step = max(1, _BLOCK_PAIRS // len(bs_points))
     for lo in range(0, len(user_points), step):
         u = user_points[lo : lo + step]
@@ -158,6 +239,19 @@ def _brute_nearest(
     return out
 
 
+def _cells_per_side(count: float, side: float, los_radius: float) -> int:
+    """Cells per side of the association grid for ``count`` BSs: about
+    ``_BS_PER_CELL`` BSs per cell or, when the LOS radius is shorter than that
+    cell side, cells just wider than it, at most isqrt(4 count) per side."""
+    n = math.isqrt(int(count // _BS_PER_CELL))
+    margin = 1e-9 * side
+    if n >= 3 and los_radius + 2 * margin < side / n:
+        # Cells wider than the LOS radius by a margin still hold every BS
+        # within it in a user's block, and fewer other BSs.
+        n = min(int(side / (los_radius + 2 * margin)), math.isqrt(int(4 * count)))
+    return n
+
+
 def _cell_xy(points: np.ndarray, side: float, n_cells: int) -> tuple[np.ndarray, np.ndarray]:
     """x and y index of the grid cell holding each point."""
     xy = (points * (n_cells / side)).astype(np.intp)
@@ -165,52 +259,101 @@ def _cell_xy(points: np.ndarray, side: float, n_cells: int) -> tuple[np.ndarray,
     return xy[:, 0], xy[:, 1]
 
 
-def _block_slots(user_points: np.ndarray, side: float, n_cells: int):
-    """Each user's 3x3 block of cells as nine (cell, image shift) slots:
-    the cell's key, wrapped onto the grid, and the user's coordinates in the
-    slot's frame, shifted by 0 or one window side, so that a BS in the cell
-    less them is the displacement to the BS's image next to the user."""
+# A grid with at most this many cells per searched slot is indexed by a
+# table over the grid; a larger one (dense BSs, few users) by binary search
+# over the covered cells, so that no array grows with the window's BS count.
+# The two cost about the same at this ratio; for 9 x 225 slots, a table over
+# 5.6M cells took 1.8 ms and the binary search 0.06 ms.
+_TABLE_CELLS_PER_SLOT = 64
+
+
+class _CellIndex:
+    """The BSs of the covered cells of an n x n grid over the window, cell by
+    cell: covered cell ``keys[i]`` (ascending; cell (x, y) has key x n + y)
+    holds positions ``starts[i]`` to ``starts[i] + counts[i] - 1`` of ``x``,
+    ``y`` (coordinates) and ``ids`` (BS indices).  :meth:`cover` adds cells
+    with the BS set's ``_cells``: a lazily drawn process draws them, a point
+    set sorts its points into them."""
+
+    def __init__(self, bss, n: int, n_slots: int):
+        self.bss, self.n, self.side = bss, n, bss.window.side
+        self.keys = self.starts = self.counts = self.ids = np.empty(0, dtype=np.int64)
+        self.x = self.y = np.empty(0)
+        # Each covered cell's i, when the grid is small enough for a table.
+        self.table = np.zeros(n * n, dtype=np.int64) if n * n <= _TABLE_CELLS_PER_SLOT * n_slots else None
+
+    def rows(self, cells: np.ndarray) -> np.ndarray:
+        """The i of each of the given covered cells."""
+        if self.table is not None:
+            return self.table[cells]
+        return np.searchsorted(self.keys, cells)
+
+    def _uncovered(self, cells: np.ndarray) -> np.ndarray:
+        """The distinct cells of ``cells`` not covered yet, ascending."""
+        if self.table is not None:
+            mask = np.zeros(self.n * self.n, dtype=bool)
+            mask[cells] = True
+            mask[self.keys] = False
+            return np.flatnonzero(mask)
+        cells = np.sort(cells, axis=None)
+        cells = cells[np.concatenate(([True], cells[1:] != cells[:-1]))]
+        return cells[np.isin(cells, self.keys, assume_unique=True, invert=True)]
+
+    def cover(self, cells: np.ndarray) -> None:
+        new = self._uncovered(cells)
+        if not new.size:
+            return
+        x, y, ids, counts = self.bss._cells(new, self.n)
+        starts = self.ids.size + np.cumsum(counts) - counts
+        if self.keys.size:
+            # Cells added by a grown block: merge them in key order.
+            order = np.argsort(np.concatenate((self.keys, new)), kind="stable")
+            new = np.concatenate((self.keys, new))[order]
+            starts = np.concatenate((self.starts, starts))[order]
+            counts = np.concatenate((self.counts, counts))[order]
+            x, y = np.concatenate((self.x, x)), np.concatenate((self.y, y))
+            ids = np.concatenate((self.ids, ids))
+        self.keys, self.starts, self.counts = new, starts, counts
+        self.x, self.y, self.ids = x, y, ids
+        if self.table is not None:
+            self.table[self.keys] = np.arange(self.keys.size)
+
+
+@functools.cache
+def _block_offsets(radius: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column offsets of the cells of a block of ``radius``."""
+    offsets = np.arange(-radius, radius + 1)
+    return np.repeat(offsets, offsets.size), np.tile(offsets, offsets.size)
+
+
+def _block_slots(user_points: np.ndarray, side: float, n_cells: int, radius: int):
+    """Each user's block of cells within ``radius`` rows and columns of its
+    own, as (cell, image shift) slots: the cell's key, wrapped onto the grid,
+    and the user's coordinates in the slot's frame, shifted by 0 or one
+    window side, so that a BS in the cell less them is the displacement to
+    the BS's image next to the user."""
     ux, uy = _cell_xy(user_points, side, n_cells)
-    nx = ux[:, None] + _BLOCK_DX
-    ny = uy[:, None] + _BLOCK_DY
+    dx, dy = _block_offsets(radius)
+    nx = ux[:, None] + dx
+    ny = uy[:, None] + dy
     keys = nx % n_cells * n_cells + ny % n_cells
     frame_x = user_points[:, :1] - side * (nx // n_cells)
     frame_y = user_points[:, 1:] - side * (ny // n_cells)
     return keys, frame_x, frame_y
 
 
-def _bs_by_cell(bs_points: np.ndarray, slot_keys: np.ndarray, side: float, n_cells: int):
-    """Indices of the BSs in some slot's cell, sorted by cell, and the count
-    of those BSs in every cell.  The pass over the BSs runs in slices:
-    whole-array temporaries measured twice as slow."""
-    block = np.zeros(n_cells * n_cells, dtype=bool)
-    block[slot_keys] = True
-    kept, kept_keys = [], []
-    for lo in range(0, len(bs_points), _BLOCK_PAIRS):
-        bx, by = _cell_xy(bs_points[lo : lo + _BLOCK_PAIRS], side, n_cells)
-        keys = bx * n_cells + by
-        inside = np.flatnonzero(block[keys])
-        kept.append(inside + lo)
-        kept_keys.append(keys[inside])
-    kept_keys = np.concatenate(kept_keys)
-    order = np.argsort(kept_keys)
-    return np.concatenate(kept)[order], np.bincount(kept_keys, minlength=n_cells * n_cells)
-
-
-def _nearest_in_blocks(
-    user_points: np.ndarray, bs_points: np.ndarray, side: float, n_cells: int, limit: float
-) -> np.ndarray:
-    """Index of each user's nearest BS closer than ``limit`` among the BSs in
-    the 3x3 block of cells around the user's cell, or -1; ``n_cells`` >= 3
-    cells per side, so a block never wraps onto itself."""
-    slot_keys, frame_x, frame_y = _block_slots(user_points, side, n_cells)
-    kept, counts = _bs_by_cell(bs_points, slot_keys, side, n_cells)
-    # Each cell's BSs are one run of the sorted BSs.
-    starts = np.cumsum(counts) - counts
-    sorted_x, sorted_y = bs_points[kept, 0], bs_points[kept, 1]
-    slot_counts = counts[slot_keys]
+def _search(index: _CellIndex, user_points: np.ndarray, radius: int):
+    """Each user's nearest BS in its block of ``radius`` (2 radius + 1 <=
+    cells per side, so a block never wraps onto itself), drawn or sorted into
+    the index first: (squared distance, BS index), or (inf, -1) for an empty
+    block.  An exact tie goes to the lowest BS index."""
+    slot_keys, frame_x, frame_y = _block_slots(user_points, index.side, index.n, radius)
+    index.cover(slot_keys)
+    at = index.rows(slot_keys)
+    slot_starts, slot_counts = index.starts[at], index.counts[at]
     user_pairs = slot_counts.sum(axis=1)
-    user_to_bs = np.full(len(user_points), -1, dtype=np.int64)
+    best = np.full(len(user_points), np.inf)
+    nearest = np.full(len(user_points), -1, dtype=np.int64)
 
     def search(lo, hi):
         # Expand users lo..hi-1 into their (user, BS) pairs, user by user.
@@ -219,23 +362,23 @@ def _nearest_in_blocks(
         if not has.size:
             return
         cnt = slot_counts[lo:hi].ravel()
-        pos = np.repeat(starts[slot_keys[lo:hi].ravel()] - (np.cumsum(cnt) - cnt), cnt)
+        pos = np.repeat(slot_starts[lo:hi].ravel() - (np.cumsum(cnt) - cnt), cnt)
         pos += np.arange(pos.size)
         # d2 = dx * dx + dy * dy, in place to keep the scratch small.
-        d2 = sorted_x[pos]
+        d2 = index.x[pos]
         d2 -= np.repeat(frame_x[lo:hi].ravel(), cnt)
         d2 *= d2
-        dy = sorted_y[pos]
+        dy = index.y[pos]
         dy -= np.repeat(frame_y[lo:hi].ravel(), cnt)
         dy *= dy
         d2 += dy
         first = (np.cumsum(per_user) - per_user)[has]
-        best = np.minimum.reduceat(d2, first)
+        low = np.minimum.reduceat(d2, first)
         # The lowest BS index among a user's pairs at its minimum.
-        at_best = d2 == np.repeat(best, per_user[has])
-        nearest = np.minimum.reduceat(np.where(at_best, kept[pos], len(bs_points)), first)
-        ok = best < limit * limit
-        user_to_bs[lo + has[ok]] = nearest[ok]
+        at_low = d2 == np.repeat(low, per_user[has])
+        ids = np.where(at_low, index.ids[pos], np.iinfo(np.int64).max)
+        best[lo + has] = low
+        nearest[lo + has] = np.minimum.reduceat(ids, first)
 
     pair_ends = np.cumsum(user_pairs)
     lo = 0
@@ -246,11 +389,47 @@ def _nearest_in_blocks(
         hi = max(lo + 1, int(np.searchsorted(pair_ends, done + _BLOCK_PAIRS, side="right")))
         search(lo, hi)
         lo = hi
+    return best, nearest
+
+
+def _nearest(index: _CellIndex, user_points: np.ndarray, los_radius: float) -> np.ndarray:
+    """Index of each user's nearest BS closer than ``los_radius``, or -1.
+
+    Each user is measured against its 3x3 block of cells.  A BS outside a
+    block of radius r lies at least r cell sides away, so a candidate closer
+    than that (less a margin for rounding in the cell assignment and the
+    distances) is the nearest BS; so is no candidate within the LOS radius
+    when the radius is that short.  A user left open is measured against a
+    block grown by one ring of cells, with its new cells added to the index,
+    until it is settled or the block would wrap onto itself; then every BS
+    is measured.
+    """
+    side, n = index.side, index.n
+    margin = 1e-9 * side
+    user_to_bs = np.full(len(user_points), -1, dtype=np.int64)
+    todo = np.arange(len(user_points))
+    radius = 1
+    while todo.size:
+        if 2 * radius + 1 > n:
+            index.cover(np.arange(n * n))
+            user_to_bs[todo] = _brute_nearest(
+                index.bss.points, user_points[todo], index.bss.window, los_radius
+            )
+            break
+        reach = radius * side / n - margin
+        limit = min(los_radius, reach)
+        best, nearest = _search(index, user_points[todo], radius)
+        found = best < limit * limit
+        user_to_bs[todo[found]] = nearest[found]
+        if los_radius <= reach:
+            break
+        todo = todo[~found]
+        radius += 1
     return user_to_bs
 
 
 def associate_strongest(
-    users: PointSet, bss: PointSet, los_radius: float = math.inf
+    users: PointSet, bss: PointSet | LazyPPP, los_radius: float = math.inf
 ) -> AssociationMap:
     """Associate each user with its strongest-power BS.
 
@@ -259,44 +438,37 @@ def associate_strongest(
     within line of sight and leaves users with none unassociated.  An exact
     distance tie goes to the lowest BS index.  The search is pruned to BSs
     near the users (see the module docstring) and returns the same
-    association as a search over all BSs.
+    association as a search over all BSs.  On a :class:`LazyPPP` it draws
+    the BSs it searches, and then the count of those left undrawn, once.
     """
-    if len(bss) == 0:
+    lazy = isinstance(bss, LazyPPP)
+    if lazy:
+        if bss._associated:
+            raise DomainError("a lazily drawn BS process is associated only once")
+        bss._associated = True
+    elif len(bss) == 0:
         raise DomainError("cannot associate against an empty BS set")
-    if len(users) == 0:
-        return AssociationMap(user_to_bs=np.full(0, -1, dtype=np.int64), n_bs=len(bss))
     window = bss.window
-    side = window.side
-    n_cells = math.isqrt(len(bss) // _BS_PER_CELL)
-    if n_cells < 3:
+    n = _cells_per_side(bss.density * window.area if lazy else len(bss), window.side, los_radius)
+    if n < 3:
         # A 3x3 block would wrap onto itself: every BS is a candidate.
+        if lazy:
+            bss.points = sample_ppp(bss.density, window, bss.rng).points
         user_to_bs = _brute_nearest(bss.points, users.points, window, los_radius)
         return AssociationMap(user_to_bs=user_to_bs, n_bs=len(bss))
-    # A BS outside a user's block is at least one cell side away; the margin
-    # absorbs rounding in the cell assignment and in the distances.
-    margin = 1e-9 * side
-    if los_radius + 2 * margin < side / n_cells:
-        # Cells wider than the LOS radius by a margin still hold every BS
-        # within it in a user's block, and fewer other BSs.
-        n_cells = min(int(side / (los_radius + 2 * margin)), math.isqrt(4 * len(bss)))
-    reach = side / n_cells - margin
-    user_to_bs = _nearest_in_blocks(
-        users.points, bss.points, side, n_cells, min(los_radius, reach)
-    )
-    if los_radius > reach:
-        # A user with no candidate inside ``reach`` may still have a farther
-        # BS within the LOS radius: measure all BSs.
-        open_users = np.flatnonzero(user_to_bs < 0)
-        if open_users.size:
-            user_to_bs[open_users] = _brute_nearest(
-                bss.points, users.points[open_users], window, los_radius
-            )
-    return AssociationMap(user_to_bs=user_to_bs, n_bs=len(bss))
+    index = _CellIndex(bss, n, 9 * len(users))
+    user_to_bs = _nearest(index, users.points, los_radius)
+    n_bs = len(bss)
+    if lazy:
+        # The cells left undrawn hold no serving BS: only their count is drawn.
+        cell_area = (window.side / n) ** 2
+        n_bs += int(bss.rng.poisson(bss.density * (n * n - index.keys.size) * cell_area))
+    return AssociationMap(user_to_bs=user_to_bs, n_bs=n_bs, n_drawn=len(bss))
 
 
 def schedule_active(assoc: AssociationMap, rng: np.random.Generator) -> AssociationMap:
     """Each BS with k >= 1 associated users schedules one uniformly at random."""
-    scheduled = np.full(assoc.n_bs, -1, dtype=np.int64)
+    scheduled = np.full(assoc.n_drawn, -1, dtype=np.int64)
     associated = np.flatnonzero(assoc.user_to_bs >= 0)
     if associated.size:
         # Random permutation, then first occurrence per BS: uniform pick.
@@ -305,7 +477,10 @@ def schedule_active(assoc: AssociationMap, rng: np.random.Generator) -> Associat
         uniq, first = np.unique(bs_of, return_index=True)
         scheduled[uniq] = perm[first]
     return AssociationMap(
-        user_to_bs=assoc.user_to_bs, n_bs=assoc.n_bs, scheduled_user=scheduled
+        user_to_bs=assoc.user_to_bs,
+        n_bs=assoc.n_bs,
+        scheduled_user=scheduled,
+        n_drawn=assoc.n_drawn,
     )
 
 

@@ -1,7 +1,9 @@
 """Monte Carlo SIR/SE estimation for both tiers and directions.
 
-Each replication samples fresh BS and user point processes, associates users
-to their strongest (nearest qualifying) BS, schedules one user per BS
+Each replication samples a fresh user point process, associates users to
+their strongest (nearest qualifying) BS of a fresh BS process drawn only
+around them (:class:`~mmudn.pointprocess.LazyPPP`: a BS left undrawn serves
+no user, so it is inactive and never interferes), schedules one user per BS
 uniformly at random, and measures ln(1 + SIR) at the typical receiver — the
 receiving end of a scheduled link drawn uniformly among all scheduled links,
 so that every link is equally likely to be the typical one — averaging over
@@ -51,6 +53,7 @@ from .errors import ParameterError
 
 # Forked pool workers inherit this numpy-only stack: no worker imports scipy.
 from .pointprocess import (
+    LazyPPP,
     Window,
     associate_strongest,
     sample_ppp,
@@ -167,13 +170,15 @@ class SEEstimate:
 
 
 def _scheduled_network(config: SimConfig, rng: np.random.Generator, los_radius: float):
-    """Sample BSs then users, associate each user within ``los_radius`` and
-    schedule one user per BS: (bss, users, assoc), or None when either point
-    set is empty.  Every replication draws through here, in this order."""
-    bss = sample_ppp(config.bs_density, config.window, rng)
+    """Sample the users, then associate each within ``los_radius`` with its
+    nearest BS of a lazily drawn BS process, and schedule one user per BS:
+    (bss, users, assoc), or None when the window holds no user.  Every
+    replication draws through here, in this order: users, the BSs around
+    them, the count of the BSs left undrawn, then the schedule."""
     users = sample_ppp(config.params.lambda_u, config.window, rng)
-    if len(bss) == 0 or len(users) == 0:
+    if len(users) == 0:
         return None
+    bss = LazyPPP(config.bs_density, config.window, rng)
     assoc = schedule_active(associate_strongest(users, bss, los_radius), rng)
     return bss, users, assoc
 

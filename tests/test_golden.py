@@ -14,9 +14,9 @@ for the Monte Carlo runs, a run name covering both worker counts as well
 The analytic grids run from λ̂ = 1.05 to 1e4, so ``se`` covers the clamped
 lower bounds near λ̂ = 1 and ``allocate`` labels points C_L+D, C_L and C_H.
 
-The λ̂ = 500 points hold ~18,000 BSs against ~36 users, so association builds
-its tree over a small share of them; at λ̂ = 2 and 50 the users' cell blocks
-cover most or all of the window and the tree holds most or all BSs.
+The λ̂ = 500 points hold ~18,000 BSs against ~36 users, so association draws
+a small share of them; at λ̂ = 2 and 50 the users' cell blocks cover most or
+all of the window, and it draws most or all BSs.
 """
 
 from __future__ import annotations

@@ -10,6 +10,7 @@ from scipy.stats import gamma as gamma_dist
 from mmudn import pointprocess as pp
 from mmudn.errors import DomainError, ParameterError
 from mmudn.pointprocess import (
+    LazyPPP,
     PointSet,
     Window,
     active_bs_probability,
@@ -152,8 +153,9 @@ def test_associate_empty_bs_set_is_error():
 # 0.3-1.2 m around each user, so nearest BSs sit near the certification
 # distance of one cell side, and a LOS radius of 0.6 m lies between that
 # distance and many users' nearest BS; "clustered" packs the BSs into one
-# corner, so users far from it have no candidate near enough to certify and
-# are checked against all BSs; "dense" draws users as densely as the cells
+# corner, so users far from it have no candidate near enough to certify:
+# their blocks grow ring by ring, and with R_L = inf until they would wrap,
+# when they are checked against all BSs; "dense" draws users as densely as the cells
 # (2 BSs/m^2: 196 cells against ~200 users), so their blocks cover the grid.
 # LOS radii of 0.3, 0.25 and 0.05 m are shorter than the 0.45 m cell side,
 # so cells are sized by the LOS radius instead (0.25 m divides the window
@@ -349,3 +351,97 @@ def test_estimate_cell_areas_partitions_window():
     areas = estimate_cell_areas(bss, 20000, rng)
     assert areas.shape == (len(bss),)
     assert areas.sum() == pytest.approx(w.area, rel=1e-12)
+
+
+# --- Lazily drawn BSs -------------------------------------------------------
+
+
+def _lazy_association(monkeypatch, seed, bs_density, los_radius, per_cell):
+    """Users, then BSs drawn lazily by association, in a 20 m window with
+    about ``per_cell`` expected BSs per cell.  Returns (users, BS process,
+    association, grid cells per side, the cells drawn, in draw order)."""
+    monkeypatch.setattr(pp, "_BS_PER_CELL", per_cell)
+    rng = np.random.default_rng(seed)
+    w = Window(side=20.0)
+    users = sample_ppp(0.05, w, rng)
+    bss = LazyPPP(bs_density, w, rng)
+    drawn, cells = [], bss._cells
+
+    def record(keys, n):
+        drawn.append((keys.copy(), n))
+        return cells(keys, n)
+
+    bss._cells = record
+    assoc = associate_strongest(users, bss, los_radius)
+    n = drawn[0][1] if drawn else 0
+    return users, bss, assoc, n, [keys for keys, _ in drawn]
+
+
+# (BS density, los_radius, expected BSs per cell).  At 20 BSs/m^2 4-BS cells
+# are 0.45 m wide and 0.5-BS cells 0.16 m: R_L = inf; R_L = 0.1 m, shorter
+# than either, so cells are sized by it; and R_L = 3 m, many cells long.  At
+# 0.5 BS per cell a user has no BS within one cell side with probability
+# exp(-pi / 2), about 0.2, so blocks grow by rings.  At 0.05 BSs/m^2 the
+# window holds 20 expected BSs, too few for a 3x3 block: it is drawn whole.
+_LAZY_CASES = [
+    (20.0, math.inf, 4),
+    (20.0, math.inf, 0.5),
+    (20.0, 0.1, 4),
+    (20.0, 0.1, 0.5),
+    (20.0, 3.0, 4),
+    (20.0, 3.0, 0.5),
+    (0.05, math.inf, 4),
+]
+
+
+@pytest.mark.parametrize("bs_density,los_radius,per_cell", _LAZY_CASES)
+def test_lazy_association_is_nearest_over_the_whole_window(
+    monkeypatch, bs_density, los_radius, per_cell
+):
+    # The BSs of the cells left undrawn are drawn afterwards, from another
+    # stream: no user may have one nearer than its association.
+    grew = 0
+    for seed in range(40):
+        users, bss, assoc, n, drawn = _lazy_association(
+            monkeypatch, seed, bs_density, los_radius, per_cell
+        )
+        w = bss.window
+        points = bss.points
+        if n:
+            cells = np.concatenate(drawn)
+            assert np.unique(cells).size == cells.size, "a cell was drawn twice"
+            grew += len(drawn) > 1
+            rest = sample_ppp(bs_density, w, np.random.default_rng([seed, 1])).points
+            cx, cy = pp._cell_xy(rest, w.side, n)
+            points = np.vstack([points, rest[~np.isin(cx * n + cy, cells)]])
+        assert assoc.scheduled_user.size == len(bss) <= assoc.n_bs
+        if len(users) and len(points):
+            expected = _brute_force(users.points, points, w, los_radius)
+            np.testing.assert_array_equal(assoc.user_to_bs, expected)
+    if per_cell < 1 and los_radius > 0.2:
+        assert grew, "no block grew by a ring"
+
+
+@pytest.mark.parametrize("los_radius,per_cell", [(math.inf, 4), (math.inf, 0.5), (0.1, 0.5)])
+def test_lazy_window_count_is_poisson(monkeypatch, los_radius, per_cell):
+    # The drawn BSs plus the count of those left undrawn: Poisson(lambda A)
+    # in mean and in variance, within 4 standard errors.
+    reps, mean_count = 2000, 400.0
+    counts = np.array([
+        _lazy_association(monkeypatch, [7, rep], 1.0, los_radius, per_cell)[2].n_bs
+        for rep in range(reps)
+    ])
+    assert abs(counts.mean() - mean_count) < 4 * math.sqrt(mean_count / reps)
+    # Var of the sample variance of Poisson(m): about (m + 2 m^2) / reps.
+    var_se = math.sqrt((mean_count + 2 * mean_count**2) / reps)
+    assert abs(counts.var(ddof=1) - mean_count) < 4 * var_se
+
+
+def test_lazy_process_is_associated_once():
+    w = Window(side=20.0)
+    rng = np.random.default_rng(0)
+    users = sample_ppp(0.05, w, rng)
+    bss = LazyPPP(20.0, w, rng)
+    associate_strongest(users, bss)
+    with pytest.raises(DomainError):
+        associate_strongest(users, bss)

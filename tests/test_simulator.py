@@ -6,11 +6,18 @@ from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
 from mmudn import simulator as sim
 from mmudn.analytic_se import NetworkParams
 from mmudn.errors import ParameterError
-from mmudn.pointprocess import Window, active_bs_probability
+from mmudn.pointprocess import (
+    Window,
+    active_bs_probability,
+    associate_strongest,
+    sample_ppp,
+    schedule_active,
+)
 from mmudn.simulator import (
     SimConfig,
     estimate_se,
@@ -389,3 +396,83 @@ def test_sweep_rows_carry_bounds():
 def test_sweep_empty_grid_rejected():
     with pytest.raises(ParameterError):
         sweep_se([], cfg())
+
+
+# --- lazily drawn BSs -----------------------------------------------------------------
+
+
+def _acceptance_config(tier, direction, lhat, side, reps, seed):
+    """A configuration of acceptance criteria 2 and 3 (lambda_u = 0.01)."""
+    if tier == "muw":
+        params = NetworkParams(lambda_m=0.02, lambda_mu=lhat * 0.01, lambda_u=0.01, alpha_mu=4.0)
+    else:
+        params = NetworkParams(
+            lambda_m=lhat * 0.01, lambda_mu=0.02, lambda_u=0.01,
+            alpha_m=2.5, theta=math.radians(15.0), r_los=10.0,
+        )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return SimConfig(
+            params=params, window=Window(side=side), replications=reps, fading_draws=20,
+            master_seed=seed, tier=tier, direction=direction,
+        )
+
+
+def _full_window_network(config, rng, los_radius):
+    """The reference draw: every BS of the window by ``sample_ppp``, then the
+    users, associated against the BSs as an ordinary point set."""
+    bss = sample_ppp(config.bs_density, config.window, rng)
+    users = sample_ppp(config.params.lambda_u, config.window, rng)
+    if len(bss) == 0 or len(users) == 0:
+        return None
+    return bss, users, schedule_active(associate_strongest(users, bss, los_radius), rng)
+
+
+# The acceptance configurations (tier, lhat, window side), and the seeds and
+# replication counts of the law test, fixed before it first ran.
+_LAW_CASES = [
+    ("muw", 10.0, 316.0), ("muw", 100.0, 200.0), ("muw", 1000.0, 150.0),
+    ("mmw", 10.0, 100.0), ("mmw", 100.0, 100.0), ("mmw", 1000.0, 60.0),
+]
+_LAW_SEEDS = {"lazy": 15101, "full": 15102}
+_LAW_REPS = {"muw": 120, "mmw": 240}
+
+
+@pytest.mark.parametrize("direction", ["dl", "ul"])
+@pytest.mark.parametrize("tier,lhat,side", _LAW_CASES)
+def test_lazy_bs_draw_has_the_full_window_law(monkeypatch, tier, lhat, side, direction):
+    # Typical-receiver SIR of the simulator (BSs drawn around the users)
+    # against a reference that draws every BS in the window.  The KS test
+    # takes one SIR per replication, its first fading draw: the draws of one
+    # replication share its geometry, so only one per replication is i.i.d.
+    def samples(kind):
+        config = _acceptance_config(tier, direction, lhat, side, _LAW_REPS[tier], _LAW_SEEDS[kind])
+        sirs = [sim._replication_sir(config, rep) for rep in range(config.replications)]
+        return [sir for status, sir in sirs if status == "ok"]
+
+    lazy = samples("lazy")
+    monkeypatch.setattr(sim, "_scheduled_network", _full_window_network)
+    full = samples("full")
+    ks = ks_2samp([s[0] for s in lazy], [s[0] for s in full])
+    assert ks.pvalue > 1e-3, (ks, len(lazy), len(full))
+    # Per-replication SE, as estimate_se averages it: 95 % CIs overlap.
+    (m1, c1), (m2, c2) = (
+        (se.mean(), 1.96 * se.std(ddof=1) / math.sqrt(se.size))
+        for se in (np.array([np.log1p(s).mean() for s in part]) for part in (lazy, full))
+    )
+    assert abs(m1 - m2) <= c1 + c2, (m1, c1, m2, c2)
+
+
+def test_replication_cost_follows_the_users():
+    # 225 users in a 150 m window: at lhat = 1e3 the window holds 225,000
+    # BSs and at lhat = 1e5 22.5M, yet a replication draws only the cells of
+    # the users' blocks, about 8,100 BSs (225 users x 9 cells x 4 BSs, less
+    # overlap), and counts the rest.
+    for lhat in (1e3, 1e5):
+        config = _acceptance_config("muw", "dl", lhat, 150.0, 1, 3)
+        bss, users, assoc = sim._scheduled_network(config, np.random.default_rng([3, 0]), math.inf)
+        expected = config.bs_density * config.window.area
+        assert len(bss) < 20_000, (lhat, len(bss))
+        assert abs(assoc.n_bs - expected) < 5 * math.sqrt(expected), (lhat, assoc.n_bs)
+        assert assoc.scheduled_user.size == len(bss)
+        assert sim._replication_sir(config, 0)[0] == "ok"
