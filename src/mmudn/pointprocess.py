@@ -280,7 +280,9 @@ class _CellIndex:
         self.keys = self.starts = self.counts = self.ids = np.empty(0, dtype=np.int64)
         self.x = self.y = np.empty(0)
         # Each covered cell's i, when the grid is small enough for a table.
-        self.table = np.zeros(n * n, dtype=np.int64) if n * n <= _TABLE_CELLS_PER_SLOT * n_slots else None
+        self.table = None
+        if n * n <= _TABLE_CELLS_PER_SLOT * n_slots:
+            self.table = np.zeros(n * n, dtype=np.int64)
 
     def rows(self, cells: np.ndarray) -> np.ndarray:
         """The i of each of the given covered cells."""
@@ -307,7 +309,7 @@ class _CellIndex:
         starts = self.ids.size + np.cumsum(counts) - counts
         if self.keys.size:
             # Cells added by a grown block: merge them in key order.
-            order = np.argsort(np.concatenate((self.keys, new)), kind="stable")
+            order = np.argsort(np.concatenate((self.keys, new)))
             new = np.concatenate((self.keys, new))[order]
             starts = np.concatenate((self.starts, starts))[order]
             counts = np.concatenate((self.counts, counts))[order]
