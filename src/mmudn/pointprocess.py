@@ -157,15 +157,15 @@ class LazyPPP:
         h = side / n
         count = self.rng.poisson(self.density * keys.size * h * h)
         counts = np.bincount(self.rng.integers(keys.size, size=count), minlength=keys.size)
-        cells = np.repeat(keys, counts)
         x, y = self.rng.random((2, count))
-        x += cells // n
-        y += cells % n
+        x += np.repeat(keys // n, counts)
+        y += np.repeat(keys % n, counts)
         for c in (x, y):
             c *= h
             np.minimum(c, side, out=c)
         ids = np.arange(len(self), len(self) + count)
-        self.points = np.concatenate((self.points, np.column_stack((x, y))))
+        points = np.column_stack((x, y))
+        self.points = np.concatenate((self.points, points)) if len(self) else points
         return x, y, ids, counts
 
 
@@ -321,27 +321,31 @@ class _CellIndex:
             self.table[self.keys] = np.arange(self.keys.size)
 
 
-@functools.cache
-def _block_offsets(radius: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column offsets of the cells of a block of ``radius``."""
-    offsets = np.arange(-radius, radius + 1)
-    return np.repeat(offsets, offsets.size), np.tile(offsets, offsets.size)
-
-
 def _block_slots(user_points: np.ndarray, side: float, n_cells: int, radius: int):
     """Each user's block of cells within ``radius`` rows and columns of its
     own, as (cell, image shift) slots: the cell's key, wrapped onto the grid,
     and the user's coordinates in the slot's frame, shifted by 0 or one
     window side, so that a BS in the cell less them is the displacement to
-    the BS's image next to the user."""
+    the BS's image next to the user.  Rows and columns are wrapped apart, on
+    (users, 2 radius + 1) arrays, then spread over the block."""
     ux, uy = _cell_xy(user_points, side, n_cells)
-    dx, dy = _block_offsets(radius)
-    nx = ux[:, None] + dx
-    ny = uy[:, None] + dy
-    keys = nx % n_cells * n_cells + ny % n_cells
-    frame_x = user_points[:, :1] - side * (nx // n_cells)
-    frame_y = user_points[:, 1:] - side * (ny // n_cells)
+    width = 2 * radius + 1
+    offsets = np.arange(-radius, radius + 1)
+    nx = ux[:, None] + offsets
+    ny = uy[:, None] + offsets
+    shift_x = nx // n_cells
+    shift_y = ny // n_cells
+    row, col = _block_cells(width)
+    keys = ((nx - n_cells * shift_x) * n_cells)[:, row] + (ny - n_cells * shift_y)[:, col]
+    frame_x = (user_points[:, :1] - side * shift_x)[:, row]
+    frame_y = (user_points[:, 1:] - side * shift_y)[:, col]
     return keys, frame_x, frame_y
+
+
+@functools.cache
+def _block_cells(width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column of each cell of a width x width block, row by row."""
+    return np.repeat(np.arange(width), width), np.tile(np.arange(width), width)
 
 
 def _search(index: _CellIndex, user_points: np.ndarray, radius: int):
@@ -352,8 +356,14 @@ def _search(index: _CellIndex, user_points: np.ndarray, radius: int):
     slot_keys, frame_x, frame_y = _block_slots(user_points, index.side, index.n, radius)
     index.cover(slot_keys)
     at = index.rows(slot_keys)
-    slot_starts, slot_counts = index.starts[at], index.counts[at]
+    slot_counts = index.counts[at]
     user_pairs = slot_counts.sum(axis=1)
+    # Only the slots holding BSs, user by user.
+    slots = slot_keys.shape[1]
+    held = np.flatnonzero(slot_counts)
+    counts = slot_counts.ravel()[held]
+    starts = index.starts[at.ravel()[held]]
+    frame_x, frame_y = frame_x.ravel()[held], frame_y.ravel()[held]
     best = np.full(len(user_points), np.inf)
     nearest = np.full(len(user_points), -1, dtype=np.int64)
 
@@ -363,24 +373,26 @@ def _search(index: _CellIndex, user_points: np.ndarray, radius: int):
         has = np.flatnonzero(per_user)
         if not has.size:
             return
-        cnt = slot_counts[lo:hi].ravel()
-        pos = np.repeat(slot_starts[lo:hi].ravel() - (np.cumsum(cnt) - cnt), cnt)
+        a, b = np.searchsorted(held, (lo * slots, hi * slots))
+        cnt = counts[a:b]
+        pos = np.repeat(starts[a:b] - (np.cumsum(cnt) - cnt), cnt)
         pos += np.arange(pos.size)
         # d2 = dx * dx + dy * dy, in place to keep the scratch small.
         d2 = index.x[pos]
-        d2 -= np.repeat(frame_x[lo:hi].ravel(), cnt)
+        d2 -= np.repeat(frame_x[a:b], cnt)
         d2 *= d2
         dy = index.y[pos]
-        dy -= np.repeat(frame_y[lo:hi].ravel(), cnt)
+        dy -= np.repeat(frame_y[a:b], cnt)
         dy *= dy
         d2 += dy
         first = (np.cumsum(per_user) - per_user)[has]
         low = np.minimum.reduceat(d2, first)
-        # The lowest BS index among a user's pairs at its minimum.
-        at_low = d2 == np.repeat(low, per_user[has])
-        ids = np.where(at_low, index.ids[pos], np.iinfo(np.int64).max)
+        # The lowest BS index among a user's pairs at its minimum (almost
+        # always one pair): each user's run of such pairs starts at its
+        # first one at or after the user's first pair.
+        hits = np.flatnonzero(d2 == np.repeat(low, per_user[has]))
         best[lo + has] = low
-        nearest[lo + has] = np.minimum.reduceat(ids, first)
+        nearest[lo + has] = np.minimum.reduceat(index.ids[pos[hits]], np.searchsorted(hits, first))
 
     pair_ends = np.cumsum(user_pairs)
     lo = 0
