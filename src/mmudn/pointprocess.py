@@ -175,22 +175,20 @@ class AssociationMap:
 
     ``user_to_bs[u]`` is the serving BS index or -1 when no BS qualifies
     (mmW users with no BS inside the LOS radius).  ``n_bs`` is the window's
-    BS count and ``n_drawn`` the number of BSs with an index (all of them
-    unless the BSs were drawn lazily; the others serve no user).
-    ``scheduled_user[b]`` is -1 until :func:`schedule_active` fills it;
-    BSs with no associated user stay at -1 and are marked inactive.
+    BS count.  ``scheduled_user`` has one entry per BS with an index: all
+    ``n_bs`` of them unless the BSs were drawn lazily, when only the drawn
+    ones (the others serve no user).  ``scheduled_user[b]`` is -1 until
+    :func:`schedule_active` fills it; BSs with no associated user stay at
+    -1 and are marked inactive.
     """
 
     user_to_bs: np.ndarray
     n_bs: int
     scheduled_user: np.ndarray = field(default=None)
-    n_drawn: int | None = None
 
     def __post_init__(self):
-        if self.n_drawn is None:
-            self.n_drawn = self.n_bs
         if self.scheduled_user is None:
-            self.scheduled_user = np.full(self.n_drawn, -1, dtype=np.int64)
+            self.scheduled_user = np.full(self.n_bs, -1, dtype=np.int64)
 
     @property
     def active_bs(self) -> np.ndarray:
@@ -259,14 +257,6 @@ def _cell_xy(points: np.ndarray, side: float, n_cells: int) -> tuple[np.ndarray,
     return xy[:, 0], xy[:, 1]
 
 
-# A grid with at most this many cells per searched slot is indexed by a
-# table over the grid; a larger one (dense BSs, few users) by binary search
-# over the covered cells, so that no array grows with the window's BS count.
-# The two cost about the same at this ratio; for 9 x 225 slots, a table over
-# 5.6M cells took 1.8 ms and the binary search 0.06 ms.
-_TABLE_CELLS_PER_SLOT = 64
-
-
 class _CellIndex:
     """The BSs of the covered cells of an n x n grid over the window, cell by
     cell: covered cell ``keys[i]`` (ascending; cell (x, y) has key x n + y)
@@ -275,28 +265,19 @@ class _CellIndex:
     with the BS set's ``_cells``: a lazily drawn process draws them, a point
     set sorts its points into them."""
 
-    def __init__(self, bss, n: int, n_slots: int):
+    def __init__(self, bss, n: int):
         self.bss, self.n, self.side = bss, n, bss.window.side
         self.keys = self.starts = self.counts = self.ids = np.empty(0, dtype=np.int64)
         self.x = self.y = np.empty(0)
-        # Each covered cell's i, when the grid is small enough for a table.
-        self.table = None
-        if n * n <= _TABLE_CELLS_PER_SLOT * n_slots:
-            self.table = np.zeros(n * n, dtype=np.int64)
 
     def rows(self, cells: np.ndarray) -> np.ndarray:
-        """The i of each of the given covered cells."""
-        if self.table is not None:
-            return self.table[cells]
+        """The i of each of the given covered cells, by binary search: no
+        array grows with the grid, which at dense BSs and few users is far
+        larger than the cells the users' blocks cover."""
         return np.searchsorted(self.keys, cells)
 
     def _uncovered(self, cells: np.ndarray) -> np.ndarray:
         """The distinct cells of ``cells`` not covered yet, ascending."""
-        if self.table is not None:
-            mask = np.zeros(self.n * self.n, dtype=bool)
-            mask[cells] = True
-            mask[self.keys] = False
-            return np.flatnonzero(mask)
         cells = np.sort(cells, axis=None)
         cells = cells[np.concatenate(([True], cells[1:] != cells[:-1]))]
         return cells[np.isin(cells, self.keys, assume_unique=True, invert=True)]
@@ -317,8 +298,6 @@ class _CellIndex:
             ids = np.concatenate((self.ids, ids))
         self.keys, self.starts, self.counts = new, starts, counts
         self.x, self.y, self.ids = x, y, ids
-        if self.table is not None:
-            self.table[self.keys] = np.arange(self.keys.size)
 
 
 def _block_slots(user_points: np.ndarray, side: float, n_cells: int, radius: int):
@@ -425,7 +404,8 @@ def _nearest(index: _CellIndex, user_points: np.ndarray, los_radius: float) -> n
     radius = 1
     while todo.size:
         if 2 * radius + 1 > n:
-            index.cover(np.arange(n * n))
+            if isinstance(index.bss, LazyPPP):
+                index.cover(np.arange(n * n))
             user_to_bs[todo] = _brute_nearest(
                 index.bss.points, user_points[todo], index.bss.window, los_radius
             )
@@ -470,19 +450,21 @@ def associate_strongest(
             bss.points = sample_ppp(bss.density, window, bss.rng).points
         user_to_bs = _brute_nearest(bss.points, users.points, window, los_radius)
         return AssociationMap(user_to_bs=user_to_bs, n_bs=len(bss))
-    index = _CellIndex(bss, n, 9 * len(users))
+    index = _CellIndex(bss, n)
     user_to_bs = _nearest(index, users.points, los_radius)
     n_bs = len(bss)
     if lazy:
         # The cells left undrawn hold no serving BS: only their count is drawn.
         cell_area = (window.side / n) ** 2
         n_bs += int(bss.rng.poisson(bss.density * (n * n - index.keys.size) * cell_area))
-    return AssociationMap(user_to_bs=user_to_bs, n_bs=n_bs, n_drawn=len(bss))
+    return AssociationMap(
+        user_to_bs=user_to_bs, n_bs=n_bs, scheduled_user=np.full(len(bss), -1, dtype=np.int64)
+    )
 
 
 def schedule_active(assoc: AssociationMap, rng: np.random.Generator) -> AssociationMap:
     """Each BS with k >= 1 associated users schedules one uniformly at random."""
-    scheduled = np.full(assoc.n_drawn, -1, dtype=np.int64)
+    scheduled = np.full(assoc.scheduled_user.size, -1, dtype=np.int64)
     associated = np.flatnonzero(assoc.user_to_bs >= 0)
     if associated.size:
         # Random permutation, then first occurrence per BS: uniform pick.
@@ -494,7 +476,6 @@ def schedule_active(assoc: AssociationMap, rng: np.random.Generator) -> Associat
         user_to_bs=assoc.user_to_bs,
         n_bs=assoc.n_bs,
         scheduled_user=scheduled,
-        n_drawn=assoc.n_drawn,
     )
 
 
