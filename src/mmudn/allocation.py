@@ -257,10 +257,14 @@ def rates(alloc: Allocation, spectrum: SpectrumParams, gammas: Gammas) -> RatePa
         alloc.beta_m * spectrum.w_m_ul * gammas.gamma_m_u
         + alloc.beta_mu * spectrum.w_mu_band * gammas.gamma_mu
     )
-    r_d = (1.0 - alloc.beta_m) * spectrum.w_m * gammas.gamma_m + (
-        1.0 - alloc.beta_mu
+    return RatePair(r_d=_r_d(alloc.beta_m, alloc.beta_mu, spectrum, gammas), r_u=r_u)
+
+
+def _r_d(beta_m: float, beta_mu: float, spectrum: SpectrumParams, gammas: Gammas) -> float:
+    """R_d of :func:`rates`, without building an Allocation."""
+    return (1.0 - beta_m) * spectrum.w_m * gammas.gamma_m + (
+        1.0 - beta_mu
     ) * spectrum.w_mu_band * gammas.gamma_mu
-    return RatePair(r_d=r_d, r_u=r_u)
 
 
 def region_classify(
@@ -513,11 +517,7 @@ def lp_oracle(
             f"(A={a:.6g}, B={b:.6g}, C={c:.6g})"
         )
 
-    # R_d of each vertex, in the floating-point order of :func:`rates`.
-    r_d = [
-        (1.0 - bm) * spectrum.w_m * g.gamma_m + (1.0 - bmu) * spectrum.w_mu_band * g.gamma_mu
-        for bm, bmu in candidates
-    ]
+    r_d = [_r_d(bm, bmu, spectrum, g) for bm, bmu in candidates]
     best = max(r_d)
     tol = 1e-15 * best
     bm, bmu = min(v for v, r in zip(candidates, r_d) if r >= best - tol)
