@@ -257,6 +257,17 @@ def _cell_xy(points: np.ndarray, side: float, n_cells: int) -> tuple[np.ndarray,
     return xy[:, 0], xy[:, 1]
 
 
+# A grid with at most this many cells per searched slot is indexed by a
+# table over the grid; a larger one (dense BSs, few users) by binary search
+# over the covered cells, so that no array grows with the window's BS count.
+# Timed per association on a 2-core VM, with 225 and 1,000 users: the table
+# was faster by 4-17 % up to 8 cells per slot, the two were within noise
+# from 28 to 64, and the search was faster from 139 on, 10x at 2,776.  A
+# search-only index slowed the mc_acceptance benchmark's round by 27 %,
+# mostly in its sparse mmW operations (0.9 cells per slot).
+_TABLE_CELLS_PER_SLOT = 64
+
+
 class _CellIndex:
     """The BSs of the covered cells of an n x n grid over the window, cell by
     cell: covered cell ``keys[i]`` (ascending; cell (x, y) has key x n + y)
@@ -265,19 +276,28 @@ class _CellIndex:
     with the BS set's ``_cells``: a lazily drawn process draws them, a point
     set sorts its points into them."""
 
-    def __init__(self, bss, n: int):
+    def __init__(self, bss, n: int, n_slots: int):
         self.bss, self.n, self.side = bss, n, bss.window.side
         self.keys = self.starts = self.counts = self.ids = np.empty(0, dtype=np.int64)
         self.x = self.y = np.empty(0)
+        # Each covered cell's i, when the grid is small enough for a table.
+        self.table = None
+        if n * n <= _TABLE_CELLS_PER_SLOT * n_slots:
+            self.table = np.zeros(n * n, dtype=np.int64)
 
     def rows(self, cells: np.ndarray) -> np.ndarray:
-        """The i of each of the given covered cells, by binary search: no
-        array grows with the grid, which at dense BSs and few users is far
-        larger than the cells the users' blocks cover."""
+        """The i of each of the given covered cells."""
+        if self.table is not None:
+            return self.table[cells]
         return np.searchsorted(self.keys, cells)
 
     def _uncovered(self, cells: np.ndarray) -> np.ndarray:
         """The distinct cells of ``cells`` not covered yet, ascending."""
+        if self.table is not None:
+            mask = np.zeros(self.n * self.n, dtype=bool)
+            mask[cells] = True
+            mask[self.keys] = False
+            return np.flatnonzero(mask)
         cells = np.sort(cells, axis=None)
         cells = cells[np.concatenate(([True], cells[1:] != cells[:-1]))]
         return cells[np.isin(cells, self.keys, assume_unique=True, invert=True)]
@@ -298,6 +318,8 @@ class _CellIndex:
             ids = np.concatenate((self.ids, ids))
         self.keys, self.starts, self.counts = new, starts, counts
         self.x, self.y, self.ids = x, y, ids
+        if self.table is not None:
+            self.table[self.keys] = np.arange(self.keys.size)
 
 
 def _block_slots(user_points: np.ndarray, side: float, n_cells: int, radius: int):
@@ -450,7 +472,7 @@ def associate_strongest(
             bss.points = sample_ppp(bss.density, window, bss.rng).points
         user_to_bs = _brute_nearest(bss.points, users.points, window, los_radius)
         return AssociationMap(user_to_bs=user_to_bs, n_bs=len(bss))
-    index = _CellIndex(bss, n)
+    index = _CellIndex(bss, n, 9 * len(users))
     user_to_bs = _nearest(index, users.points, los_radius)
     n_bs = len(bss)
     if lazy:
