@@ -264,7 +264,8 @@ def _cell_xy(points: np.ndarray, side: float, n_cells: int) -> tuple[np.ndarray,
 # was faster by 4-17 % up to 8 cells per slot, the two were within noise
 # from 28 to 64, and the search was faster from 139 on, 10x at 2,776.  A
 # search-only index slowed the mc_acceptance benchmark's round by 27 %,
-# mostly in its sparse mmW operations (0.9 cells per slot).
+# mostly in its sparse mmW operations (0.9 cells per slot).  The runs are
+# in BENCH_15.json, under index_lookup.
 _TABLE_CELLS_PER_SLOT = 64
 
 
