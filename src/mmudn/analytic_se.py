@@ -3,8 +3,7 @@ millimeter-wave ultra-dense networks.
 
 All spectral efficiencies are in nats/s/Hz.  Downlink and uplink share one
 implementation per tier: the bounds are identical in the ultra-dense regime
-and transmit powers cancel out of the SIR, so powers live in
-:class:`NetworkParams` only for the simulator's invariance check.
+and transmit powers cancel out of the SIR, so no power is a parameter.
 """
 
 from __future__ import annotations
@@ -51,9 +50,9 @@ class NetworkParams:
     """Densities, propagation exponents and mmW geometry of the two-tier network.
 
     Densities are per m^2; ``theta`` is the mmW mainlobe width in radians and
-    ``r_los`` the average LOS distance in meters.  Transmit powers are in
-    watts and cancel out of every SIR; they are kept for the simulator's
-    power-invariance check.
+    ``r_los`` the average LOS distance in meters.  Transmit powers cancel
+    out of every SIR (all transmitters of a tier and direction send at one
+    power), so none is a field.
     """
 
     lambda_m: float
@@ -63,10 +62,6 @@ class NetworkParams:
     alpha_mu: float = 4.0
     theta: float = math.pi / 12
     r_los: float = 50.0
-    p_m_d: float = 1.0
-    p_m_u: float = 1.0
-    p_mu_d: float = 1.0
-    p_mu_u: float = 1.0
 
     def __post_init__(self):
         # Every check is written so that NaN fails it.  An infinite LOS
@@ -79,8 +74,6 @@ class NetworkParams:
             raise ParameterError("beamwidth must lie in (0, 2*pi]")
         if not self.r_los > 0:
             raise ParameterError("LOS distance must be positive")
-        if not all(0 < x < math.inf for x in (self.p_m_d, self.p_m_u, self.p_mu_d, self.p_mu_u)):
-            raise ParameterError("transmit powers must be finite and positive")
 
     @property
     def lambda_hat_m(self) -> float:

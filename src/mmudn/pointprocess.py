@@ -25,13 +25,21 @@ window.  The simulator draws its users first and its BSs lazily, so a
 replication costs about the same at any BS density.  The module loads no
 scipy: only :func:`estimate_cell_areas` builds a KD-tree, and imports it
 when called.
+
+Association and scheduling also run on a batch: a :class:`LazyPPP` of K
+processes, one generator each, and a user set per process.  Process k's grid
+cells are keyed k n^2 + x n + y, so one cell index, one block search and one
+ring growth serve the whole batch while no user meets another process's BSs;
+each process draws its cells on its own generator, in the order it would
+alone, and keeps its BSs in draw order, so every association, schedule and
+random stream is the one the process gets in a batch of one.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -124,75 +132,140 @@ class PointSet:
 
 
 class LazyPPP:
-    """Homogeneous PPP on the window, drawn only where
+    """Independent homogeneous PPPs on the window, one per generator of
+    ``rng`` (one process for a single Generator), drawn only where
     :func:`associate_strongest` looks for BSs.
 
-    Nothing is drawn at construction.  Association draws, from ``rng``, the
-    cells its users' blocks cover, all in one Poisson count spread over them
-    (cells of equal area), then any cells its ring growth adds, and last the
-    count of BSs in the cells left undrawn (``AssociationMap.n_bs``).  PPP
-    counts on disjoint regions are independent, so the drawn cells have the
-    law of the same cells of a PPP drawn over the whole window, and a BS left
-    undrawn serves no user, so it is inactive.  ``points`` and ``len()`` are
-    the BSs drawn so far, cell by cell.
+    Nothing is drawn at construction.  Association draws, from each
+    process's own generator, the cells its users' blocks cover, all in one
+    Poisson count spread over them (cells of equal area), then any cells its
+    ring growth adds, and last the count of BSs in the cells left undrawn
+    (``AssociationMap.n_bs``).  PPP counts on disjoint regions are
+    independent, so the drawn cells have the law of the same cells of a PPP
+    drawn over the whole window, and a BS left undrawn serves no user, so it
+    is inactive.  ``points`` and ``len()`` are the BSs drawn so far in all
+    processes, in runs of one process each; association leaves them grouped
+    by process, in draw order within each.
     """
 
-    def __init__(self, density: float, window: Window, rng: np.random.Generator):
+    def __init__(self, density: float, window: Window, rng):
         if not (density >= 0):
             raise ParameterError(f"density must be nonnegative, got {density}")
-        self.density, self.window, self.rng = density, window, rng
+        self.density, self.window = density, window
+        self.rngs = [rng] if isinstance(rng, np.random.Generator) else list(rng)
         self.points = np.empty((0, 2))
+        # (process, first index, end index) of each run of drawn BSs.
+        self._runs: list[tuple[int, int, int]] = []
         self._associated = False
 
     def __len__(self) -> int:
         return self.points.shape[0]
 
     def _cells(self, keys: np.ndarray, n: int):
-        """Draw the given cells of an n x n grid (ascending keys, none drawn
-        before): one Poisson count over their area, spread over them
-        uniformly, then uniform x and y offsets inside each cell.  Returns
-        (x, y, their indices, count per cell); the points come out sorted by
-        cell."""
+        """Draw the given cells (ascending keys, none drawn before) of the
+        processes' n x n grids, cell (x, y) of process k keyed k n^2 + x n + y:
+        for each process, one Poisson count over its cells' area, spread over
+        them uniformly, then uniform x and y offsets inside each cell.
+        Returns (x, y, their indices, count per cell); the points come out
+        sorted by cell."""
         side = self.window.side
         h = side / n
-        count = self.rng.poisson(self.density * keys.size * h * h)
-        counts = np.bincount(self.rng.integers(keys.size, size=count), minlength=keys.size)
-        x, y = self.rng.random((2, count))
-        x += np.repeat(keys // n, counts)
-        y += np.repeat(keys % n, counts)
-        for c in (x, y):
-            c *= h
-            np.minimum(c, side, out=c)
-        ids = np.arange(len(self), len(self) + count)
-        points = np.column_stack((x, y))
-        self.points = np.concatenate((self.points, points)) if len(self) else points
+        grid = n * n
+        # Process k's cells are keys[bounds[k]:bounds[k + 1]], at local keys
+        # x n + y.
+        if len(self.rngs) == 1:
+            bounds, local = [0, keys.size], keys
+        else:
+            bounds = np.searchsorted(keys, np.arange(len(self.rngs) + 1) * grid).tolist()
+            # Integer division by a scalar is fast; the remainder is not.
+            local = keys - keys // grid * grid
+        picks, draws = [], []
+        start = len(self)
+        for k, (rng, lo, hi) in enumerate(zip(self.rngs, bounds, bounds[1:])):
+            if lo == hi:
+                continue
+            count = rng.poisson(self.density * (hi - lo) * h * h)
+            picks.append(rng.integers(lo, hi, size=count))
+            draws.append(rng.random((2, count)))
+            self._runs.append((k, start, start + count))
+            start += count
+        if len(draws) == 1:
+            picks, xy = picks[0], draws[0]
+        else:
+            picks, xy = np.concatenate(picks), np.concatenate(draws, axis=1)
+        counts = np.bincount(picks, minlength=keys.size)
+        cell_x = local // n
+        x, y = xy
+        x += np.repeat(cell_x, counts)
+        y += np.repeat(local - cell_x * n, counts)
+        xy *= h
+        np.minimum(xy, side, out=xy)
+        ids = np.arange(len(self), start)
+        self.points = np.concatenate((self.points, xy.T)) if len(self) else xy.T
         return x, y, ids, counts
+
+    def _draw_windows(self) -> None:
+        """Every process's whole window, as :func:`sample_ppp` draws it."""
+        drawn = [sample_ppp(self.density, self.window, rng).points for rng in self.rngs]
+        start = len(self)
+        for k, points in enumerate(drawn):
+            self._runs.append((k, start, start + len(points)))
+            start += len(points)
+        self.points = np.concatenate([self.points, *drawn])
+
+    def _members(self, k: int) -> np.ndarray:
+        """Indices of process k's BSs drawn so far, ascending."""
+        runs = [np.arange(a, b) for p, a, b in self._runs if p == k]
+        return np.concatenate(runs) if runs else np.empty(0, dtype=np.int64)
+
+    def _group(self):
+        """Group the drawn BSs by process, each process's in draw order:
+        (the new index of each BS, or None when none moves; each process's
+        first index, then the count)."""
+        if len(self.rngs) == 1:
+            return None, np.array([0, len(self)])
+        runs = sorted(self._runs, key=lambda run: run[0])
+        sizes = np.zeros(len(self.rngs) + 1, dtype=np.int64)
+        for k, a, b in runs:
+            sizes[k + 1] += b - a
+        starts = np.cumsum(sizes)
+        if runs == self._runs:
+            return None, starts
+        order = np.concatenate([np.arange(a, b) for _, a, b in runs])
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        self.points = self.points[order]
+        self._runs = [(k, int(starts[k]), int(starts[k + 1])) for k in range(len(self.rngs))]
+        return rank, starts
 
 
 @dataclass
 class AssociationMap:
-    """User-to-BS association plus (after scheduling) one active user per BS.
+    """User-to-BS association plus (after scheduling) one active user per BS,
+    for one replication or a batch of them.
 
-    ``user_to_bs[u]`` is the serving BS index or -1 when no BS qualifies
-    (mmW users with no BS inside the LOS radius).  ``n_bs`` is the window's
-    BS count.  ``scheduled_user`` has one entry per BS with an index: all
-    ``n_bs`` of them unless the BSs were drawn lazily, when only the drawn
-    ones (the others serve no user).  ``scheduled_user[b]`` is -1 until
-    :func:`schedule_active` fills it; BSs with no associated user stay at
-    -1 and are marked inactive.
+    A batch indexes its users and BSs replication by replication:
+    replication k holds users ``user_starts[k]`` to ``user_starts[k + 1] - 1``
+    and BSs ``bs_starts[k]`` to ``bs_starts[k + 1] - 1``.  ``user_to_bs[u]``
+    is the serving BS index or -1 when no BS qualifies (mmW users with no BS
+    inside the LOS radius).  ``n_bs`` is the BS count of the batch's windows.
+    ``scheduled_user`` has one entry per BS with an index: all ``n_bs`` of
+    them unless the BSs were drawn lazily, when only the drawn ones (the
+    others serve no user).  ``scheduled_user[b]`` is -1 until
+    :func:`schedule_active` fills it; BSs with no associated user stay at -1
+    and are marked inactive.
     """
 
     user_to_bs: np.ndarray
     n_bs: int
-    scheduled_user: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        if self.scheduled_user is None:
-            self.scheduled_user = np.full(self.n_bs, -1, dtype=np.int64)
+    scheduled_user: np.ndarray
+    user_starts: np.ndarray
+    bs_starts: np.ndarray
 
     @property
     def active_bs(self) -> np.ndarray:
-        """Indices of BSs with a scheduled user (call schedule_active first)."""
+        """Indices of BSs with a scheduled user (call schedule_active first),
+        ascending, so grouped by replication."""
         return np.flatnonzero(self.scheduled_user >= 0)
 
 
@@ -218,10 +291,10 @@ _BLOCK_PAIRS = 1 << 14
 
 
 def _brute_nearest(
-    bs_points: np.ndarray, user_points: np.ndarray, window: Window, bound: float
+    bs_points: np.ndarray, bs_ids: np.ndarray, user_points: np.ndarray, window: Window, bound: float
 ) -> np.ndarray:
-    """Index of each user's nearest BS closer than ``bound``, or -1, found by
-    measuring every BS; an exact tie goes to the lowest index."""
+    """The id (of ``bs_ids``) of each user's nearest BS closer than ``bound``,
+    or -1, found by measuring every BS; an exact tie goes to the first BS."""
     out = np.full(len(user_points), -1, dtype=np.int64)
     if not len(bs_points):
         return out
@@ -233,8 +306,14 @@ def _brute_nearest(
         d2 = dx * dx + dy * dy
         best = np.argmin(d2, axis=1)
         hit = d2[np.arange(len(u)), best] < bound * bound
-        out[lo : lo + len(u)][hit] = best[hit]
+        out[lo : lo + len(u)][hit] = bs_ids[best[hit]]
     return out
+
+
+def _members(bss, k: int) -> np.ndarray:
+    """Indices of the BSs of process k drawn so far, ascending (every BS of
+    a point set, which is one process)."""
+    return bss._members(k) if isinstance(bss, LazyPPP) else np.arange(len(bss))
 
 
 def _cells_per_side(count: float, side: float, los_radius: float) -> int:
@@ -270,21 +349,23 @@ _TABLE_CELLS_PER_SLOT = 64
 
 
 class _CellIndex:
-    """The BSs of the covered cells of an n x n grid over the window, cell by
-    cell: covered cell ``keys[i]`` (ascending; cell (x, y) has key x n + y)
-    holds positions ``starts[i]`` to ``starts[i] + counts[i] - 1`` of ``x``,
-    ``y`` (coordinates) and ``ids`` (BS indices).  :meth:`cover` adds cells
-    with the BS set's ``_cells``: a lazily drawn process draws them, a point
-    set sorts its points into them."""
+    """The BSs of the covered cells of the processes' n x n grids over the
+    window, cell by cell: covered cell ``keys[i]`` (ascending; cell (x, y)
+    of process k has key k n^2 + x n + y) holds positions ``starts[i]`` to
+    ``starts[i] + counts[i] - 1`` of ``x``, ``y`` (coordinates) and ``ids``
+    (BS indices).  :meth:`cover` adds cells with the BS set's ``_cells``: a
+    lazily drawn process draws them, a point set sorts its points into
+    them."""
 
-    def __init__(self, bss, n: int, n_slots: int):
+    def __init__(self, bss, n: int, n_processes: int, n_slots: int):
         self.bss, self.n, self.side = bss, n, bss.window.side
         self.keys = self.starts = self.counts = self.ids = np.empty(0, dtype=np.int64)
         self.x = self.y = np.empty(0)
-        # Each covered cell's i, when the grid is small enough for a table.
+        self.size = n_processes * n * n
+        # Each covered cell's i, when the grids are small enough for a table.
         self.table = None
-        if n * n <= _TABLE_CELLS_PER_SLOT * n_slots:
-            self.table = np.zeros(n * n, dtype=np.int64)
+        if self.size <= _TABLE_CELLS_PER_SLOT * n_slots:
+            self.table = np.zeros(self.size, dtype=np.int64)
 
     def rows(self, cells: np.ndarray) -> np.ndarray:
         """The i of each of the given covered cells."""
@@ -295,7 +376,7 @@ class _CellIndex:
     def _uncovered(self, cells: np.ndarray) -> np.ndarray:
         """The distinct cells of ``cells`` not covered yet, ascending."""
         if self.table is not None:
-            mask = np.zeros(self.n * self.n, dtype=bool)
+            mask = np.zeros(self.size, dtype=bool)
             mask[cells] = True
             mask[self.keys] = False
             return np.flatnonzero(mask)
@@ -350,12 +431,14 @@ def _block_cells(width: int) -> tuple[np.ndarray, np.ndarray]:
     return np.repeat(np.arange(width), width), np.tile(np.arange(width), width)
 
 
-def _search(index: _CellIndex, user_points: np.ndarray, radius: int):
+def _search(index: _CellIndex, user_points: np.ndarray, base: np.ndarray, radius: int):
     """Each user's nearest BS in its block of ``radius`` (2 radius + 1 <=
-    cells per side, so a block never wraps onto itself), drawn or sorted into
-    the index first: (squared distance, BS index), or (inf, -1) for an empty
+    cells per side, so a block never wraps onto itself) of its process's
+    grid, whose keys start at the user's ``base``, drawn or sorted into the
+    index first: (squared distance, BS index), or (inf, -1) for an empty
     block.  An exact tie goes to the lowest BS index."""
     slot_keys, frame_x, frame_y = _block_slots(user_points, index.side, index.n, radius)
+    slot_keys += base[:, None]
     index.cover(slot_keys)
     at = index.rows(slot_keys)
     slot_counts = index.counts[at]
@@ -408,8 +491,11 @@ def _search(index: _CellIndex, user_points: np.ndarray, radius: int):
     return best, nearest
 
 
-def _nearest(index: _CellIndex, user_points: np.ndarray, los_radius: float) -> np.ndarray:
-    """Index of each user's nearest BS closer than ``los_radius``, or -1.
+def _nearest(
+    index: _CellIndex, user_points: np.ndarray, process: np.ndarray, los_radius: float
+) -> np.ndarray:
+    """Index of each user's nearest BS of its process closer than
+    ``los_radius``, or -1.
 
     Each user is measured against its 3x3 block of cells.  A BS outside a
     block of radius r lies at least r cell sides away, so a candidate closer
@@ -418,24 +504,30 @@ def _nearest(index: _CellIndex, user_points: np.ndarray, los_radius: float) -> n
     when the radius is that short.  A user left open is measured against a
     block grown by one ring of cells, with its new cells added to the index,
     until it is settled or the block would wrap onto itself; then every BS
-    is measured.
+    of its process is measured.
     """
     side, n = index.side, index.n
+    bss = index.bss
     margin = 1e-9 * side
+    base = process * (n * n)
     user_to_bs = np.full(len(user_points), -1, dtype=np.int64)
     todo = np.arange(len(user_points))
     radius = 1
     while todo.size:
         if 2 * radius + 1 > n:
-            if isinstance(index.bss, LazyPPP):
-                index.cover(np.arange(n * n))
-            user_to_bs[todo] = _brute_nearest(
-                index.bss.points, user_points[todo], index.bss.window, los_radius
-            )
+            open_processes = np.unique(process[todo])
+            if isinstance(bss, LazyPPP):
+                index.cover((open_processes[:, None] * (n * n) + np.arange(n * n)).ravel())
+            for k in open_processes:
+                users = todo[process[todo] == k]
+                ids = _members(bss, k)
+                user_to_bs[users] = _brute_nearest(
+                    bss.points[ids], ids, user_points[users], bss.window, los_radius
+                )
             break
         reach = radius * side / n - margin
         limit = min(los_radius, reach)
-        best, nearest = _search(index, user_points[todo], radius)
+        best, nearest = _search(index, user_points[todo], base[todo], radius)
         found = best < limit * limit
         user_to_bs[todo[found]] = nearest[found]
         if los_radius <= reach:
@@ -446,7 +538,7 @@ def _nearest(index: _CellIndex, user_points: np.ndarray, los_radius: float) -> n
 
 
 def associate_strongest(
-    users: PointSet, bss: PointSet | LazyPPP, los_radius: float = math.inf
+    users: PointSet | list[PointSet], bss: PointSet | LazyPPP, los_radius: float = math.inf
 ) -> AssociationMap:
     """Associate each user with its strongest-power BS.
 
@@ -457,41 +549,86 @@ def associate_strongest(
     near the users (see the module docstring) and returns the same
     association as a search over all BSs.  On a :class:`LazyPPP` it draws
     the BSs it searches, and then the count of those left undrawn, once.
+
+    ``users`` is a :class:`PointSet`, or a sequence of them with one per
+    process of a lazily drawn ``bss``: a batch, in which each user set is
+    associated with its own process exactly as it would be alone, in one
+    pass.  The map indexes users and BSs across the batch (see
+    :class:`AssociationMap`).
     """
     lazy = isinstance(bss, LazyPPP)
+    user_sets = [users] if isinstance(users, PointSet) else list(users)
     if lazy:
         if bss._associated:
             raise DomainError("a lazily drawn BS process is associated only once")
         bss._associated = True
+        if len(user_sets) != len(bss.rngs):
+            raise ParameterError("a batch needs one user set per BS process")
     elif len(bss) == 0:
         raise DomainError("cannot associate against an empty BS set")
+    elif len(user_sets) != 1:
+        raise ParameterError("a point set of BSs serves one user set")
     window = bss.window
+    n_processes = len(user_sets)
+    sizes = [len(u) for u in user_sets]
+    user_starts = np.cumsum([0, *sizes])
+    user_points = np.concatenate([u.points for u in user_sets])
+    process = np.repeat(np.arange(n_processes), sizes)
     n = _cells_per_side(bss.density * window.area if lazy else len(bss), window.side, los_radius)
+    undrawn = 0
     if n < 3:
         # A 3x3 block would wrap onto itself: every BS is a candidate.
         if lazy:
-            bss.points = sample_ppp(bss.density, window, bss.rng).points
-        user_to_bs = _brute_nearest(bss.points, users.points, window, los_radius)
-        return AssociationMap(user_to_bs=user_to_bs, n_bs=len(bss))
-    index = _CellIndex(bss, n, 9 * len(users))
-    user_to_bs = _nearest(index, users.points, los_radius)
-    n_bs = len(bss)
+            bss._draw_windows()
+        user_to_bs = np.full(len(user_points), -1, dtype=np.int64)
+        for k in range(n_processes):
+            ids = _members(bss, k)
+            mine = slice(user_starts[k], user_starts[k + 1])
+            user_to_bs[mine] = _brute_nearest(bss.points[ids], ids, user_points[mine], window, los_radius)
+    else:
+        index = _CellIndex(bss, n, n_processes, 9 * len(user_points))
+        user_to_bs = _nearest(index, user_points, process, los_radius)
+        if lazy:
+            # The cells left undrawn hold no serving BS: only their count is drawn.
+            if n_processes == 1:
+                ends = [0, index.keys.size]
+            else:
+                ends = np.searchsorted(index.keys, np.arange(n_processes + 1) * (n * n)).tolist()
+            cell_area = (window.side / n) ** 2
+            for rng, lo, hi in zip(bss.rngs, ends, ends[1:]):
+                undrawn += int(rng.poisson(bss.density * (n * n - (hi - lo)) * cell_area))
     if lazy:
-        # The cells left undrawn hold no serving BS: only their count is drawn.
-        cell_area = (window.side / n) ** 2
-        n_bs += int(bss.rng.poisson(bss.density * (n * n - index.keys.size) * cell_area))
+        rank, bs_starts = bss._group()
+        if rank is not None:
+            hit = user_to_bs >= 0
+            user_to_bs[hit] = rank[user_to_bs[hit]]
+    else:
+        bs_starts = np.array([0, len(bss)])
     return AssociationMap(
-        user_to_bs=user_to_bs, n_bs=n_bs, scheduled_user=np.full(len(bss), -1, dtype=np.int64)
+        user_to_bs=user_to_bs,
+        n_bs=len(bss) + undrawn,
+        scheduled_user=np.full(len(bss), -1, dtype=np.int64),
+        user_starts=user_starts,
+        bs_starts=bs_starts,
     )
 
 
-def schedule_active(assoc: AssociationMap, rng: np.random.Generator) -> AssociationMap:
-    """Each BS with k >= 1 associated users schedules one uniformly at random."""
+def schedule_active(assoc: AssociationMap, rng) -> AssociationMap:
+    """Each BS with k >= 1 associated users schedules one uniformly at random.
+
+    ``rng`` is a Generator, or for a batch a sequence of them, one per
+    replication, each drawing its replication's schedule."""
+    rngs = [rng] if isinstance(rng, np.random.Generator) else list(rng)
+    if len(rngs) != assoc.user_starts.size - 1:
+        raise ParameterError("a batch needs one generator per replication")
     scheduled = np.full(assoc.scheduled_user.size, -1, dtype=np.int64)
     associated = np.flatnonzero(assoc.user_to_bs >= 0)
-    if associated.size:
-        # Random permutation, then first occurrence per BS: uniform pick.
-        perm = rng.permutation(associated)
+    bounds = np.searchsorted(associated, assoc.user_starts).tolist()
+    # A random permutation of each replication's associated users, then the
+    # first occurrence per BS: a uniform pick.
+    perms = [r.permutation(associated[lo:hi]) for r, lo, hi in zip(rngs, bounds, bounds[1:]) if hi > lo]
+    if perms:
+        perm = perms[0] if len(perms) == 1 else np.concatenate(perms)
         bs_of = assoc.user_to_bs[perm]
         uniq, first = np.unique(bs_of, return_index=True)
         scheduled[uniq] = perm[first]
@@ -499,6 +636,8 @@ def schedule_active(assoc: AssociationMap, rng: np.random.Generator) -> Associat
         user_to_bs=assoc.user_to_bs,
         n_bs=assoc.n_bs,
         scheduled_user=scheduled,
+        user_starts=assoc.user_starts,
+        bs_starts=assoc.bs_starts,
     )
 
 

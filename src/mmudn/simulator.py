@@ -11,23 +11,38 @@ i.i.d. unit-mean exponential fading draws.  mmW links require the LOS
 indicator (distance within R_L) and interferers must additionally cover the
 receiver with their mainlobe.
 
-The geometry of a replication is computed for a block of receivers at once:
-the (B, A) torus displacements from B receivers to all A active transmitters,
-one coordinate plane at a time, then the distances and the mask of
-interferers that count (not the receiver's own transmitter, within R_L and
-with a covering mainlobe for mmW).  B is derived from A so that a block holds
-at most 2^14 pairs, which bounds its scratch memory.  Each element takes the
-same floating-point operations as a one-receiver computation, so the block
-height changes no bit.  Fading stays per receiver: ``g0`` then ``g_i`` for
-each receiver in turn, with the sizes and order of a one-receiver loop, so
-the random stream and every SIR sample are those of that loop.  One large
-draw per replication would reorder the stream, and measured slower.
+Replications run in batches (see :func:`_batches`): each numpy pass of a
+batch covers all its replications, so the fixed cost of a numpy call, which
+dominates a replication of a few hundred users, is paid once per batch.
+Every replication still draws on its own stream, in the order it would
+alone: users, the BSs around them, the count of the BSs left undrawn, the
+schedule, the typical receiver, then the fading.  Association and scheduling
+run once per batch (see :mod:`~mmudn.pointprocess`), and so does the typical
+receivers' geometry: each is paired with every active transmitter of its own
+replication, and only the transmitters within R_L take the mainlobe test.
+Elements take the same floating-point operations in any batch, so the batch
+a replication runs in changes no bit.  A batch holds about ``_BATCH_POINTS``
+expected slots and drawn BSs, which bounds its memory whatever the
+replication count.
+
+In all-receiver mode the geometry of a replication is computed for a block
+of receivers at once: the (B, A) torus displacements from B receivers to all
+A active transmitters, one coordinate plane at a time, then the distances and
+the mask of interferers that count (not the receiver's own transmitter,
+within R_L and with a covering mainlobe for mmW).  B is derived from A so
+that a block holds at most 2^14 pairs, which bounds its scratch memory, and
+the block height changes no bit either.  Fading stays per receiver: ``g0``
+then ``g_i`` for each receiver in turn, with the sizes and order of a
+one-receiver loop, so the random stream and every SIR sample are those of
+that loop.  One large draw per replication would reorder the stream, and
+measured slower.
 
 Replications are independent and reproducible: replication ``i`` runs on
-``default_rng([master_seed, i])`` regardless of execution order or worker
-count.  Parallel estimates share one worker pool per process (see
-:func:`_run_reps`).  The simulator and the point-process stack it imports
-load numpy but no scipy, so a forked worker starts with all it needs.
+``default_rng([master_seed, i])`` regardless of batch, execution order or
+worker count.  Parallel estimates share one worker pool per process, which
+runs contiguous replication ranges in batches (see :func:`_run_reps`).  The
+simulator and the point-process stack it imports load numpy but no scipy,
+so a forked worker starts with all it needs.
 """
 
 from __future__ import annotations
@@ -65,7 +80,6 @@ __all__ = [
     "SEEstimate",
     "estimate_se",
     "validate_homogenization",
-    "power_invariance_check",
     "sweep_se",
     "SE_CSV_HEADER",
 ]
@@ -89,6 +103,15 @@ _DIRECTIONS = ("dl", "ul")
 # raised the all-receiver benchmark's peak RSS by 4.5 MiB (5 %) and ran no
 # faster.
 _BLOCK_PAIRS = 1 << 14
+# Expected points per batch of replications (see _batches).  A batch's
+# association and typical-receiver geometry are one numpy pass over all its
+# replications, so the fixed cost of each numpy call is shared, but its
+# scratch grows by about 100 bytes per point.  At 2^15 points the
+# mc_acceptance benchmark's pool workers peaked 2.3 % higher than with one
+# replication at a time; 2^16 ran 1,000-user replications faster but doubled
+# the largest batch's scratch to 6 MiB.  BENCH_16.json has the timings and
+# peaks per budget.
+_BATCH_POINTS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -169,116 +192,187 @@ class SEEstimate:
             raise ParameterError("mean and CI half-width must be nonnegative")
 
 
-def _scheduled_network(config: SimConfig, rng: np.random.Generator, los_radius: float):
-    """Sample the users, then associate each within ``los_radius`` with its
-    nearest BS of a lazily drawn BS process, and schedule one user per BS:
-    (bss, users, assoc), or None when the window holds no user.  Every
-    replication draws through here, in this order: users, the BSs around
-    them, the count of the BSs left undrawn, then the schedule."""
-    users = sample_ppp(config.params.lambda_u, config.window, rng)
-    if len(users) == 0:
-        return None
-    bss = LazyPPP(config.bs_density, config.window, rng)
-    assoc = schedule_active(associate_strongest(users, bss, los_radius), rng)
-    return bss, users, assoc
+def _generators(config: SimConfig, reps: range) -> list[np.random.Generator]:
+    """Replication i's stream: ``default_rng([master_seed, i])``."""
+    return [np.random.default_rng([config.master_seed, rep]) for rep in reps]
 
 
-def _replication_sir(config: SimConfig, rep: int):
-    """One spatial replication.
+def _batches(config: SimConfig, reps: range) -> list[range]:
+    """``reps`` cut into batches of about ``_BATCH_POINTS`` expected points:
+    the nine slots of each user's block, the BSs association draws, which
+    are at most the window's and about four per slot, and 16 more per
+    replication for its generator (1 KiB, the scratch of about ten points)."""
+    area = config.window.area
+    slots = 9 * config.params.lambda_u * area
+    points = 16 + slots + min(config.bs_density * area, 4 * slots)
+    size = max(1, int(_BATCH_POINTS // points))
+    return [reps[lo : lo + size] for lo in range(0, len(reps), size)]
 
-    Returns (status, sir) where status is 'ok', 'interference_free' or
-    'no_active'; sir is a (fading_draws,) array of SIR samples (or an array
-    of shape (n_receivers, fading_draws) when averaging all receivers).
+
+def _scheduled_network(config: SimConfig, rngs, los_radius: float):
+    """Sample each replication's users, then associate each within
+    ``los_radius`` with its nearest BS of the replication's lazily drawn BS
+    process, and schedule one user per BS, for a batch of replications with
+    one generator each: (bss, user_points, assoc), the users of the whole
+    batch in one array, indexed as :class:`~mmudn.pointprocess.AssociationMap`
+    says.  Every replication draws through here, on its own generator, in
+    this order: users, the BSs around them, the count of the BSs left
+    undrawn, then the schedule."""
+    users = [sample_ppp(config.params.lambda_u, config.window, rng) for rng in rngs]
+    bss = LazyPPP(config.bs_density, config.window, rngs)
+    assoc = schedule_active(associate_strongest(users, bss, los_radius), rngs)
+    return bss, np.concatenate([u.points for u in users]), assoc
+
+
+def _batch_sir(config: SimConfig, reps: range) -> list[tuple]:
+    """The replications of one batch, in order.
+
+    Returns one (status, sir) per replication, where status is 'ok',
+    'interference_free' or 'no_active'; sir is a (fading_draws,) array of
+    SIR samples (or an array of shape (n_receivers, fading_draws) when
+    averaging all receivers), or None.
     """
-    rng = np.random.default_rng([config.master_seed, rep])
-    window = config.window
+    rngs = _generators(config, reps)
     mmw = config.tier == "mmw"
-    network = _scheduled_network(config, rng, config.params.r_los if mmw else math.inf)
-    if network is None:
-        return "no_active", None
-    bss, users, assoc = network
+    bss, user_points, assoc = _scheduled_network(config, rngs, config.params.r_los if mmw else math.inf)
     active = assoc.active_bs
-    if active.size == 0:
-        return "no_active", None
-
-    alpha = config.alpha
+    # Replication k's active BSs are active[bounds[k]:bounds[k + 1]].
+    bounds = np.searchsorted(active, assoc.bs_starts)
     bs_pos = bss.points[active]
-    user_pos = users.points[assoc.scheduled_user[active]]
+    user_pos = user_points[assoc.scheduled_user[active]]
     if config.direction == "dl":
         rx_all, tx_all, partner_all = user_pos, bs_pos, user_pos
     else:
         rx_all, tx_all, partner_all = bs_pos, user_pos, bs_pos
+    if not config.average_all_receivers:
+        return _typical_sir(config, rngs, bounds, rx_all, tx_all, partner_all)
+    return [
+        _receivers_sir(config, rng, rx_all[lo:hi], tx_all[lo:hi], partner_all[lo:hi])
+        if hi > lo
+        else ("no_active", None)
+        for rng, lo, hi in zip(rngs, bounds[:-1], bounds[1:])
+    ]
 
-    if config.average_all_receivers:
-        receiver_ids = np.arange(active.size)
-    else:
-        # The typical link is drawn uniformly among the scheduled links, the
-        # Palm-typical link, in both directions.  Anchoring at a fixed point
-        # (say the user nearest the window center) would size-bias the pick
-        # toward users with few scheduled neighbours, who see less
-        # interference.
-        receiver_ids = np.array([int(rng.integers(active.size))])
 
-    n_draws = config.fading_draws
-    r_los = config.params.r_los
+def _faded(config: SimConfig, rng: np.random.Generator, r0: float, d_i: np.ndarray):
+    """A receiver's SIR samples, at distance ``r0`` from its transmitter and
+    ``d_i`` from the interferers that count: all zeros when its own link
+    breaks the LOS indicator, None when no interferer counts.  The fading
+    draws come from ``rng``, ``g0`` then ``g_i``.  Same-tier transmit powers
+    cancel exactly in the SIR, so it is computed power-free."""
+    n_draws, alpha = config.fading_draws, config.alpha
+    if r0 <= 0 or (config.tier == "mmw" and r0 > config.params.r_los):
+        # Desired link violating the LOS indicator carries no signal.
+        return np.zeros(n_draws)
+    if d_i.size == 0:
+        return None
+    g0 = rng.standard_exponential(n_draws)
+    g_i = rng.standard_exponential((n_draws, d_i.size))
+    signal = g0 * r0 ** (-alpha)
+    interference = g_i @ d_i ** (-alpha)
+    return signal / interference
+
+
+def _typical_sir(config: SimConfig, rngs, bounds, rx_all, tx_all, partner_all) -> list[tuple]:
+    """The typical receiver of each replication of a batch.
+
+    The typical link is drawn uniformly among the scheduled links, the
+    Palm-typical link, in both directions.  Anchoring at a fixed point (say
+    the user nearest the window center) would size-bias the pick toward
+    users with few scheduled neighbours, who see less interference.  Each
+    typical receiver is paired with every active transmitter of its own
+    replication, and the pairs of the whole batch are measured at once.
+    """
+    window = config.window
+    live, picks, sizes = [], [], []
+    for k, (rng, lo, hi) in enumerate(zip(rngs, bounds.tolist(), bounds[1:].tolist())):
+        if hi > lo:
+            live.append(k)
+            picks.append(lo + int(rng.integers(hi - lo)))
+            sizes.append(hi - lo)
+    picks = np.array(picks, dtype=np.int64)
+    rx = rx_all[np.repeat(picks, sizes)]
+    # Receiver-to-transmitter torus displacement, one coordinate at a time.
+    dx = window.displacement(rx[:, 0], tx_all[:, 0])
+    dy = window.displacement(rx[:, 1], tx_all[:, 1])
+    dist = np.sqrt(dx * dx + dy * dy)
+    keep = dist > 0
+    keep[picks] = False
+    if config.tier == "mmw":
+        keep &= dist <= config.params.r_los
+        # Interferer j covers the receiver when the angle between its
+        # partner direction and its direction to the receiver is within
+        # theta/2; only the transmitters within R_L need the test.
+        near = np.flatnonzero(keep)
+        to_partner = window.displacement(tx_all[near], partner_all[near])
+        num = to_partner[:, 0] * -dx[near] + to_partner[:, 1] * -dy[near]
+        den = np.linalg.norm(to_partner, axis=1) * dist[near]
+        cos_angle = np.where(den > 0, num / np.maximum(den, 1e-300), 1.0)
+        keep[near] = cos_angle >= math.cos(config.params.theta / 2.0)
+    kept = np.flatnonzero(keep)
+    kept_bounds = np.searchsorted(kept, bounds)
+    d_kept = dist[kept]
+    out = [("no_active", None)] * len(rngs)
+    for k, pick in zip(live, picks):
+        sir = _faded(config, rngs[k], float(dist[pick]), d_kept[kept_bounds[k] : kept_bounds[k + 1]])
+        out[k] = ("interference_free", None) if sir is None else ("ok", sir)
+    return out
+
+
+def _receivers_sir(config: SimConfig, rng, rx_all, tx_all, partner_all) -> tuple:
+    """Every receiver of one replication with at least one active BS.
+
+    The geometry is computed for a block of receivers at once: the (B, A)
+    torus displacements from B receivers to all A active transmitters, one
+    coordinate plane at a time, then the distances and the mask of
+    interferers that count.  B is derived from A so that a block holds at
+    most ``_BLOCK_PAIRS`` pairs.
+    """
+    window = config.window
+    n_active = len(tx_all)
+    mmw = config.tier == "mmw"
     if mmw:
         # Each transmitter aims its mainlobe at its own partner.
         to_partner = window.displacement(tx_all, partner_all)
         partner_norm = np.linalg.norm(to_partner, axis=1)
         cos_half = math.cos(config.params.theta / 2.0)
-    block = max(1, _BLOCK_PAIRS // active.size)
-    # Same-tier transmit powers cancel exactly in the SIR, so it is computed
-    # power-free and a global power rescale cannot perturb a single bit.
-    sir_rows = []
-    for start in range(0, receiver_ids.size, block):
-        ids = receiver_ids[start : start + block]
+    block = max(1, _BLOCK_PAIRS // n_active)
+    rows = []
+    for start in range(0, n_active, block):
+        ids = np.arange(start, min(start + block, n_active))
         rx = rx_all[ids]
-        # Receiver-to-transmitter torus displacement, one coordinate plane
-        # at a time: (B, A) each.
         dx = window.displacement(rx[:, :1], tx_all[:, 0])
         dy = window.displacement(rx[:, 1:], tx_all[:, 1])
         dist = np.sqrt(dx * dx + dy * dy)
         keep = dist > 0
         keep[np.arange(ids.size), ids] = False
         if mmw:
-            keep &= dist <= r_los
-            # Interferer j covers receiver b when the angle between its
-            # partner direction and its direction to b is within theta/2.
+            keep &= dist <= config.params.r_los
             num = to_partner[:, 0] * -dx + to_partner[:, 1] * -dy
             den = partner_norm * dist
             cos_angle = np.where(den > 0, num / np.maximum(den, 1e-300), 1.0)
             keep &= cos_angle >= cos_half
         for row, ridx in enumerate(ids):
-            r0 = float(dist[row, ridx])
-            if r0 <= 0 or (mmw and r0 > r_los):
-                # Desired link violating the LOS indicator carries no signal.
-                sir_rows.append(np.zeros(n_draws))
-                continue
-            d_i = dist[row, keep[row]]
-            if d_i.size == 0:
-                sir_rows.append(None)
-                continue
-            g0 = rng.standard_exponential(n_draws)
-            g_i = rng.standard_exponential((n_draws, d_i.size))
-            signal = g0 * r0 ** (-alpha)
-            interference = g_i @ d_i ** (-alpha)
-            sir_rows.append(signal / interference)
-
-    if not config.average_all_receivers:
-        row = sir_rows[0]
-        if row is None:
-            return "interference_free", None
-        return "ok", row
-    kept = [r for r in sir_rows if r is not None]
+            rows.append(_faded(config, rng, float(dist[row, ridx]), dist[row, keep[row]]))
+    kept = [r for r in rows if r is not None]
     if not kept:
         return "interference_free", None
     return "ok", np.stack(kept)
 
 
-def _rep_se(config: SimConfig, rep: int):
-    status, sir = _replication_sir(config, rep)
-    se = float(np.mean(np.log1p(sir))) if status == "ok" else math.nan
-    return status, se
+def _reps_sir(config: SimConfig, reps: range):
+    """(status, sir) of each replication of ``reps``, batch by batch, as a
+    generator, so that only one batch's SIR samples are held at a time."""
+    for batch in _batches(config, reps):
+        yield from _batch_sir(config, batch)
+
+
+def _reps_se(config: SimConfig, reps: range) -> list[tuple]:
+    """(status, SE) of each replication of ``reps``."""
+    return [
+        (status, float(np.mean(np.log1p(sir))) if status == "ok" else math.nan)
+        for status, sir in _reps_sir(config, reps)
+    ]
 
 
 # The process's worker pool and its size: created at the first parallel
@@ -287,41 +381,45 @@ _pool: ProcessPoolExecutor | None = None
 _pool_workers = 0
 
 
-def _run_reps(config: SimConfig, fn):
-    """Apply fn(config, rep) over all replications, optionally in parallel,
-    reducing in replication order so results are interleaving-independent.
+def _run_reps(config: SimConfig, fn) -> list:
+    """Every replication of ``config``, by ``fn(config, reps)``, which
+    returns one result per replication of the range ``reps``: the results in
+    replication order, so they are interleaving-independent.
 
-    Parallel calls share one pool per process, with min(workers, CPU count)
-    workers; the output does not depend on that count.  The workers are
-    forked at the first parallel call (or when the pool is replaced) and see
-    module state as of then.  A call whose worker dies raises
-    ``BrokenProcessPool``, and the next call forks a new pool.
+    The replications are cut into contiguous ranges, about four per worker,
+    and ``fn`` runs a range in batches (see :func:`_batches`).  Parallel
+    calls share one pool per process, with min(workers, CPU count) workers;
+    the output does not depend on that count.  The workers are forked at the
+    first parallel call (or when the pool is replaced) and see module state
+    as of then.  A call whose worker dies raises ``BrokenProcessPool``, and
+    the next call forks a new pool.
     """
     global _pool, _pool_workers
     reps = range(config.replications)
     workers = min(config.workers, os.cpu_count() or 1)
     if workers == 1 or config.replications == 1:
-        return [fn(config, rep) for rep in reps]
+        return fn(config, reps)
     if _pool is None or _pool_workers != workers:
         if _pool is not None:
             _pool.shutdown()
         _pool, _pool_workers = ProcessPoolExecutor(max_workers=workers), workers
-    # About four chunks per worker: few enough to amortize the hand-off,
-    # enough that even a short estimate reaches every worker.
-    chunksize = max(1, math.ceil(config.replications / (4 * workers)))
+    # About four ranges per worker: few enough to amortize the hand-off and
+    # keep batches long, enough that even a short estimate reaches every
+    # worker.
+    size = max(1, math.ceil(config.replications / (4 * workers)))
+    ranges = [reps[lo : lo + size] for lo in range(0, config.replications, size)]
     try:
-        return list(
-            _pool.map(fn, [config] * config.replications, reps, chunksize=chunksize)
-        )
+        parts = list(_pool.map(fn, [config] * len(ranges), ranges))
     except BrokenProcessPool:
         _pool = None
         raise
+    return [result for part in parts for result in part]
 
 
 def estimate_se(config: SimConfig) -> SEEstimate:
     """Monte Carlo SE (nats/s/Hz) at the typical receiver of the configured
     tier and direction."""
-    results = _run_reps(config, _rep_se)
+    results = _run_reps(config, _reps_se)
     ses = np.array([se for status, se in results if status == "ok"])
     n_free = sum(1 for status, _ in results if status == "interference_free")
     n_dead = sum(1 for status, _ in results if status == "no_active")
@@ -334,10 +432,13 @@ def estimate_se(config: SimConfig) -> SEEstimate:
     return SEEstimate(mean, ci, int(ses.size), free_frac, discarded=n_dead)
 
 
-def _rep_active_count(config: SimConfig, rep: int) -> int:
-    rng = np.random.default_rng([config.master_seed, rep])
-    network = _scheduled_network(config, rng, math.inf)
-    return 0 if network is None else int(network[2].active_bs.size)
+def _reps_active_count(config: SimConfig, reps: range) -> list[int]:
+    counts = []
+    for batch in _batches(config, reps):
+        _, _, assoc = _scheduled_network(config, _generators(config, batch), math.inf)
+        ends = np.searchsorted(assoc.active_bs, assoc.bs_starts)
+        counts += (ends[1:] - ends[:-1]).tolist()
+    return counts
 
 
 def validate_homogenization(config: SimConfig) -> dict:
@@ -348,42 +449,13 @@ def validate_homogenization(config: SimConfig) -> dict:
     """
     if config.direction != "dl":
         raise ParameterError("homogenization check is a downlink diagnostic")
-    counts = _run_reps(config, _rep_active_count)
+    counts = _run_reps(config, _reps_active_count)
     density = float(np.sum(counts)) / (config.window.area * config.replications)
     return {
         "empirical_active_density": density,
         "lambda_u": config.params.lambda_u,
         "ratio": density / config.params.lambda_u,
     }
-
-
-def _all_sir_samples(config: SimConfig) -> tuple[np.ndarray, tuple]:
-    results = _run_reps(config, _replication_sir)
-    chunks = [np.ravel(sir) for status, sir in results if status == "ok"]
-    statuses = tuple(status for status, _ in results)
-    samples = np.concatenate(chunks) if chunks else np.empty(0)
-    return samples, statuses
-
-
-def power_invariance_check(config: SimConfig, scale: float) -> bool:
-    """True iff scaling every transmit power by ``scale`` leaves all SIR
-    samples bit-identical under the same seed (powers cancel in each SIR)."""
-    if scale <= 0:
-        raise ParameterError(f"scale must be positive, got {scale}")
-    base_samples, base_status = _all_sir_samples(config)
-    p = config.params
-    scaled_params = replace(
-        p,
-        p_m_d=p.p_m_d * scale,
-        p_m_u=p.p_m_u * scale,
-        p_mu_d=p.p_mu_d * scale,
-        p_mu_u=p.p_mu_u * scale,
-    )
-    scaled = replace(config, params=scaled_params)
-    scaled_samples, scaled_status = _all_sir_samples(scaled)
-    return base_status == scaled_status and np.array_equal(
-        base_samples, scaled_samples
-    )
 
 
 def sweep_se(lambda_hat_grid, config: SimConfig) -> list[dict]:

@@ -8,10 +8,13 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
+from mmudn import pointprocess as pp
 from mmudn import simulator as sim
 from mmudn.analytic_se import NetworkParams
 from mmudn.errors import ParameterError
 from mmudn.pointprocess import (
+    AssociationMap,
+    PointSet,
     Window,
     active_bs_probability,
     associate_strongest,
@@ -21,7 +24,6 @@ from mmudn.pointprocess import (
 from mmudn.simulator import (
     SimConfig,
     estimate_se,
-    power_invariance_check,
     sweep_se,
     validate_homogenization,
 )
@@ -108,7 +110,7 @@ def test_workers_do_not_change_results():
     assert serial == estimate_se(cfg(workers=2, **every))
 
 
-def _exit_worker(config, rep):
+def _exit_worker(config, reps):
     os._exit(1)
 
 
@@ -163,82 +165,23 @@ def test_different_seeds_differ():
 # --- block geometry against the per-receiver loop ------------------------------------
 
 
-def _per_receiver_sir(config, rep):
-    """Reference for ``_replication_sir``: the geometry one receiver at a time,
-    by ``Window.distance`` and an explicit mainlobe test, with the same draws.
-
-    Returns (status, sir, rows); ``rows`` holds every receiver's SIR row, all
-    zeros when its own link breaks the LOS indicator and None when no
-    interferer reaches it.
-    """
-    rng = np.random.default_rng([config.master_seed, rep])
-    window, alpha, n_draws = config.window, config.alpha, config.fading_draws
-    mmw = config.tier == "mmw"
-    r_los = config.params.r_los
-    network = sim._scheduled_network(config, rng, r_los if mmw else math.inf)
-    if network is None or network[2].active_bs.size == 0:
-        return "no_active", None, []
-    bss, users, assoc = network
-    active = assoc.active_bs
-    bs_pos = bss.points[active]
-    user_pos = users.points[assoc.scheduled_user[active]]
-    if config.direction == "dl":
-        rx_all, tx_all, partner_all = user_pos, bs_pos, user_pos
-    else:
-        rx_all, tx_all, partner_all = bs_pos, user_pos, bs_pos
-    if config.average_all_receivers:
-        receiver_ids = range(active.size)
-    else:
-        receiver_ids = [int(rng.integers(active.size))]
-    rows = []
-    for ridx in receiver_ids:
-        rx = rx_all[ridx]
-        r0 = float(window.distance(tx_all[ridx], rx))
-        if r0 <= 0 or (mmw and r0 > r_los):
-            rows.append(np.zeros(n_draws))
-            continue
-        others = np.flatnonzero(np.arange(active.size) != ridx)
-        tx_i = tx_all[others]
-        d_i = window.distance(rx, tx_i)
-        keep = d_i > 0
-        if mmw:
-            keep &= d_i <= r_los
-            to_partner = window.displacement(tx_i, partner_all[others])
-            to_rx = window.displacement(tx_i, rx[None, :])
-            num = np.einsum("ij,ij->i", to_partner, to_rx)
-            den = np.linalg.norm(to_partner, axis=1) * np.linalg.norm(to_rx, axis=1)
-            cos_angle = np.where(den > 0, num / np.maximum(den, 1e-300), 1.0)
-            keep &= cos_angle >= math.cos(config.params.theta / 2.0)
-        d_i = d_i[keep]
-        if d_i.size == 0:
-            rows.append(None)
-            continue
-        g0 = rng.exponential(size=n_draws)
-        g_i = rng.exponential(size=(n_draws, d_i.size))
-        rows.append(g0 * r0 ** (-alpha) / (g_i @ d_i ** (-alpha)))
-    kept = [row for row in rows if row is not None]
-    if not kept:
-        return "interference_free", None, rows
-    return "ok", np.stack(kept) if config.average_all_receivers else kept[0], rows
-
-
 @pytest.mark.parametrize("block_pairs", [sim._BLOCK_PAIRS, 1])
 @pytest.mark.parametrize("tier", ["muw", "mmw"])
 @pytest.mark.parametrize("direction", ["dl", "ul"])
-def test_block_geometry_is_bit_identical(monkeypatch, tier, direction, block_pairs):
+def test_block_geometry_is_bit_identical(monkeypatch, per_receiver_sir, tier, direction, block_pairs):
     # block_pairs = 1 puts one receiver in each block, however many are active.
     monkeypatch.setattr(sim, "_BLOCK_PAIRS", block_pairs)
     real_network = sim._scheduled_network
 
-    def unrestricted_network(config, rng, los_radius):
-        return real_network(config, rng, math.inf)
+    def unrestricted_network(config, rngs, los_radius):
+        return real_network(config, rngs, math.inf)
 
     seen = set()
 
     def check(config, reps):
         for rep in reps:
-            status, sir = sim._replication_sir(config, rep)
-            ref_status, ref_sir, rows = _per_receiver_sir(config, rep)
+            [(status, sir)] = sim._batch_sir(config, range(rep, rep + 1))
+            ref_status, ref_sir, rows = per_receiver_sir(config, rep)
             assert status == ref_status, (config, rep)
             if ref_sir is None:
                 assert sir is None
@@ -271,20 +214,96 @@ def test_block_geometry_is_bit_identical(monkeypatch, tier, direction, block_pai
     assert expected <= seen
 
 
-# --- power invariance -----------------------------------------------------------------
+# --- batches ------------------------------------------------------------------------------
 
+
+def _sirs(config, reps):
+    return list(sim._reps_sir(config, reps))
+
+
+# (case, configuration), each branch of the batch pipeline: dense blocks; a
+# 60 m window with 0.36 expected users, so most replications have no user
+# and none has an active BS to spare; 22.5 expected BSs, too few for a 3x3
+# block, so the whole window is drawn and measured; half a BS per cell, so
+# blocks grow by rings; and the sparse mmW setup of the silent-zero
+# operations (1,000 users, R_L = 10 m).
+_BATCH_CASES = {
+    "dense": dict(replications=8),
+    "empty": dict(replications=12, window=Window(side=60.0)),
+    "brute force": dict(replications=8, params=net(lhat_m=0.1, lhat_mu=0.1)),
+    "rings": dict(replications=8),
+    "sparse": dict(
+        replications=4,
+        window=None,
+        params=NetworkParams(
+            lambda_m=2e-3, lambda_mu=2e-3, lambda_u=1e-3,
+            alpha_m=2.5, theta=math.radians(15.0), r_los=10.0,
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("tier", ["muw", "mmw"])
+@pytest.mark.parametrize("direction", ["dl", "ul"])
+def test_batch_composition_changes_no_bit(monkeypatch, tier, direction):
+    # Every replication's status and SIR samples, with batches of one
+    # replication, of two, and of the default budget, on one worker and on
+    # two: the batch a replication runs in changes no bit.
+    seen = {"radius": set(), "brute": 0}
+    search, brute = pp._search, pp._brute_nearest
+
+    def spy_search(index, users, base, radius):
+        seen["radius"].add(radius)
+        return search(index, users, base, radius)
+
+    def spy_brute(*args):
+        seen["brute"] += 1
+        return brute(*args)
+
+    monkeypatch.setattr(pp, "_search", spy_search)
+    monkeypatch.setattr(pp, "_brute_nearest", spy_brute)
+    configs = {
+        (case, every): [
+            cfg(tier=tier, direction=direction, average_all_receivers=every, workers=workers, **kw)
+            for workers in (1, 2)
+        ]
+        for case, kw in _BATCH_CASES.items()
+        for every in (False, True)
+    }
+    default_batches = sim._batches
+    reference, statuses = {}, set()
+    for size in (1, 2, None):
+        if size is None:
+            monkeypatch.setattr(sim, "_batches", default_batches)
+        else:
+            monkeypatch.setattr(
+                sim, "_batches", lambda config, reps, size=size: [reps[i : i + size] for i in range(0, len(reps), size)]
+            )
+        for (case, every), pair in configs.items():
+            monkeypatch.setattr(pp, "_BS_PER_CELL", 0.5 if case == "rings" else 4)
+            # The pool's workers see module state as of their fork.
+            _drop_pool()
+            for workers, config in enumerate(pair, 1):
+                out = sim._run_reps(config, _sirs)
+                ref = reference.setdefault((case, every), out)
+                assert [status for status, _ in out] == [status for status, _ in ref], (case, every, size, workers)
+                for (_, sir), (_, want) in zip(out, ref):
+                    assert (sir is None and want is None) or np.array_equal(sir, want), (case, every, size, workers)
+                statuses.update(status for status, _ in out)
+    _drop_pool()
+    assert statuses == {"ok", "interference_free", "no_active"}
+    assert max(seen["radius"]) > 1 and seen["brute"] > 0
+
+
+# --- transmit powers ----------------------------------------------------------------------
 
 @pytest.mark.parametrize("scale", [1.0, 100.0, 1e-6])
-def test_power_invariance(scale):
-    assert power_invariance_check(cfg(replications=6), scale)
-    assert power_invariance_check(
-        cfg(replications=6, tier="mmw", direction="ul"), scale
-    )
-
-
-def test_power_invariance_rejects_bad_scale():
-    with pytest.raises(ParameterError):
-        power_invariance_check(cfg(replications=2), 0.0)
+def test_power_invariance(power_mismatches, scale):
+    # The simulator computes the SIR power-free; with every transmitter of a
+    # tier and direction at one power the powers cancel, so the reference
+    # that carries them must agree.
+    for tier, direction in (("muw", "dl"), ("mmw", "ul")):
+        assert power_mismatches(cfg(replications=6, tier=tier, direction=direction), scale) == []
 
 
 # --- interference-free accounting --------------------------------------------------------
@@ -418,14 +437,36 @@ def _acceptance_config(tier, direction, lhat, side, reps, seed):
         )
 
 
-def _full_window_network(config, rng, los_radius):
-    """The reference draw: every BS of the window by ``sample_ppp``, then the
-    users, associated against the BSs as an ordinary point set."""
-    bss = sample_ppp(config.bs_density, config.window, rng)
-    users = sample_ppp(config.params.lambda_u, config.window, rng)
-    if len(bss) == 0 or len(users) == 0:
-        return None
-    return bss, users, schedule_active(associate_strongest(users, bss, los_radius), rng)
+def _full_window_network(config, rngs, los_radius):
+    """The reference draw, replication by replication: every BS of the
+    window by ``sample_ppp``, then the users, associated against the BSs as
+    an ordinary point set; the batch's networks laid end to end, indexed as
+    ``AssociationMap`` says."""
+    bs_points, user_points, user_to_bs, scheduled = [], [], [], []
+    bs_starts, user_starts = [0], [0]
+    for rng in rngs:
+        bss = sample_ppp(config.bs_density, config.window, rng)
+        users = sample_ppp(config.params.lambda_u, config.window, rng)
+        if len(bss) and len(users):
+            assoc = schedule_active(associate_strongest(users, bss, los_radius), rng)
+            bs_points.append(bss.points)
+            user_points.append(users.points)
+            user_to_bs.append(np.where(assoc.user_to_bs >= 0, assoc.user_to_bs + bs_starts[-1], -1))
+            scheduled.append(np.where(assoc.scheduled_user >= 0, assoc.scheduled_user + user_starts[-1], -1))
+            bs_starts.append(bs_starts[-1] + len(bss))
+            user_starts.append(user_starts[-1] + len(users))
+        else:
+            bs_starts.append(bs_starts[-1])
+            user_starts.append(user_starts[-1])
+    assoc = AssociationMap(
+        user_to_bs=np.concatenate([np.empty(0, dtype=np.int64), *user_to_bs]),
+        n_bs=bs_starts[-1],
+        scheduled_user=np.concatenate([np.empty(0, dtype=np.int64), *scheduled]),
+        user_starts=np.array(user_starts),
+        bs_starts=np.array(bs_starts),
+    )
+    bss = PointSet(np.concatenate([np.empty((0, 2)), *bs_points]), config.window)
+    return bss, np.concatenate([np.empty((0, 2)), *user_points]), assoc
 
 
 # The acceptance configurations (tier, lhat, window side), and the seeds and
@@ -447,7 +488,7 @@ def test_lazy_bs_draw_has_the_full_window_law(monkeypatch, tier, lhat, side, dir
     # replication share its geometry, so only one per replication is i.i.d.
     def samples(kind):
         config = _acceptance_config(tier, direction, lhat, side, _LAW_REPS[tier], _LAW_SEEDS[kind])
-        sirs = [sim._replication_sir(config, rep) for rep in range(config.replications)]
+        sirs = sim._reps_sir(config, range(config.replications))
         return [sir for status, sir in sirs if status == "ok"]
 
     lazy = samples("lazy")
@@ -470,9 +511,9 @@ def test_replication_cost_follows_the_users():
     # overlap), and counts the rest.
     for lhat in (1e3, 1e5):
         config = _acceptance_config("muw", "dl", lhat, 150.0, 1, 3)
-        bss, users, assoc = sim._scheduled_network(config, np.random.default_rng([3, 0]), math.inf)
+        bss, _, assoc = sim._scheduled_network(config, [np.random.default_rng([3, 0])], math.inf)
         expected = config.bs_density * config.window.area
         assert len(bss) < 20_000, (lhat, len(bss))
         assert abs(assoc.n_bs - expected) < 5 * math.sqrt(expected), (lhat, assoc.n_bs)
         assert assoc.scheduled_user.size == len(bss)
-        assert sim._replication_sir(config, 0)[0] == "ok"
+        assert next(sim._reps_sir(config, range(1)))[0] == "ok"
