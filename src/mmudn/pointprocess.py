@@ -139,13 +139,15 @@ class LazyPPP:
     Nothing is drawn at construction.  Association draws, from each
     process's own generator, the cells its users' blocks cover, all in one
     Poisson count spread over them (cells of equal area), then any cells its
-    ring growth adds, and last the count of BSs in the cells left undrawn
-    (``AssociationMap.n_bs``).  PPP counts on disjoint regions are
-    independent, so the drawn cells have the law of the same cells of a PPP
-    drawn over the whole window, and a BS left undrawn serves no user, so it
-    is inactive.  ``points`` and ``len()`` are the BSs drawn so far in all
-    processes, in runs of one process each; association leaves them grouped
-    by process, in draw order within each.
+    ring growth adds (every cell, when a block would wrap onto itself, as
+    it does on a grid of fewer than three cells per side), and last the
+    count of BSs in the cells left undrawn (``AssociationMap.n_bs``).  PPP
+    counts on disjoint regions are independent, so the drawn cells have the
+    law of the same cells of a PPP drawn over the whole window, and a BS
+    left undrawn serves no user, so it is inactive.  ``points`` and
+    ``len()`` are the BSs drawn so far in all processes, in runs of one
+    process each; association leaves them grouped by process, in draw order
+    within each.
     """
 
     def __init__(self, density: float, window: Window, rng):
@@ -203,15 +205,6 @@ class LazyPPP:
         ids = np.arange(len(self), start)
         self.points = np.concatenate((self.points, xy.T)) if len(self) else xy.T
         return x, y, ids, counts
-
-    def _draw_windows(self) -> None:
-        """Every process's whole window, as :func:`sample_ppp` draws it."""
-        drawn = [sample_ppp(self.density, self.window, rng).points for rng in self.rngs]
-        start = len(self)
-        for k, points in enumerate(drawn):
-            self._runs.append((k, start, start + len(points)))
-            start += len(points)
-        self.points = np.concatenate([self.points, *drawn])
 
     def _members(self, k: int) -> np.ndarray:
         """Indices of process k's BSs drawn so far, ascending."""
@@ -574,30 +567,21 @@ def associate_strongest(
     user_starts = np.cumsum([0, *sizes])
     user_points = np.concatenate([u.points for u in user_sets])
     process = np.repeat(np.arange(n_processes), sizes)
-    n = _cells_per_side(bss.density * window.area if lazy else len(bss), window.side, los_radius)
+    # With fewer than three cells per side a 3x3 block would wrap onto
+    # itself, so the search goes straight to measuring every BS.
+    n = max(1, _cells_per_side(bss.density * window.area if lazy else len(bss), window.side, los_radius))
+    index = _CellIndex(bss, n, n_processes, 9 * len(user_points))
+    user_to_bs = _nearest(index, user_points, process, los_radius)
     undrawn = 0
-    if n < 3:
-        # A 3x3 block would wrap onto itself: every BS is a candidate.
-        if lazy:
-            bss._draw_windows()
-        user_to_bs = np.full(len(user_points), -1, dtype=np.int64)
-        for k in range(n_processes):
-            ids = _members(bss, k)
-            mine = slice(user_starts[k], user_starts[k + 1])
-            user_to_bs[mine] = _brute_nearest(bss.points[ids], ids, user_points[mine], window, los_radius)
-    else:
-        index = _CellIndex(bss, n, n_processes, 9 * len(user_points))
-        user_to_bs = _nearest(index, user_points, process, los_radius)
-        if lazy:
-            # The cells left undrawn hold no serving BS: only their count is drawn.
-            if n_processes == 1:
-                ends = [0, index.keys.size]
-            else:
-                ends = np.searchsorted(index.keys, np.arange(n_processes + 1) * (n * n)).tolist()
-            cell_area = (window.side / n) ** 2
-            for rng, lo, hi in zip(bss.rngs, ends, ends[1:]):
-                undrawn += int(rng.poisson(bss.density * (n * n - (hi - lo)) * cell_area))
     if lazy:
+        # The cells left undrawn hold no serving BS: only their count is drawn.
+        if n_processes == 1:
+            ends = [0, index.keys.size]
+        else:
+            ends = np.searchsorted(index.keys, np.arange(n_processes + 1) * (n * n)).tolist()
+        cell_area = (window.side / n) ** 2
+        for rng, lo, hi in zip(bss.rngs, ends, ends[1:]):
+            undrawn += int(rng.poisson(bss.density * (n * n - (hi - lo)) * cell_area))
         rank, bs_starts = bss._group()
         if rank is not None:
             hit = user_to_bs >= 0

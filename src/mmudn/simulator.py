@@ -17,25 +17,22 @@ dominates a replication of a few hundred users, is paid once per batch.
 Every replication still draws on its own stream, in the order it would
 alone: users, the BSs around them, the count of the BSs left undrawn, the
 schedule, the typical receiver, then the fading.  Association and scheduling
-run once per batch (see :mod:`~mmudn.pointprocess`), and so does the typical
-receivers' geometry: each is paired with every active transmitter of its own
-replication, and only the transmitters within R_L take the mainlobe test.
-Elements take the same floating-point operations in any batch, so the batch
-a replication runs in changes no bit.  A batch holds about ``_BATCH_POINTS``
-expected slots and drawn BSs, which bounds its memory whatever the
-replication count.
+run once per batch (see :mod:`~mmudn.pointprocess`).  A batch holds about
+``_BATCH_POINTS`` expected slots and drawn BSs, which bounds its memory
+whatever the replication count.
 
-In all-receiver mode the geometry of a replication is computed for a block
-of receivers at once: the (B, A) torus displacements from B receivers to all
-A active transmitters, one coordinate plane at a time, then the distances and
-the mask of interferers that count (not the receiver's own transmitter,
-within R_L and with a covering mainlobe for mmW).  B is derived from A so
-that a block holds at most 2^14 pairs, which bounds its scratch memory, and
-the block height changes no bit either.  Fading stays per receiver: ``g0``
-then ``g_i`` for each receiver in turn, with the sizes and order of a
-one-receiver loop, so the random stream and every SIR sample are those of
-that loop.  One large draw per replication would reorder the stream, and
-measured slower.
+One rule decides which transmitters interfere, in both receiver modes (see
+:func:`_receivers_sir`): typical mode measures one receiver per
+replication, all-receiver mode every receiver.  Each receiver is paired with
+every active transmitter of its own replication on flat (receiver,
+transmitter) pairs, at most ``_BLOCK_PAIRS`` at a time, and a transmitter
+counts when it is not the receiver's own, at a positive distance and, for
+mmW, within R_L with a covering mainlobe (tested only for the pairs within
+R_L).  Fading is drawn per receiver, ``g0`` then ``g_i``, receiver by
+receiver, with the sizes and order of a one-receiver loop; one large draw
+per replication would reorder the stream, and measured slower.  Elements
+take the same floating-point operations however the pairs are cut into
+batches and chunks, so neither changes a bit.
 
 Replications are independent and reproducible: replication ``i`` runs on
 ``default_rng([master_seed, i])`` regardless of batch, execution order or
@@ -98,19 +95,19 @@ SE_CSV_HEADER = [
 
 _TIERS = ("mmw", "muw")
 _DIRECTIONS = ("dl", "ul")
-# Receiver-transmitter pairs per geometry block.  Each block holds a handful
-# of (B, A) float arrays, 128 KiB each at 2^14 pairs.  Blocks of 2^16 pairs
-# raised the all-receiver benchmark's peak RSS by 4.5 MiB (5 %) and ran no
-# faster.
+# Receiver-transmitter pairs per geometry chunk.  A chunk holds a handful
+# of flat float and index arrays, 128 KiB each at 2^14 pairs.  2^16 pairs
+# at a time raised the all-receiver benchmark's peak RSS by 4.5 MiB (5 %)
+# and ran no faster (measured on the earlier (receiver, transmitter) grid
+# layout, whose scratch per pair was smaller).
 _BLOCK_PAIRS = 1 << 14
 # Expected points per batch of replications (see _batches).  A batch's
-# association and typical-receiver geometry are one numpy pass over all its
-# replications, so the fixed cost of each numpy call is shared, but its
-# scratch grows by about 100 bytes per point.  At 2^15 points the
-# mc_acceptance benchmark's pool workers peaked 2.3 % higher than with one
-# replication at a time; 2^16 ran 1,000-user replications faster but doubled
-# the largest batch's scratch to 6 MiB.  BENCH_16.json has the timings and
-# peaks per budget.
+# association and receiver geometry run over all its replications at once,
+# so the fixed cost of each numpy call is shared, but its scratch grows by
+# about 100 bytes per point.  At 2^15 points the mc_acceptance benchmark's
+# pool workers peaked 2.3 % higher than with one replication at a time;
+# 2^16 ran 1,000-user replications faster but doubled the largest batch's
+# scratch to 6 MiB.  BENCH_16.json has the timings and peaks per budget.
 _BATCH_POINTS = 1 << 15
 
 
@@ -231,6 +228,12 @@ def _batch_sir(config: SimConfig, reps: range) -> list[tuple]:
     'interference_free' or 'no_active'; sir is a (fading_draws,) array of
     SIR samples (or an array of shape (n_receivers, fading_draws) when
     averaging all receivers), or None.
+
+    In typical mode each replication's one receiver is the receiving end of
+    a scheduled link drawn uniformly among its scheduled links, the
+    Palm-typical link, in both directions.  Anchoring at a fixed point (say
+    the user nearest the window center) would size-bias the pick toward
+    users with few scheduled neighbours, who see less interference.
     """
     rngs = _generators(config, reps)
     mmw = config.tier == "mmw"
@@ -244,14 +247,24 @@ def _batch_sir(config: SimConfig, reps: range) -> list[tuple]:
         rx_all, tx_all, partner_all = user_pos, bs_pos, user_pos
     else:
         rx_all, tx_all, partner_all = bs_pos, user_pos, bs_pos
-    if not config.average_all_receivers:
-        return _typical_sir(config, rngs, bounds, rx_all, tx_all, partner_all)
-    return [
-        _receivers_sir(config, rng, rx_all[lo:hi], tx_all[lo:hi], partner_all[lo:hi])
-        if hi > lo
-        else ("no_active", None)
-        for rng, lo, hi in zip(rngs, bounds[:-1], bounds[1:])
-    ]
+    if config.average_all_receivers:
+        receivers = np.arange(active.size)
+    else:
+        spans = zip(rngs, bounds.tolist(), bounds[1:].tolist())
+        receivers = np.array([lo + int(rng.integers(hi - lo)) for rng, lo, hi in spans if hi > lo], dtype=np.int64)
+    sirs = _receivers_sir(config, rngs, bounds, receivers, rx_all, tx_all, partner_all)
+    # Replication k's receivers are receivers[ends[k]:ends[k + 1]].
+    ends = np.searchsorted(receivers, bounds).tolist()
+    out = []
+    for a, b in zip(ends, ends[1:]):
+        rows = [sir for sir in sirs[a:b] if sir is not None]
+        if a == b:
+            out.append(("no_active", None))
+        elif not rows:
+            out.append(("interference_free", None))
+        else:
+            out.append(("ok", np.stack(rows) if config.average_all_receivers else rows[0]))
+    return out
 
 
 def _faded(config: SimConfig, rng: np.random.Generator, r0: float, d_i: np.ndarray):
@@ -273,91 +286,62 @@ def _faded(config: SimConfig, rng: np.random.Generator, r0: float, d_i: np.ndarr
     return signal / interference
 
 
-def _typical_sir(config: SimConfig, rngs, bounds, rx_all, tx_all, partner_all) -> list[tuple]:
-    """The typical receiver of each replication of a batch.
+def _receivers_sir(config: SimConfig, rngs, bounds, receivers, rx_all, tx_all, partner_all) -> list:
+    """The SIR samples of each receiver, by :func:`_faded`, in order.
 
-    The typical link is drawn uniformly among the scheduled links, the
-    Palm-typical link, in both directions.  Anchoring at a fixed point (say
-    the user nearest the window center) would size-bias the pick toward
-    users with few scheduled neighbours, who see less interference.  Each
-    typical receiver is paired with every active transmitter of its own
-    replication, and the pairs of the whole batch are measured at once.
+    ``receivers`` are indices of active links, ascending; replication k's
+    links are ``bounds[k]`` to ``bounds[k + 1] - 1``.  Each receiver is
+    paired with every active transmitter of its replication, on flat
+    (receiver, transmitter) pairs, at most ``_BLOCK_PAIRS`` of them at a
+    time (or one receiver's, when it has more).  A transmitter interferes
+    when it is not the receiver's own and at a positive distance; for mmW
+    also within R_L, with its mainlobe, aimed at its own partner, covering
+    the receiver.  The fading draws come from each receiver's replication
+    stream, receiver by receiver.
     """
     window = config.window
-    live, picks, sizes = [], [], []
-    for k, (rng, lo, hi) in enumerate(zip(rngs, bounds.tolist(), bounds[1:].tolist())):
-        if hi > lo:
-            live.append(k)
-            picks.append(lo + int(rng.integers(hi - lo)))
-            sizes.append(hi - lo)
-    picks = np.array(picks, dtype=np.int64)
-    rx = rx_all[np.repeat(picks, sizes)]
-    # Receiver-to-transmitter torus displacement, one coordinate at a time.
-    dx = window.displacement(rx[:, 0], tx_all[:, 0])
-    dy = window.displacement(rx[:, 1], tx_all[:, 1])
-    dist = np.sqrt(dx * dx + dy * dy)
-    keep = dist > 0
-    keep[picks] = False
+    rep = np.searchsorted(bounds, receivers, side="right") - 1
+    first = bounds[rep]
+    sizes = bounds[rep + 1] - first
+    pair_ends = np.cumsum(sizes)
     if config.tier == "mmw":
-        keep &= dist <= config.params.r_los
-        # Interferer j covers the receiver when the angle between its
-        # partner direction and its direction to the receiver is within
-        # theta/2; only the transmitters within R_L need the test.
-        near = np.flatnonzero(keep)
-        to_partner = window.displacement(tx_all[near], partner_all[near])
-        num = to_partner[:, 0] * -dx[near] + to_partner[:, 1] * -dy[near]
-        den = np.linalg.norm(to_partner, axis=1) * dist[near]
-        cos_angle = np.where(den > 0, num / np.maximum(den, 1e-300), 1.0)
-        keep[near] = cos_angle >= math.cos(config.params.theta / 2.0)
-    kept = np.flatnonzero(keep)
-    kept_bounds = np.searchsorted(kept, bounds)
-    d_kept = dist[kept]
-    out = [("no_active", None)] * len(rngs)
-    for k, pick in zip(live, picks):
-        sir = _faded(config, rngs[k], float(dist[pick]), d_kept[kept_bounds[k] : kept_bounds[k + 1]])
-        out[k] = ("interference_free", None) if sir is None else ("ok", sir)
-    return out
-
-
-def _receivers_sir(config: SimConfig, rng, rx_all, tx_all, partner_all) -> tuple:
-    """Every receiver of one replication with at least one active BS.
-
-    The geometry is computed for a block of receivers at once: the (B, A)
-    torus displacements from B receivers to all A active transmitters, one
-    coordinate plane at a time, then the distances and the mask of
-    interferers that count.  B is derived from A so that a block holds at
-    most ``_BLOCK_PAIRS`` pairs.
-    """
-    window = config.window
-    n_active = len(tx_all)
-    mmw = config.tier == "mmw"
-    if mmw:
         # Each transmitter aims its mainlobe at its own partner.
         to_partner = window.displacement(tx_all, partner_all)
         partner_norm = np.linalg.norm(to_partner, axis=1)
-        cos_half = math.cos(config.params.theta / 2.0)
-    block = max(1, _BLOCK_PAIRS // n_active)
-    rows = []
-    for start in range(0, n_active, block):
-        ids = np.arange(start, min(start + block, n_active))
-        rx = rx_all[ids]
-        dx = window.displacement(rx[:, :1], tx_all[:, 0])
-        dy = window.displacement(rx[:, 1:], tx_all[:, 1])
+    rep = rep.tolist()
+    out = []
+    lo = 0
+    while lo < receivers.size:
+        done = pair_ends[lo - 1] if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(pair_ends, done + _BLOCK_PAIRS, side="right")))
+        cnt = sizes[lo:hi]
+        starts = np.cumsum(cnt) - cnt
+        tx = np.repeat(first[lo:hi] - starts, cnt)
+        tx += np.arange(tx.size)
+        rx = rx_all[receivers[lo:hi]]
+        # The pair of each receiver with its own transmitter.
+        own = starts + receivers[lo:hi] - first[lo:hi]
+        # Receiver-to-transmitter torus displacement, one coordinate at a time.
+        dx = window.displacement(np.repeat(rx[:, 0], cnt), tx_all[tx, 0])
+        dy = window.displacement(np.repeat(rx[:, 1], cnt), tx_all[tx, 1])
         dist = np.sqrt(dx * dx + dy * dy)
         keep = dist > 0
-        keep[np.arange(ids.size), ids] = False
-        if mmw:
+        keep[own] = False
+        if config.tier == "mmw":
             keep &= dist <= config.params.r_los
-            num = to_partner[:, 0] * -dx + to_partner[:, 1] * -dy
-            den = partner_norm * dist
+            # Interferer j covers the receiver when the angle between its
+            # partner direction and its direction to the receiver is within
+            # theta/2; only the pairs within R_L take the test.
+            near = np.flatnonzero(keep)
+            j = tx[near]
+            num = to_partner[j, 0] * -dx[near] + to_partner[j, 1] * -dy[near]
+            den = partner_norm[j] * dist[near]
             cos_angle = np.where(den > 0, num / np.maximum(den, 1e-300), 1.0)
-            keep &= cos_angle >= cos_half
-        for row, ridx in enumerate(ids):
-            rows.append(_faded(config, rng, float(dist[row, ridx]), dist[row, keep[row]]))
-    kept = [r for r in rows if r is not None]
-    if not kept:
-        return "interference_free", None
-    return "ok", np.stack(kept)
+            keep[near] = cos_angle >= math.cos(config.params.theta / 2.0)
+        for k, a, b, pair in zip(rep[lo:hi], starts.tolist(), (starts + cnt).tolist(), own.tolist()):
+            out.append(_faded(config, rngs[k], float(dist[pair]), dist[a:b][keep[a:b]]))
+        lo = hi
+    return out
 
 
 def _reps_sir(config: SimConfig, reps: range):

@@ -382,7 +382,10 @@ def _lazy_association(monkeypatch, seed, bs_density, los_radius, per_cell):
 # than either, so cells are sized by it; and R_L = 3 m, many cells long.  At
 # 0.5 BS per cell a user has no BS within one cell side with probability
 # exp(-pi / 2), about 0.2, so blocks grow by rings.  At 0.05 BSs/m^2 the
-# window holds 20 expected BSs, too few for a 3x3 block: it is drawn whole.
+# window holds 20 expected BSs, too few for a 3x3 block: the grid has two
+# cells per side, every cell is drawn as soon as a user needs one, and every
+# drawn BS is measured.  At 0.005 BSs/m^2 it holds 2, and the grid is one
+# cell, often with no BS in it.
 _LAZY_CASES = [
     (20.0, math.inf, 4),
     (20.0, math.inf, 0.5),
@@ -391,6 +394,7 @@ _LAZY_CASES = [
     (20.0, 3.0, 4),
     (20.0, 3.0, 0.5),
     (0.05, math.inf, 4),
+    (0.005, math.inf, 4),
 ]
 
 

@@ -224,7 +224,7 @@ def _sirs(config, reps):
 # (case, configuration), each branch of the batch pipeline: dense blocks; a
 # 60 m window with 0.36 expected users, so most replications have no user
 # and none has an active BS to spare; 22.5 expected BSs, too few for a 3x3
-# block, so the whole window is drawn and measured; half a BS per cell, so
+# block, so every cell is drawn and every BS measured; half a BS per cell, so
 # blocks grow by rings; and the sparse mmW setup of the silent-zero
 # operations (1,000 users, R_L = 10 m).
 _BATCH_CASES = {
