@@ -14,9 +14,9 @@ outside a user's block lies at least one cell side away, so a candidate
 found closer than that (less a small floating-point margin) is the true
 nearest BS.  A user with no candidate that close (about 3.5e-6 of users) is
 measured against its block grown ring by ring, each ring certifying one more
-cell side, until it is settled or the block would wrap onto itself; then
-against every BS.  Exact ties go to the lowest BS index, as in a search over
-all BSs.
+cell side, until it is settled; a block that wraps the grid settles its
+users, as it holds the minimum image of every BS.  Exact ties go to the
+lowest BS index, as in a search over all BSs.
 
 The BSs are either a :class:`PointSet`, whose points association sorts into
 the cells it visits, or a :class:`LazyPPP`, which association draws cell by
@@ -139,15 +139,15 @@ class LazyPPP:
     Nothing is drawn at construction.  Association draws, from each
     process's own generator, the cells its users' blocks cover, all in one
     Poisson count spread over them (cells of equal area), then any cells its
-    ring growth adds (every cell, when a block would wrap onto itself, as
-    it does on a grid of fewer than three cells per side), and last the
-    count of BSs in the cells left undrawn (``AssociationMap.n_bs``).  PPP
-    counts on disjoint regions are independent, so the drawn cells have the
-    law of the same cells of a PPP drawn over the whole window, and a BS
-    left undrawn serves no user, so it is inactive.  ``points`` and
-    ``len()`` are the BSs drawn so far in all processes, in runs of one
-    process each; association leaves them grouped by process, in draw order
-    within each.
+    ring growth adds, and last the count of BSs in the cells left undrawn
+    (``AssociationMap.n_bs``).  A block that wraps the grid, as a 3x3 block
+    does on a grid of fewer than three cells per side, covers every cell of
+    its process and settles its users.  PPP counts on disjoint regions are
+    independent, so the drawn cells have the law of the same cells of a PPP
+    drawn over the whole window, and a BS left undrawn serves no user, so it
+    is inactive.  ``points`` and ``len()`` are the BSs drawn so far in all
+    processes, in runs of one process each; association leaves them grouped
+    by process, in draw order within each.
     """
 
     def __init__(self, density: float, window: Window, rng):
@@ -175,12 +175,9 @@ class LazyPPP:
         grid = n * n
         # Process k's cells are keys[bounds[k]:bounds[k + 1]], at local keys
         # x n + y.
-        if len(self.rngs) == 1:
-            bounds, local = [0, keys.size], keys
-        else:
-            bounds = np.searchsorted(keys, np.arange(len(self.rngs) + 1) * grid).tolist()
-            # Integer division by a scalar is fast; the remainder is not.
-            local = keys - keys // grid * grid
+        bounds = np.searchsorted(keys, np.arange(len(self.rngs) + 1) * grid).tolist()
+        # Integer division by a scalar is fast; the remainder is not.
+        local = keys - keys // grid * grid
         picks, draws = [], []
         start = len(self)
         for k, (rng, lo, hi) in enumerate(zip(self.rngs, bounds, bounds[1:])):
@@ -191,10 +188,7 @@ class LazyPPP:
             draws.append(rng.random((2, count)))
             self._runs.append((k, start, start + count))
             start += count
-        if len(draws) == 1:
-            picks, xy = picks[0], draws[0]
-        else:
-            picks, xy = np.concatenate(picks), np.concatenate(draws, axis=1)
+        picks, xy = np.concatenate(picks), np.concatenate(draws, axis=1)
         counts = np.bincount(picks, minlength=keys.size)
         cell_x = local // n
         x, y = xy
@@ -206,17 +200,10 @@ class LazyPPP:
         self.points = np.concatenate((self.points, xy.T)) if len(self) else xy.T
         return x, y, ids, counts
 
-    def _members(self, k: int) -> np.ndarray:
-        """Indices of process k's BSs drawn so far, ascending."""
-        runs = [np.arange(a, b) for p, a, b in self._runs if p == k]
-        return np.concatenate(runs) if runs else np.empty(0, dtype=np.int64)
-
     def _group(self):
         """Group the drawn BSs by process, each process's in draw order:
         (the new index of each BS, or None when none moves; each process's
         first index, then the count)."""
-        if len(self.rngs) == 1:
-            return None, np.array([0, len(self)])
         runs = sorted(self._runs, key=lambda run: run[0])
         sizes = np.zeros(len(self.rngs) + 1, dtype=np.int64)
         for k, a, b in runs:
@@ -281,32 +268,6 @@ _BS_PER_CELL = 4
 # all-receiver benchmark's peak RSS by 1.1 MiB; freed, it matches the
 # KD-tree search's.
 _BLOCK_PAIRS = 1 << 14
-
-
-def _brute_nearest(
-    bs_points: np.ndarray, bs_ids: np.ndarray, user_points: np.ndarray, window: Window, bound: float
-) -> np.ndarray:
-    """The id (of ``bs_ids``) of each user's nearest BS closer than ``bound``,
-    or -1, found by measuring every BS; an exact tie goes to the first BS."""
-    out = np.full(len(user_points), -1, dtype=np.int64)
-    if not len(bs_points):
-        return out
-    step = max(1, _BLOCK_PAIRS // len(bs_points))
-    for lo in range(0, len(user_points), step):
-        u = user_points[lo : lo + step]
-        dx = window.displacement(u[:, :1], bs_points[:, 0])
-        dy = window.displacement(u[:, 1:], bs_points[:, 1])
-        d2 = dx * dx + dy * dy
-        best = np.argmin(d2, axis=1)
-        hit = d2[np.arange(len(u)), best] < bound * bound
-        out[lo : lo + len(u)][hit] = bs_ids[best[hit]]
-    return out
-
-
-def _members(bss, k: int) -> np.ndarray:
-    """Indices of the BSs of process k drawn so far, ascending (every BS of
-    a point set, which is one process)."""
-    return bss._members(k) if isinstance(bss, LazyPPP) else np.arange(len(bss))
 
 
 def _cells_per_side(count: float, side: float, los_radius: float) -> int:
@@ -425,8 +386,7 @@ def _block_cells(width: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _search(index: _CellIndex, user_points: np.ndarray, base: np.ndarray, radius: int):
-    """Each user's nearest BS in its block of ``radius`` (2 radius + 1 <=
-    cells per side, so a block never wraps onto itself) of its process's
+    """Each user's nearest BS in its block of ``radius`` of its process's
     grid, whose keys start at the user's ``base``, drawn or sorted into the
     index first: (squared distance, BS index), or (inf, -1) for an empty
     block.  An exact tie goes to the lowest BS index."""
@@ -496,29 +456,17 @@ def _nearest(
     distances) is the nearest BS; so is no candidate within the LOS radius
     when the radius is that short.  A user left open is measured against a
     block grown by one ring of cells, with its new cells added to the index,
-    until it is settled or the block would wrap onto itself; then every BS
-    of its process is measured.
+    until it is settled.  A block that wraps the grid (2 r + 1 > n) settles
+    its users: it holds the minimum image of every BS of its process.
     """
     side, n = index.side, index.n
-    bss = index.bss
     margin = 1e-9 * side
     base = process * (n * n)
     user_to_bs = np.full(len(user_points), -1, dtype=np.int64)
     todo = np.arange(len(user_points))
     radius = 1
     while todo.size:
-        if 2 * radius + 1 > n:
-            open_processes = np.unique(process[todo])
-            if isinstance(bss, LazyPPP):
-                index.cover((open_processes[:, None] * (n * n) + np.arange(n * n)).ravel())
-            for k in open_processes:
-                users = todo[process[todo] == k]
-                ids = _members(bss, k)
-                user_to_bs[users] = _brute_nearest(
-                    bss.points[ids], ids, user_points[users], bss.window, los_radius
-                )
-            break
-        reach = radius * side / n - margin
+        reach = math.inf if 2 * radius + 1 > n else radius * side / n - margin
         limit = min(los_radius, reach)
         best, nearest = _search(index, user_points[todo], base[todo], radius)
         found = best < limit * limit
@@ -567,18 +515,15 @@ def associate_strongest(
     user_starts = np.cumsum([0, *sizes])
     user_points = np.concatenate([u.points for u in user_sets])
     process = np.repeat(np.arange(n_processes), sizes)
-    # With fewer than three cells per side a 3x3 block would wrap onto
-    # itself, so the search goes straight to measuring every BS.
+    # With fewer than three cells per side a 3x3 block wraps the grid, and a
+    # block that wraps settles its users.
     n = max(1, _cells_per_side(bss.density * window.area if lazy else len(bss), window.side, los_radius))
     index = _CellIndex(bss, n, n_processes, 9 * len(user_points))
     user_to_bs = _nearest(index, user_points, process, los_radius)
     undrawn = 0
     if lazy:
         # The cells left undrawn hold no serving BS: only their count is drawn.
-        if n_processes == 1:
-            ends = [0, index.keys.size]
-        else:
-            ends = np.searchsorted(index.keys, np.arange(n_processes + 1) * (n * n)).tolist()
+        ends = np.searchsorted(index.keys, np.arange(n_processes + 1) * (n * n)).tolist()
         cell_area = (window.side / n) ** 2
         for rng, lo, hi in zip(bss.rngs, ends, ends[1:]):
             undrawn += int(rng.poisson(bss.density * (n * n - (hi - lo)) * cell_area))
@@ -612,7 +557,7 @@ def schedule_active(assoc: AssociationMap, rng) -> AssociationMap:
     # first occurrence per BS: a uniform pick.
     perms = [r.permutation(associated[lo:hi]) for r, lo, hi in zip(rngs, bounds, bounds[1:]) if hi > lo]
     if perms:
-        perm = perms[0] if len(perms) == 1 else np.concatenate(perms)
+        perm = np.concatenate(perms)
         bs_of = assoc.user_to_bs[perm]
         uniq, first = np.unique(bs_of, return_index=True)
         scheduled[uniq] = perm[first]

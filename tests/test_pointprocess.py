@@ -154,20 +154,25 @@ def test_associate_empty_bs_set_is_error():
 # distance of one cell side, and a LOS radius of 0.6 m lies between that
 # distance and many users' nearest BS; "clustered" packs the BSs into one
 # corner, so users far from it have no candidate near enough to certify:
-# their blocks grow ring by ring, and with R_L = inf until they would wrap,
-# when they are checked against all BSs; "dense" draws users as densely as the cells
-# (2 BSs/m^2: 196 cells against ~200 users), so their blocks cover the grid.
+# their blocks grow ring by ring, and with R_L = inf until they wrap the
+# grid: a block that wraps settles its users; "dense" draws users as
+# densely as the cells (2 BSs/m^2: 196 cells against ~200 users), so their
+# blocks cover the grid.
 # LOS radii of 0.3, 0.25 and 0.05 m are shorter than the 0.45 m cell side,
 # so cells are sized by the LOS radius instead (0.25 m divides the window
 # exactly; 0.05 m hits the cap on the cell count).  At 0.05 and 0.08
-# BSs/m^2 a window holds fewer than 36 BSs (mostly), so the 3x3 block would
-# wrap onto itself.  "ties" puts the BSs on a 0.5 m lattice in shuffled
-# index order and the users midway between two or four of them, across the
-# window edge too: exact distance ties on dyadic coordinates.
+# BSs/m^2 a window holds fewer than 36 BSs (mostly), so the 3x3 block wraps
+# the grid of one or two cells per side.  At 0.01 BSs/m^2 (4 BSs) the grid
+# is one cell, and all nine slots of a block are that cell at nine images.
+# "ties" puts the BSs on a 0.5 m lattice in shuffled index order and the
+# users midway between two or four of them, across the window edge too:
+# exact distance ties on dyadic coordinates.
 _ASSOC_CASES = [
     (0.05, math.inf, "uniform"),
     (0.08, math.inf, "edge"),
     (0.08, 4.0, "uniform"),
+    (0.01, math.inf, "edge"),
+    (0.01, 4.0, "uniform"),
     (20.0, math.inf, "uniform"),
     (20.0, 0.05, "uniform"),
     (20.0, 0.25, "uniform"),
@@ -246,18 +251,21 @@ def _check_association(seed, bs_density, los_radius, layout):
 def test_los_sized_cells_hold_every_bs_within_los_radius(monkeypatch, los_radius):
     # Both radii are shorter than the 0.45 m side of 4-BS cells at 20 BSs/m^2.
     # Cells just wider than the radius put every BS within it in a user's
-    # block, so no user is measured against all BSs.  0.25 m divides the
-    # 20 m window: cells without the margin would be exactly that wide, and
-    # every user with no BS in reach would be searched against all BSs.
+    # 3x3 block, so no block grows.  0.25 m divides the 20 m window: cells
+    # without the margin would be exactly that wide, and every user with no
+    # BS in reach would be searched again over a grown block.
     w = Window(side=20.0)
     rng = np.random.default_rng(17)
     users = sample_ppp(0.5, w, rng)
     bss = sample_ppp(20.0, w, rng)
+    search = pp._search
 
-    def refuse(*args):
-        raise AssertionError("a user was measured against all BSs")
+    def refuse_rings(index, user_points, base, radius):
+        if radius > 1:
+            raise AssertionError("a user's block grew by a ring")
+        return search(index, user_points, base, radius)
 
-    monkeypatch.setattr(pp, "_brute_nearest", refuse)
+    monkeypatch.setattr(pp, "_search", refuse_rings)
     assoc = associate_strongest(users, bss, los_radius)
     expected = _brute_force(users.points, bss.points, w, los_radius)
     assert np.any(expected < 0) and np.any(expected >= 0)
@@ -383,9 +391,9 @@ def _lazy_association(monkeypatch, seed, bs_density, los_radius, per_cell):
 # 0.5 BS per cell a user has no BS within one cell side with probability
 # exp(-pi / 2), about 0.2, so blocks grow by rings.  At 0.05 BSs/m^2 the
 # window holds 20 expected BSs, too few for a 3x3 block: the grid has two
-# cells per side, every cell is drawn as soon as a user needs one, and every
-# drawn BS is measured.  At 0.005 BSs/m^2 it holds 2, and the grid is one
-# cell, often with no BS in it.
+# cells per side, every cell is drawn as soon as a user needs one, and a
+# block that wraps settles its users.  At 0.005 BSs/m^2 it holds 2, and the
+# grid is one cell, often with no BS in it.
 _LAZY_CASES = [
     (20.0, math.inf, 4),
     (20.0, math.inf, 0.5),

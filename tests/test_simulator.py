@@ -224,13 +224,13 @@ def _sirs(config, reps):
 # (case, configuration), each branch of the batch pipeline: dense blocks; a
 # 60 m window with 0.36 expected users, so most replications have no user
 # and none has an active BS to spare; 22.5 expected BSs, too few for a 3x3
-# block, so every cell is drawn and every BS measured; half a BS per cell, so
-# blocks grow by rings; and the sparse mmW setup of the silent-zero
-# operations (1,000 users, R_L = 10 m).
+# block, so every cell is drawn and a block that wraps settles its users;
+# half a BS per cell, so blocks grow by rings; and the sparse mmW setup of
+# the silent-zero operations (1,000 users, R_L = 10 m).
 _BATCH_CASES = {
     "dense": dict(replications=8),
     "empty": dict(replications=12, window=Window(side=60.0)),
-    "brute force": dict(replications=8, params=net(lhat_m=0.1, lhat_mu=0.1)),
+    "wrapped": dict(replications=8, params=net(lhat_m=0.1, lhat_mu=0.1)),
     "rings": dict(replications=8),
     "sparse": dict(
         replications=4,
@@ -249,19 +249,15 @@ def test_batch_composition_changes_no_bit(monkeypatch, tier, direction):
     # Every replication's status and SIR samples, with batches of one
     # replication, of two, and of the default budget, on one worker and on
     # two: the batch a replication runs in changes no bit.
-    seen = {"radius": set(), "brute": 0}
-    search, brute = pp._search, pp._brute_nearest
+    seen = {"radius": set(), "wrapped": 0}
+    search = pp._search
 
     def spy_search(index, users, base, radius):
         seen["radius"].add(radius)
+        seen["wrapped"] += 2 * radius + 1 > index.n
         return search(index, users, base, radius)
 
-    def spy_brute(*args):
-        seen["brute"] += 1
-        return brute(*args)
-
     monkeypatch.setattr(pp, "_search", spy_search)
-    monkeypatch.setattr(pp, "_brute_nearest", spy_brute)
     configs = {
         (case, every): [
             cfg(tier=tier, direction=direction, average_all_receivers=every, workers=workers, **kw)
@@ -292,7 +288,7 @@ def test_batch_composition_changes_no_bit(monkeypatch, tier, direction):
                 statuses.update(status for status, _ in out)
     _drop_pool()
     assert statuses == {"ok", "interference_free", "no_active"}
-    assert max(seen["radius"]) > 1 and seen["brute"] > 0
+    assert max(seen["radius"]) > 1 and seen["wrapped"] > 0
 
 
 # --- transmit powers ----------------------------------------------------------------------
