@@ -10,10 +10,7 @@ Modules:
 
 The re-exported names below load their home module on first access, so
 ``import mmudn`` (and the CLI behind it) pulls in numpy only for the modules a
-caller actually uses.  No module imports scipy when it loads: the three
-functions that need it (``allocation.cl_boundary``,
-``blockage.fit_floor_lognormal`` and ``pointprocess.estimate_cell_areas``)
-import it when called.
+caller actually uses.  numpy is the package's only runtime dependency.
 """
 
 from importlib import import_module

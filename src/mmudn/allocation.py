@@ -15,7 +15,7 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 
-from .analytic_se import NetworkParams, los_probability
+from .analytic_se import NetworkParams, _asymptote, los_probability
 from .errors import AssumptionError, DomainError, NumericError, ParameterError
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "mmw_ul_bandwidth",
     "gammas_from_params",
     "rates",
-    "region_classify",
     "cl_boundary",
     "allocation_limits",
     "optimal_allocation",
@@ -238,12 +237,12 @@ def gammas_from_params(
     pl = los_probability(params.lambda_m, params.r_los) if p_l is None else p_l
     if not 0 <= pl <= 1:
         raise ParameterError(f"p_l must lie in [0, 1], got {pl}")
-    gamma_m = 0.5 * params.alpha_m * pl * math.log(lhat_m)
-    gamma_mu = 0.5 * params.alpha_mu * math.log(lhat_mu)
+    gamma_m = _asymptote(lhat_m, params.alpha_m, pl)
+    gamma_mu = _asymptote(lhat_mu, params.alpha_mu)
     if not decoupled:
         gamma_m_u = gamma_m
     else:
-        gamma_m_u = 0.5 * params.alpha_m * pl * math.log(lhat_m + lhat_mu)
+        gamma_m_u = _asymptote(lhat_m + lhat_mu, params.alpha_m, pl)
     return Gammas(gamma_m=gamma_m, gamma_mu=gamma_mu, gamma_m_u=gamma_m_u)
 
 
@@ -267,26 +266,16 @@ def _r_d(beta_m: float, beta_mu: float, spectrum: SpectrumParams, gammas: Gammas
     ) * spectrum.w_mu_band * gammas.gamma_mu
 
 
-def region_classify(
-    params: NetworkParams,
-    spectrum: SpectrumParams,
-    decoupled: bool = False,
-    p_l: float | None = None,
+def _classify(
+    params: NetworkParams, spectrum: SpectrumParams, g: Gammas, decoupled: bool
 ) -> RegionLabel:
     """Classify the operating point into C_L / C_H and (if decoupled) D.
 
     C_L holds iff zeta W_m gamma_m <= W_mu gamma_mu (the low-density side of
     the allocation branch switch); zeta = 0 is C_L by convention.  D holds iff
     ln(lhat_m + lhat_mu) >= (W_m / W_m.u) ln(lhat_m), evaluated in log form.
+    The mmW UL SE of ``g`` is not read, so decoupled gammas serve as well.
     """
-    return _classify(params, spectrum, gammas_from_params(params, p_l=p_l), decoupled)
-
-
-def _classify(
-    params: NetworkParams, spectrum: SpectrumParams, g: Gammas, decoupled: bool
-) -> RegionLabel:
-    """:func:`region_classify` from the gammas already in hand (their mmW UL
-    SE is not read, so decoupled gammas serve as well)."""
     if spectrum.zeta == 0:
         low = True
     else:
@@ -301,32 +290,33 @@ def _classify(
 
 
 def cl_boundary(params: NetworkParams, spectrum: SpectrumParams) -> float:
-    """Density ratio lhat_m at the C_L/C_H switch, by root bisection.
+    """Density ratio lhat_m at the C_L/C_H switch, by bisection in ln lhat_m.
 
     The LOS probability depends on lambda_m = lhat_m * lambda_u, so the
     boundary is a fixed point; solved to 1e-9 relative tolerance.  Returns
     inf when the switch never happens (zeta = 0 or the band is too narrow).
     """
-    from scipy.optimize import brentq  # imported here: the allocation sweep needs no scipy
-
     if spectrum.zeta == 0:
         return math.inf
-    target = 0.5 * params.alpha_mu * spectrum.w_mu_band * math.log(params.lambda_hat_mu)
+    target = spectrum.w_mu_band * _asymptote(params.lambda_hat_mu, params.alpha_mu)
 
-    def f(lhat: float) -> float:
+    def f(log_lhat: float) -> float:
+        lhat = math.exp(log_lhat)
         pl = los_probability(lhat * params.lambda_u, params.r_los)
-        return (
-            spectrum.zeta * spectrum.w_m * 0.5 * params.alpha_m * pl * math.log(lhat)
-            - target
-        )
+        return spectrum.zeta * spectrum.w_m * _asymptote(lhat, params.alpha_m, pl) - target
 
-    lo = 1.0 + 1e-12
-    if f(_CL_LHAT_MAX) < 0:
+    lo, hi = math.log(1.0 + 1e-12), math.log(_CL_LHAT_MAX)
+    if f(hi) < 0:
         return math.inf
-    try:
-        return float(brentq(f, lo, _CL_LHAT_MAX, rtol=1e-9))
-    except (ValueError, RuntimeError) as exc:
-        raise NumericError(f"C_L/C_H boundary bisection failed: {exc}") from exc
+    if f(lo) > 0:
+        raise NumericError("C_L/C_H boundary bisection failed: no sign change in the bracket")
+    while hi - lo > 1e-9:
+        mid = 0.5 * (lo + hi)
+        if f(mid) < 0:
+            lo = mid
+        else:
+            hi = mid
+    return math.exp(0.5 * (lo + hi))
 
 
 def allocation_limits(spectrum: SpectrumParams) -> tuple[float, float]:

@@ -21,9 +21,7 @@ __all__ = [
     "NATS_PER_BIT",
     "interference_constant",
     "los_probability",
-    "se_muw_asymptotic",
     "se_muw_bounds",
-    "se_mmw_asymptotic",
     "se_mmw_bounds_tractable",
     "se_mmw_bounds_integral",
     "approximation_validity_probability",
@@ -119,12 +117,10 @@ def _warn_if_sparse(lambda_hat: float) -> bool:
     return False
 
 
-def se_muw_asymptotic(lambda_hat_mu: float, alpha_mu: float) -> float:
-    """Limit microwave SE (alpha/2) * ln(lambda_hat); DL and UL coincide."""
-    if alpha_mu <= 2:
-        raise DomainError("alpha_mu must exceed 2")
-    _warn_if_sparse(lambda_hat_mu)
-    return 0.5 * alpha_mu * math.log(lambda_hat_mu)
+def _asymptote(lambda_hat: float, alpha: float, p_l: float = 1.0) -> float:
+    """Limit SE (alpha/2) * p_L * ln(lambda_hat) at the density ratio as
+    passed; DL and UL coincide, and p_L = 1 gives the uW law."""
+    return 0.5 * alpha * p_l * math.log(lambda_hat)
 
 
 def se_muw_bounds(lambda_hat_mu: float, alpha_mu: float) -> SEBounds:
@@ -141,7 +137,7 @@ def se_muw_bounds(lambda_hat_mu: float, alpha_mu: float) -> SEBounds:
     return SEBounds(
         lower=max(0.0, lower),
         upper=max(0.0, upper),
-        asymptotic=max(0.0, half * math.log(lambda_hat_mu)),
+        asymptotic=max(0.0, _asymptote(lambda_hat_mu, alpha_mu)),
         udn_warning=warned,
     )
 
@@ -155,16 +151,6 @@ def los_probability(lambda_m: float, r_los: float) -> float:
     if not (r_los > 0):
         raise ParameterError(f"r_los must be positive, got {r_los}")
     return -math.expm1(-lambda_m * math.pi * r_los**2)
-
-
-def se_mmw_asymptotic(
-    lambda_hat_m: float, lambda_m: float, alpha_m: float, r_los: float
-) -> float:
-    """Limit mmW SE (alpha * p_L / 2) * ln(lambda_hat); DL and UL coincide."""
-    if alpha_m <= 2:
-        raise DomainError("alpha_m must exceed 2")
-    _warn_if_sparse(lambda_hat_m)
-    return 0.5 * alpha_m * los_probability(lambda_m, r_los) * math.log(lambda_hat_m)
 
 
 def se_mmw_bounds_tractable(params: NetworkParams) -> SEBounds:
@@ -188,7 +174,7 @@ def se_mmw_bounds_tractable(params: NetworkParams) -> SEBounds:
     upper = c_l2 * math.log1p(gain * ((1 + 2 / a) * lhat) ** half)
     lower = max(0.0, lower)
     upper = max(0.0, upper)
-    asym = max(0.0, half * p_l * math.log(lhat))
+    asym = max(0.0, _asymptote(lhat, a, p_l))
     return SEBounds(lower=lower, upper=upper, asymptotic=asym, udn_warning=warned)
 
 
@@ -302,7 +288,7 @@ def se_mmw_bounds_integral(params: NetworkParams) -> SEBounds:
     lower = max(0.0, lower)
     upper = max(0.0, upper)
     p_l = los_probability(params.lambda_m, params.r_los)
-    asym = max(0.0, 0.5 * a * p_l * math.log(lhat))
+    asym = max(0.0, _asymptote(lhat, a, p_l))
     return SEBounds(lower=lower, upper=upper, asymptotic=asym, udn_warning=warned)
 
 

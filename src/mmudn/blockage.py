@@ -13,7 +13,7 @@ import csv
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, FitError, ParameterError
+from .errors import DomainError, ParameterError
 
 __all__ = [
     "BuildingStats",
@@ -21,7 +21,6 @@ __all__ = [
     "blockage_beta",
     "height_fraction_eta",
     "blockage_params",
-    "fit_floor_lognormal",
     "read_building_stats_csv",
     "REFERENCE_REGIONS",
 ]
@@ -136,44 +135,6 @@ def blockage_params(stats: BuildingStats) -> BlockageParams:
         raise ParameterError(f"eta must lie in (0, 1], got {eta}")
     r2d = 2.0 * (1.0 - stats.coverage) / beta
     return BlockageParams(beta=beta, eta=eta, r_los_2d=r2d, r_los_3d=r2d / eta)
-
-
-def fit_floor_lognormal(histogram) -> tuple[float, float, float]:
-    """Least-squares lognormal fit to a (floor-count, frequency) histogram.
-
-    Returns ``(mu_ln, sigma_ln, rmse)`` where the RMSE is against the
-    normalized histogram.  Needs at least three nonzero bins.
-    """
-    import numpy as np
-    from scipy.optimize import curve_fit
-
-    hist = np.asarray(histogram, dtype=float)
-    if hist.ndim != 2 or hist.shape[1] != 2:
-        raise ParameterError("histogram must be (floor_count, frequency) pairs")
-    hist = hist[hist[:, 1] > 0]
-    if hist.shape[0] < 3:
-        raise FitError("need at least 3 nonzero bins to fit a lognormal")
-    x, freq = hist[:, 0], hist[:, 1]
-    if np.any(x <= 0):
-        raise ParameterError("floor counts must be positive")
-    # Normalize to a density on the (assumed unit-width) bins.
-    dens = freq / freq.sum()
-
-    def pdf(x, mu, sigma):
-        return np.exp(-((np.log(x) - mu) ** 2) / (2 * sigma**2)) / (
-            x * sigma * math.sqrt(2 * math.pi)
-        )
-
-    logx = np.log(x)
-    mu0 = float(np.average(logx, weights=dens))
-    sigma0 = float(math.sqrt(max(1e-6, np.average((logx - mu0) ** 2, weights=dens))))
-    try:
-        popt, _ = curve_fit(pdf, x, dens, p0=(mu0, sigma0), maxfev=10000)
-    except RuntimeError as exc:
-        raise FitError(f"lognormal fit did not converge: {exc}") from exc
-    mu, sigma = float(popt[0]), float(abs(popt[1]))
-    rmse = float(np.sqrt(np.mean((pdf(x, mu, sigma) - dens) ** 2)))
-    return mu, sigma, rmse
 
 
 # Table values for the five reference regions: measured building statistics

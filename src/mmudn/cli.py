@@ -14,10 +14,10 @@ way to set a key on the command line.  Every output carries a
 ``# key = value`` header echoing the resolved configuration.  Exit codes:
 0 success, 2 configuration error, 3 numeric failure.
 
-Each command imports the modules it runs on demand, and none loads scipy.
-``allocate``, ``blockage`` and ``se`` load numpy only to expand a
-``start:stop:count`` grid; only ``sweep`` loads the simulator and its
-point-process stack.
+Each command imports the modules it runs on demand, and numpy is the only
+library beyond the standard one that any of them loads.  ``allocate``,
+``blockage`` and ``se`` load numpy only to expand a ``start:stop:count``
+grid; only ``sweep`` loads the simulator and its point-process stack.
 """
 
 from __future__ import annotations
@@ -30,13 +30,7 @@ import math
 import sys
 
 from . import analytic_se as ase
-from .errors import (
-    AssumptionError,
-    DomainError,
-    FitError,
-    NumericError,
-    ParameterError,
-)
+from .errors import AssumptionError, DomainError, NumericError, ParameterError
 
 __all__ = ["main", "run", "read_output_csv"]
 
@@ -362,7 +356,7 @@ def run(argv: list[str]) -> int:
     except (ConfigError, ParameterError, DomainError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NumericError, AssumptionError, FitError) as exc:
+    except (NumericError, AssumptionError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     if args.output:

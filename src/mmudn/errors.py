@@ -15,7 +15,3 @@ class AssumptionError(RuntimeError):
 
 class NumericError(RuntimeError):
     """A numerical routine failed to converge to the requested tolerance."""
-
-
-class FitError(RuntimeError):
-    """A curve fit is underdetermined or failed."""

@@ -22,9 +22,7 @@ The BSs are either a :class:`PointSet`, whose points association sorts into
 the cells it visits, or a :class:`LazyPPP`, which association draws cell by
 cell: only the cells it visits, then one Poisson count for the rest of the
 window.  The simulator draws its users first and its BSs lazily, so a
-replication costs about the same at any BS density.  The module loads no
-scipy: only :func:`estimate_cell_areas` builds a KD-tree, and imports it
-when called.
+replication costs about the same at any BS density.
 
 Association and scheduling also run on a batch: a :class:`LazyPPP` of K
 processes, one generator each, and a user set per process.  Process k's grid
@@ -55,7 +53,6 @@ __all__ = [
     "schedule_active",
     "active_bs_probability",
     "scheduled_user_density",
-    "estimate_cell_areas",
     "voronoi_cell_pdf",
     "voronoi_cell_moments",
 ]
@@ -582,35 +579,6 @@ def active_bs_probability(lambda_hat: float) -> float:
 def scheduled_user_density(lambda_hat: float) -> float:
     """Companion thinning probability p_s = p_a * lambda_hat for the uplink."""
     return active_bs_probability(lambda_hat) * lambda_hat
-
-
-def _tree(points: np.ndarray, window: Window):
-    # Imported here: only the Voronoi diagnostics need scipy, and the
-    # simulator and its forked pool workers load none.
-    from scipy.spatial import cKDTree
-
-    # The unbalanced, non-compact build is faster to construct and finds the
-    # same nearest neighbours.  The periodic tree rejects a coordinate equal
-    # to the box side; on the torus that point is the one at 0.
-    if points.size and points.max() >= window.side:
-        points = np.where(points >= window.side, points - window.side, points)
-    return cKDTree(points, boxsize=window.side, balanced_tree=False, compact_nodes=False)
-
-
-def estimate_cell_areas(
-    bss: PointSet, n_samples: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Voronoi cell areas estimated by uniform sampling of nearest-BS
-    ownership (no polygon construction): area_i = window area * hit share."""
-    if len(bss) == 0:
-        raise DomainError("cannot estimate cell areas of an empty BS set")
-    if n_samples < 1:
-        raise ParameterError("need at least one sample point")
-    tree = _tree(bss.points, bss.window)
-    pts = rng.uniform(0.0, bss.window.side, size=(n_samples, 2))
-    _, owner = tree.query(pts, k=1)
-    counts = np.bincount(owner, minlength=len(bss))
-    return counts * (bss.window.area / n_samples)
 
 
 _VOR_SHAPE = 4.5

@@ -3,13 +3,16 @@ prints them in the terminal summary, where pytest's capture cannot hide
 them for passing tests, pins the CPU count the simulator's pool sees, and
 provides the per-receiver SIR reference that the simulator tests and
 criterion 4 compare the simulator with (fixtures ``per_receiver_sir`` and
-``power_mismatches``)."""
+``power_mismatches``), and the KD-tree Voronoi cell areas that criterion 11
+checks against the cell-size law (fixtures ``kd_tree`` and
+``estimate_cell_areas``)."""
 
 import math
 import os
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from mmudn import simulator as sim
 
@@ -119,3 +122,33 @@ def per_receiver_sir():
 @pytest.fixture
 def power_mismatches():
     return _power_mismatches
+
+
+def _kd_tree(points, window):
+    """Periodic KD-tree of ``points`` on the window's torus."""
+    # The unbalanced, non-compact build is faster to construct and finds the
+    # same nearest neighbours.  The periodic tree rejects a coordinate equal
+    # to the box side; on the torus that point is the one at 0.
+    if points.size and points.max() >= window.side:
+        points = np.where(points >= window.side, points - window.side, points)
+    return cKDTree(points, boxsize=window.side, balanced_tree=False, compact_nodes=False)
+
+
+def _estimate_cell_areas(bss, n_samples, rng):
+    """Voronoi cell areas estimated by uniform sampling of nearest-BS
+    ownership (no polygon construction): area_i = window area * hit share."""
+    tree = _kd_tree(bss.points, bss.window)
+    pts = rng.uniform(0.0, bss.window.side, size=(n_samples, 2))
+    _, owner = tree.query(pts, k=1)
+    counts = np.bincount(owner, minlength=len(bss))
+    return counts * (bss.window.area / n_samples)
+
+
+@pytest.fixture
+def kd_tree():
+    return _kd_tree
+
+
+@pytest.fixture
+def estimate_cell_areas():
+    return _estimate_cell_areas

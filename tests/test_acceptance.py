@@ -31,13 +31,7 @@ from mmudn.analytic_se import (
     se_muw_bounds,
 )
 from mmudn.blockage import REFERENCE_REGIONS, blockage_beta, blockage_params
-from mmudn.pointprocess import (
-    Window,
-    _tree,
-    estimate_cell_areas,
-    sample_ppp,
-    voronoi_cell_pdf,
-)
+from mmudn.pointprocess import Window, sample_ppp, voronoi_cell_pdf
 from mmudn.simulator import (
     SimConfig,
     estimate_se,
@@ -421,7 +415,7 @@ def test_criterion_10_papr():
     _report(10, failures, f"w* = {w_star:.6e} Hz")
 
 
-def test_criterion_11_voronoi_law():
+def test_criterion_11_voronoi_law(kd_tree, estimate_cell_areas):
     failures = []
     total, err = quad(lambda x: voronoi_cell_pdf(x, 1.0), 0, np.inf)
     if abs(total - 1.0) > 1e-9:
@@ -433,7 +427,7 @@ def test_criterion_11_voronoi_law():
     # The shape-4.5 law describes the cell containing a uniformly random
     # point (the typical user's cell), i.e. the size-biased cell area.
     probe = rng.uniform(0.0, window.side, size=(100_000, 2))
-    _, owner = _tree(bss.points, window).query(probe, k=1)
+    _, owner = kd_tree(bss.points, window).query(probe, k=1)
     stat = kstest(areas[owner], "gamma", args=(4.5, 0.0, 1.0 / 3.5)).statistic
     if stat > 0.1:
         failures.append(f"KS distance {stat:.4f} > 0.1")

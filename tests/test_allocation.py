@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from mmudn.allocation import (
     Allocation,
@@ -20,10 +21,15 @@ from mmudn.allocation import (
     optimal_allocation_decoupled,
     papr_outage,
     rates,
-    region_classify,
     sweep_allocation,
 )
-from mmudn.analytic_se import NetworkParams
+from mmudn.analytic_se import (
+    NetworkParams,
+    los_probability,
+    se_mmw_bounds_integral,
+    se_mmw_bounds_tractable,
+    se_muw_bounds,
+)
 from mmudn.errors import AssumptionError, ParameterError
 
 LAMBDA_U = 1e-4
@@ -102,27 +108,39 @@ def test_rates_corners():
     assert all_ul.r_u == pytest.approx(s.w_m_ul * 1.5 + s.w_mu_band * 1.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("r_los", [10.0, 49.61, 198.76])
+def test_gammas_are_the_bounds_asymptote(r_los):
+    # One asymptote: the allocation's SEs are the bound functions' asymptotic
+    # fields, bit for bit, over the whole UDN density range.
+    for lhat in np.logspace(0.0, 8.0, 41):
+        p = net(lhat, lhat_mu=lhat, r_los=r_los)
+        g = gammas_from_params(p)
+        assert g.gamma_m == se_mmw_bounds_tractable(p).asymptotic
+        assert g.gamma_m == se_mmw_bounds_integral(p).asymptotic
+        assert g.gamma_mu == se_muw_bounds(p.lambda_hat_mu, p.alpha_mu).asymptotic
+
+
 # --- region classification ---------------------------------------------------------
 
 
 def test_zeta_zero_is_always_low_region():
     s = spec(zeta=0.0)
     for lhat in (1.1, 10.0, 1e6):
-        assert region_classify(net(lhat), s).region == "C_L"
+        assert optimal_allocation(net(lhat), s).region.region == "C_L"
 
 
 def test_region_examples():
     s = spec()
-    assert region_classify(net(1.2), s).region == "C_L"
-    assert region_classify(net(100.0), s).region == "C_H"
+    assert optimal_allocation(net(1.2), s).region.region == "C_L"
+    assert optimal_allocation(net(100.0), s).region.region == "C_H"
 
 
 def test_decoupling_region_membership():
     # W_m / W_m_ul = 5, lhat_mu = 2: lhat_m = 1.25 inside, 1.3 outside.
     s = spec()
-    assert region_classify(net(1.25), s, decoupled=True).in_d is True
-    assert region_classify(net(1.3), s, decoupled=True).in_d is False
-    assert region_classify(net(1.25), s, decoupled=False).in_d is None
+    assert optimal_allocation(net(1.25), s, decoupled=True).region.in_d is True
+    assert optimal_allocation(net(1.3), s, decoupled=True).region.in_d is False
+    assert optimal_allocation(net(1.25), s, decoupled=False).region.in_d is None
 
 
 def test_cl_boundary_value():
@@ -131,8 +149,25 @@ def test_cl_boundary_value():
     assert lhat == pytest.approx(1.53420, abs=1e-4)
     assert 1.35 <= lhat <= 1.65
     # At the boundary the classification flips.
-    assert region_classify(net(lhat * 0.999, r_los=33.33), spec()).region == "C_L"
-    assert region_classify(net(lhat * 1.001, r_los=33.33), spec()).region == "C_H"
+    assert optimal_allocation(net(lhat * 0.999, r_los=33.33), spec()).region.region == "C_L"
+    assert optimal_allocation(net(lhat * 1.001, r_los=33.33), spec()).region.region == "C_H"
+
+
+@pytest.mark.parametrize("r_los", [33.33, 49.61])
+def test_cl_boundary_matches_brentq(r_los):
+    # The bisection in ln lhat_m against scipy's root finder run to machine
+    # precision on the same switch condition zeta W_m gamma_m = W_mu gamma_mu.
+    p = net(10.0, r_los=r_los)
+    target = spec().w_mu_band * 0.5 * p.alpha_mu * math.log(p.lambda_hat_mu)
+    for zeta in np.linspace(0.05, 0.5, 50):
+        s = spec(zeta=float(zeta))
+
+        def f(lhat):
+            pl = los_probability(lhat * p.lambda_u, p.r_los)
+            return s.zeta * s.w_m * 0.5 * p.alpha_m * pl * math.log(lhat) - target
+
+        want = brentq(f, 1.0 + 1e-12, 1e12, xtol=1e-300, rtol=1e-15)
+        assert cl_boundary(p, s) == pytest.approx(want, rel=1e-9)
 
 
 def test_cl_boundary_infinite_when_no_switch():

@@ -15,10 +15,8 @@ from mmudn.analytic_se import (
     interference_constant,
     approximation_validity_probability,
     los_probability,
-    se_mmw_asymptotic,
     se_mmw_bounds_integral,
     se_mmw_bounds_tractable,
-    se_muw_asymptotic,
     se_muw_bounds,
 )
 from mmudn.cli import read_output_csv
@@ -56,10 +54,10 @@ def test_interference_constant_domain():
 
 
 def test_muw_asymptotic_values():
-    assert se_muw_asymptotic(1.0, 4.0) == 0.0
-    assert se_muw_asymptotic(100.0, 4.0) == pytest.approx(9.21034037, rel=1e-8)
-    assert se_muw_asymptotic(50.0, 8.0) == pytest.approx(
-        2 * se_muw_asymptotic(50.0, 4.0), rel=1e-12
+    assert se_muw_bounds(1.0, 4.0).asymptotic == 0.0
+    assert se_muw_bounds(100.0, 4.0).asymptotic == pytest.approx(9.21034037, rel=1e-8)
+    assert se_muw_bounds(50.0, 8.0).asymptotic == pytest.approx(
+        2 * se_muw_bounds(50.0, 4.0).asymptotic, rel=1e-12
     )
 
 
@@ -105,7 +103,7 @@ def test_muw_lower_to_asymptotic_ratio_converges():
     # The ratio improves monotonically and approaches 1 deep in the UDN regime
     # (it is still ~0.9 at lhat = 1e6 for alpha = 4).
     ratios = [
-        se_muw_bounds(lh, 4.0).lower / se_muw_asymptotic(lh, 4.0)
+        se_muw_bounds(lh, 4.0).lower / se_muw_bounds(lh, 4.0).asymptotic
         for lh in (1e4, 1e6, 1e9, 1e13)
     ]
     assert np.all(np.diff(ratios) > 0)
@@ -139,13 +137,21 @@ def test_los_probability_rejects_nan():
 # --- millimeter-wave tier -------------------------------------------------------
 
 
+def _mmw_asymptotic(lhat, lambda_m, alpha_m, r_los):
+    p = NetworkParams(
+        lambda_m=lambda_m, lambda_mu=lambda_m, lambda_u=lambda_m / lhat,
+        alpha_m=alpha_m, r_los=r_los,
+    )
+    return se_mmw_bounds_tractable(p).asymptotic
+
+
 def test_mmw_asymptotic_values():
     # Saturated LOS probability: (alpha/2) ln lhat.
-    assert se_mmw_asymptotic(100.0, 1.0, 2.5, 10.0) == pytest.approx(
+    assert _mmw_asymptotic(100.0, 1.0, 2.5, 10.0) == pytest.approx(
         1.25 * math.log(100.0), rel=1e-9
     )
-    assert se_mmw_asymptotic(1.0, 1e-4, 2.5, 50.0) == 0.0
-    assert se_mmw_asymptotic(100.0, 1e-4, 2.5, 1e-6) == pytest.approx(0.0, abs=1e-9)
+    assert _mmw_asymptotic(1.0, 1e-4, 2.5, 50.0) == 0.0
+    assert _mmw_asymptotic(100.0, 1e-4, 2.5, 1e-6) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_mmw_tractable_omnidirectional_reduces_gain():

@@ -8,18 +8,17 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning, quad
-from scipy.stats import lognorm, norm
+from scipy.stats import norm
 
 from mmudn.blockage import (
     REFERENCE_REGIONS,
     BuildingStats,
     blockage_beta,
     blockage_params,
-    fit_floor_lognormal,
     height_fraction_eta,
     read_building_stats_csv,
 )
-from mmudn.errors import FitError, ParameterError
+from mmudn.errors import ParameterError
 
 
 def stats(name):
@@ -172,34 +171,6 @@ def test_blockage_params_rejects_bad_eta():
     assert height_fraction_eta(low_bs) == 0.0
     with pytest.raises(ParameterError):
         blockage_params(low_bs)
-
-
-# --- lognormal fitting ----------------------------------------------------------
-
-
-def test_fit_recovers_lognormal_parameters():
-    mu, sigma = 1.62, 0.27
-    edges = np.arange(1, 16)
-    rng = np.random.default_rng(7)
-    samples = lognorm.rvs(s=sigma, scale=math.exp(mu), size=10**6, random_state=rng)
-    counts, _ = np.histogram(samples, bins=np.concatenate([edges - 0.5, [15.5]]))
-    hist = np.column_stack([edges, counts])
-    mu_hat, sigma_hat, rmse = fit_floor_lognormal(hist)
-    assert mu_hat == pytest.approx(mu, rel=0.02)
-    assert sigma_hat == pytest.approx(sigma, rel=0.04)
-    assert rmse < 0.016
-
-
-def test_fit_single_bin_errors():
-    with pytest.raises(FitError):
-        fit_floor_lognormal([[3.0, 100.0]])
-
-
-def test_fit_uniform_histogram():
-    hist = [[f, 10.0] for f in range(1, 6)]
-    mu, sigma, rmse = fit_floor_lognormal(hist)
-    assert math.isfinite(mu) and math.isfinite(sigma)
-    assert rmse > 0.0
 
 
 # --- CSV I/O ---------------------------------------------------------------------

@@ -1,10 +1,12 @@
-"""Import scope: each ``mmudn`` command loads only the modules it runs, and
-the package's re-exports load their home module on first access.
+"""Import scope: each ``mmudn`` command loads only the modules it runs, no
+module of the package imports scipy, and the package's re-exports load
+their home module on first access.
 
 The scope checks run in fresh interpreters, because this test session has
 long since imported numpy and scipy.
 """
 
+import ast
 import importlib
 import json
 import os
@@ -43,6 +45,22 @@ def _scipy(modules: set[str]) -> list[str]:
 def _cli_run(*argv: str) -> str:
     args = [*argv, "--output", os.devnull]
     return f"from mmudn.cli import run\nassert run({args!r}) == 0"
+
+
+def test_no_module_imports_scipy():
+    # numpy is the only runtime dependency: not even a function-local import
+    # of scipy may hide in the package.
+    found = []
+    for path in sorted((SRC / "mmudn").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for n in names if n.split(".")[0] == "scipy"]
+    assert found == []
 
 
 def test_package_and_cli_import_load_no_numpy_or_scipy():

@@ -15,7 +15,6 @@ from mmudn.pointprocess import (
     Window,
     active_bs_probability,
     associate_strongest,
-    estimate_cell_areas,
     sample_ppp,
     schedule_active,
     scheduled_user_density,
@@ -352,7 +351,7 @@ def test_voronoi_moments():
         voronoi_cell_moments(0.0)
 
 
-def test_estimate_cell_areas_partitions_window():
+def test_estimate_cell_areas_partitions_window(estimate_cell_areas):
     rng = np.random.default_rng(5)
     w = Window(side=20.0)
     bss = sample_ppp(0.1, w, rng)
