@@ -1,7 +1,7 @@
 """mmudn: a verification lab for millimeter-wave overlaid ultra-dense networks.
 
 Modules:
-  pointprocess — PPP sampling, association, scheduling, Voronoi cell law
+  pointprocess — PPP sampling, association, scheduling
   blockage     — 2D/3D blockage parameters and LOS distances from building stats
   analytic_se  — closed-form SE asymptotics and bounds for both tiers
   allocation   — TDD UL/DL resource allocation with mmW UL decoupling

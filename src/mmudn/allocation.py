@@ -2,8 +2,8 @@
 
 Covers the PAPR-limited mmW UL bandwidth, the linear DL/UL rate model,
 low/high-density region classification, closed-form optimal UL allocation
-fractions with and without mmW UL decoupling, the maximized DL rate, and an
-exact two-variable LP oracle used to verify the closed forms.
+fractions (and the DL rate they reach) with and without mmW UL decoupling,
+and an exact two-variable LP oracle used to verify the closed forms.
 
 Rates are in nats/s throughout; the ``mmudn allocate`` output adds bits/s
 columns.
@@ -16,7 +16,7 @@ import warnings
 from dataclasses import dataclass, replace
 
 from .analytic_se import NetworkParams, _asymptote, los_probability
-from .errors import AssumptionError, DomainError, NumericError, ParameterError
+from .errors import AssumptionError, DomainError, ParameterError
 
 __all__ = [
     "SpectrumParams",
@@ -25,16 +25,13 @@ __all__ = [
     "RegionLabel",
     "Gammas",
     "AllocationResult",
-    "MaxRateResult",
     "papr_outage",
     "mmw_ul_bandwidth",
     "gammas_from_params",
     "rates",
     "cl_boundary",
-    "allocation_limits",
     "optimal_allocation",
     "optimal_allocation_decoupled",
-    "max_dl_rate",
     "lp_oracle",
     "sweep_allocation",
     "SWEEP_CSV_HEADER",
@@ -66,8 +63,8 @@ class SpectrumParams:
     ``w_m_ul`` is the usable mmW UL bandwidth, taken as given
     (:func:`mmw_ul_bandwidth` derives it from a PAPR outage target).  The
     rate model assumes w_m > w_mu_band; w_m_ul is clamped to w_m with a
-    warning because the as-printed PAPR bandwidth can exceed the mmW band
-    itself.
+    warning because the PAPR-limited bandwidth can exceed the mmW band
+    itself (about 2.0 GHz at f_s = 244.14 kHz, delta = 10, epsilon = 0.7).
     """
 
     w_m: float
@@ -161,20 +158,6 @@ class AllocationResult:
     a1_satisfied: bool
 
 
-@dataclass(frozen=True)
-class MaxRateResult:
-    """Maximized DL rate by substitution, with the closed-form expression as a
-    cross-check.  ``printed_literal`` is the alternative literal reading of the
-    decoupled dense-region expression (LOS distance in place of LOS
-    probability in the exponent); None off that branch.
-    """
-
-    r_d_star: float
-    printed_formula_value: float
-    branch: str
-    printed_literal: float | None = None
-
-
 # ---------------------------------------------------------------------------
 # PAPR-limited mmW UL bandwidth
 # ---------------------------------------------------------------------------
@@ -189,29 +172,16 @@ def papr_outage(w: float, f_s: float, delta: float) -> float:
     return -math.expm1(-(w * math.exp(-delta) / f_s) * math.sqrt(math.pi * delta / 3))
 
 
-def mmw_ul_bandwidth(
-    f_s: float,
-    delta: float,
-    epsilon: float,
-    mode: str = "exact-inversion",
-) -> float:
-    """Maximum mmW UL bandwidth meeting the PAPR outage target epsilon.
-
-    'exact-inversion' solves papr_outage(w) = epsilon exactly; 'as-printed'
-    evaluates sqrt(3) f_s e^delta (pi delta)^(-1/2) / ln(1/epsilon), an
-    approximation that does not round-trip.  A result wider than the mmW
+def mmw_ul_bandwidth(f_s: float, delta: float, epsilon: float) -> float:
+    """Maximum mmW UL bandwidth meeting the PAPR outage target epsilon: the
+    exact inversion of papr_outage(w) = epsilon.  A result wider than the mmW
     band is clamped by :class:`SpectrumParams`.
     """
     if f_s <= 0 or delta <= 0:
         raise ParameterError("f_s and delta must be positive")
     if not 0 < epsilon < 1:
         raise ParameterError(f"epsilon must lie in (0, 1), got {epsilon}")
-    base = f_s * math.exp(delta) * math.sqrt(3.0 / (math.pi * delta))
-    if mode == "as-printed":
-        return base / math.log(1.0 / epsilon)
-    if mode == "exact-inversion":
-        return base * (-math.log1p(-epsilon))
-    raise ParameterError(f"mode must be 'as-printed' or 'exact-inversion', got {mode!r}")
+    return f_s * math.exp(delta) * math.sqrt(3.0 / (math.pi * delta)) * (-math.log1p(-epsilon))
 
 
 # ---------------------------------------------------------------------------
@@ -294,8 +264,13 @@ def cl_boundary(params: NetworkParams, spectrum: SpectrumParams) -> float:
 
     The LOS probability depends on lambda_m = lhat_m * lambda_u, so the
     boundary is a fixed point; solved to 1e-9 relative tolerance.  Returns
-    inf when the switch never happens (zeta = 0 or the band is too narrow).
+    inf when the switch never happens (zeta = 0 or the band is too narrow),
+    and 1 when the uW band carries no rate (lhat_mu = 1): only lhat_m = 1 is
+    then in C_L.  Raises DomainError for lhat_mu < 1, as
+    :func:`gammas_from_params` does.
     """
+    if params.lambda_hat_mu < 1:
+        raise DomainError("lambda_hat_mu must be >= 1 for the asymptotic SEs")
     if spectrum.zeta == 0:
         return math.inf
     target = spectrum.w_mu_band * _asymptote(params.lambda_hat_mu, params.alpha_mu)
@@ -309,7 +284,8 @@ def cl_boundary(params: NetworkParams, spectrum: SpectrumParams) -> float:
     if f(hi) < 0:
         return math.inf
     if f(lo) > 0:
-        raise NumericError("C_L/C_H boundary bisection failed: no sign change in the bracket")
+        # The switch lies below 1 + 1e-12: at 1 to the tolerance.
+        return 1.0
     while hi - lo > 1e-9:
         mid = 0.5 * (lo + hi)
         if f(mid) < 0:
@@ -317,16 +293,6 @@ def cl_boundary(params: NetworkParams, spectrum: SpectrumParams) -> float:
         else:
             hi = mid
     return math.exp(0.5 * (lo + hi))
-
-
-def allocation_limits(spectrum: SpectrumParams) -> tuple[float, float]:
-    """(min over densities of beta_mu*, max over densities of beta_m*):
-    zeta/(1+zeta) and 1/(1 + W_m.u/(zeta W_m)); both 0 at zeta = 0.
-    """
-    z = spectrum.zeta
-    if z == 0:
-        return 0.0, 0.0
-    return z / (1.0 + z), 1.0 / (1.0 + spectrum.w_m_ul / (z * spectrum.w_m))
 
 
 # ---------------------------------------------------------------------------
@@ -414,48 +380,6 @@ def optimal_allocation_decoupled(
 ) -> AllocationResult:
     """:func:`optimal_allocation` with mmW UL decoupling."""
     return optimal_allocation(params, spectrum, p_l=p_l, strict=strict, decoupled=True)
-
-
-def max_dl_rate(
-    params: NetworkParams,
-    spectrum: SpectrumParams,
-    decoupled: bool = False,
-    p_l: float | None = None,
-) -> MaxRateResult:
-    """Maximized DL rate: substitution of the optimal allocation into the rate
-    model (authoritative), with the closed-form branch expression evaluated as
-    a cross-check.  On the decoupled D branch the closed form disagrees with
-    substitution; both it and its literal alternative reading are reported.
-    """
-    res = optimal_allocation(params, spectrum, p_l=p_l, decoupled=decoupled)
-    g, z = res.gammas, spectrum.zeta
-    wm_gm = spectrum.w_m * g.gamma_m
-    wmu_gmu = spectrum.w_mu_band * g.gamma_mu
-    wmul_gmu_ul = spectrum.w_m_ul * g.gamma_m_u
-    literal = None
-    if res.region.in_d:
-        branch = "D"
-        # The closed-form dense-branch numerator uses the non-decoupled mmW UL
-        # SE; with the LOS-probability reading of its exponent:
-        wmul_gm = spectrum.w_m_ul * g.gamma_m
-        printed = wmul_gmu_ul * (wmu_gmu + wmul_gm) / (wmul_gmu_ul + z * wm_gm)
-        # Literal reading: LOS distance instead of LOS probability.
-        pl = los_probability(params.lambda_m, params.r_los) if p_l is None else p_l
-        if pl > 0:
-            wmul_gm_lit = wmul_gm * (params.r_los / pl)
-            literal = wmul_gmu_ul * (wmu_gmu + wmul_gm_lit) / (wmul_gmu_ul + z * wm_gm)
-    elif res.region.region == "C_L":
-        branch = "C_L"
-        printed = (wm_gm + wmu_gmu) / (1.0 + z)
-    else:
-        branch = "C_H"
-        printed = wm_gm * (wmul_gmu_ul + wmu_gmu) / (z * wm_gm + wmul_gmu_ul)
-    return MaxRateResult(
-        r_d_star=res.rate.r_d,
-        printed_formula_value=printed,
-        branch=branch,
-        printed_literal=literal,
-    )
 
 
 # ---------------------------------------------------------------------------

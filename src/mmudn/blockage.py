@@ -166,27 +166,21 @@ REFERENCE_REGIONS: dict[str, dict] = {
 }
 
 
-def read_building_stats_csv(source) -> dict[str, BuildingStats]:
-    """Parse a region stats CSV (path or file object) into BuildingStats.
+def read_building_stats_csv(path) -> dict[str, BuildingStats]:
+    """Parse a region stats CSV file into BuildingStats.
 
     A file that cannot be read, a missing column or a cell that is not a
     number raises ParameterError naming the file (and the data row).
     """
-    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        name = source
-        try:
-            fh = open(source, newline="")
-        except OSError as exc:
-            raise ParameterError(f"cannot read stats CSV {name}: {exc}") from exc
-        close = True
-    else:
-        fh, close = source, False
-        name = getattr(source, "name", "<stream>")
     try:
+        fh = open(path, newline="")
+    except OSError as exc:
+        raise ParameterError(f"cannot read stats CSV {path}: {exc}") from exc
+    with fh:
         reader = csv.DictReader(row for row in fh if not row.lstrip().startswith("#"))
         missing = set(STATS_CSV_HEADER) - set(reader.fieldnames or [])
         if missing:
-            raise ParameterError(f"stats CSV {name} missing columns: {sorted(missing)}")
+            raise ParameterError(f"stats CSV {path} missing columns: {sorted(missing)}")
         out: dict[str, BuildingStats] = {}
         for n, row in enumerate(reader, 1):
             try:
@@ -196,9 +190,6 @@ def read_building_stats_csv(source) -> dict[str, BuildingStats]:
                 )
             except (TypeError, ValueError) as exc:  # ParameterError is a ValueError
                 raise ParameterError(
-                    f"stats CSV {name}, data row {n} ({row['region']!r}): {exc}"
+                    f"stats CSV {path}, data row {n} ({row['region']!r}): {exc}"
                 ) from exc
         return out
-    finally:
-        if close:
-            fh.close()

@@ -1,5 +1,5 @@
 """Spatial primitives: PPP sampling, strongest-power association, random
-scheduling, active-BS statistics and the Voronoi cell-size law.
+scheduling and the active-BS probability.
 
 All stochastic routines take an explicit numpy Generator so that every
 replication of an experiment can run on its own deterministic stream.
@@ -52,9 +52,6 @@ __all__ = [
     "associate_strongest",
     "schedule_active",
     "active_bs_probability",
-    "scheduled_user_density",
-    "voronoi_cell_pdf",
-    "voronoi_cell_moments",
 ]
 
 
@@ -259,12 +256,37 @@ def sample_ppp(density: float, window: Window, rng: np.random.Generator) -> Poin
 # beyond one cell side with probability exp(-4 pi), about 3.5e-6.
 _BS_PER_CELL = 4
 
-# (user, BS) pairs per search block, and BSs per slice of a pass over all
-# BSs: the scratch arrays stay under 1 MiB however many users and BSs a
-# replication holds.  Blocks whose arrays outlived them raised the
-# all-receiver benchmark's peak RSS by 1.1 MiB; freed, it matches the
-# KD-tree search's.
+# Pairs per block, for the (user, BS) pairs of an association search and
+# the simulator's (receiver, transmitter) pairs, and BSs per slice of a pass
+# over all BSs.  A block holds a handful of flat float and index arrays,
+# 128 KiB each at 2^14 pairs, so its scratch stays under 1 MiB however many
+# users and BSs a replication holds.  Search blocks whose arrays outlived
+# them raised the all-receiver benchmark's peak RSS by 1.1 MiB.  2^16 pairs
+# at a time raised it by 4.5 MiB (5 %) and ran no faster (measured on an
+# earlier receiver-by-transmitter grid layout, whose scratch per pair was
+# smaller).
 _BLOCK_PAIRS = 1 << 14
+
+
+def _pair_blocks(pair_counts: np.ndarray):
+    """Ranges (lo, hi) that cut items with ``pair_counts`` pairs each into
+    blocks: the next items with at most ``_BLOCK_PAIRS`` pairs in all, or one
+    item with more."""
+    pair_ends = np.cumsum(pair_counts)
+    lo = 0
+    while lo < pair_ends.size:
+        done = pair_ends[lo - 1] if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(pair_ends, done + _BLOCK_PAIRS, side="right")))
+        yield lo, hi
+        lo = hi
+
+
+def _ragged_index(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Positions ``starts[i]`` to ``starts[i] + counts[i] - 1``, for each i
+    in turn, in one flat array."""
+    pos = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    pos += np.arange(pos.size)
+    return pos
 
 
 def _cells_per_side(count: float, side: float, los_radius: float) -> int:
@@ -410,8 +432,7 @@ def _search(index: _CellIndex, user_points: np.ndarray, base: np.ndarray, radius
             return
         a, b = np.searchsorted(held, (lo * slots, hi * slots))
         cnt = counts[a:b]
-        pos = np.repeat(starts[a:b] - (np.cumsum(cnt) - cnt), cnt)
-        pos += np.arange(pos.size)
+        pos = _ragged_index(starts[a:b], cnt)
         # d2 = dx * dx + dy * dy, in place to keep the scratch small.
         d2 = index.x[pos]
         d2 -= np.repeat(frame_x[a:b], cnt)
@@ -429,15 +450,8 @@ def _search(index: _CellIndex, user_points: np.ndarray, base: np.ndarray, radius
         best[lo + has] = low
         nearest[lo + has] = np.minimum.reduceat(index.ids[pos[hits]], np.searchsorted(hits, first))
 
-    pair_ends = np.cumsum(user_pairs)
-    lo = 0
-    while lo < len(user_points):
-        # The next users with at most _BLOCK_PAIRS pairs in all, or one user
-        # with more.
-        done = pair_ends[lo - 1] if lo else 0
-        hi = max(lo + 1, int(np.searchsorted(pair_ends, done + _BLOCK_PAIRS, side="right")))
+    for lo, hi in _pair_blocks(user_pairs):
         search(lo, hi)
-        lo = hi
     return best, nearest
 
 
@@ -574,35 +588,3 @@ def active_bs_probability(lambda_hat: float) -> float:
     if lambda_hat <= 0:
         raise ParameterError(f"lambda_hat must be positive, got {lambda_hat}")
     return -math.expm1(-3.5 * math.log1p(1.0 / (3.5 * lambda_hat)))
-
-
-def scheduled_user_density(lambda_hat: float) -> float:
-    """Companion thinning probability p_s = p_a * lambda_hat for the uplink."""
-    return active_bs_probability(lambda_hat) * lambda_hat
-
-
-_VOR_SHAPE = 4.5
-_VOR_RATE = 3.5
-
-
-def voronoi_cell_pdf(x, bs_density: float):
-    """Cell-size density of a Poisson-Voronoi tessellation with BS density lambda:
-    a Gamma law with shape 4.5 and rate 3.5*lambda,
-    ``f(x) = 3.5^3.5 / Gamma(3.5) * lambda^4.5 * x^3.5 * exp(-3.5 lambda x)``.
-    """
-    if bs_density <= 0:
-        raise ParameterError(f"bs_density must be positive, got {bs_density}")
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
-        raise ParameterError("cell size must be nonnegative")
-    coef = _VOR_RATE**_VOR_RATE / math.gamma(_VOR_RATE) * bs_density**_VOR_SHAPE
-    out = coef * x**_VOR_RATE * np.exp(-_VOR_RATE * bs_density * x)
-    return float(out) if out.ndim == 0 else out
-
-
-def voronoi_cell_moments(bs_density: float) -> tuple[float, float]:
-    """(mean, variance) of the Voronoi cell size: 4.5/(3.5 lambda), 4.5/(3.5 lambda)^2."""
-    if bs_density <= 0:
-        raise ParameterError(f"bs_density must be positive, got {bs_density}")
-    rate = _VOR_RATE * bs_density
-    return _VOR_SHAPE / rate, _VOR_SHAPE / rate**2

@@ -25,10 +25,11 @@ One rule decides which transmitters interfere, in both receiver modes (see
 :func:`_receivers_sir`): typical mode measures one receiver per
 replication, all-receiver mode every receiver.  Each receiver is paired with
 every active transmitter of its own replication on flat (receiver,
-transmitter) pairs, at most ``_BLOCK_PAIRS`` at a time, and a transmitter
-counts when it is not the receiver's own, at a positive distance and, for
-mmW, within R_L with a covering mainlobe (tested only for the pairs within
-R_L).  Fading is drawn per receiver, ``g0`` then ``g_i``, receiver by
+transmitter) pairs, in the blocks an association search uses (at most
+``pointprocess._BLOCK_PAIRS`` pairs at a time), and a transmitter counts
+when it is not the receiver's own, at a positive distance and, for mmW,
+within R_L with a covering mainlobe (tested only for the pairs within R_L).
+Fading is drawn per receiver, ``g0`` then ``g_i``, receiver by
 receiver, with the sizes and order of a one-receiver loop; one large draw
 per replication would reorder the stream, and measured slower.  Elements
 take the same floating-point operations however the pairs are cut into
@@ -67,6 +68,8 @@ from .errors import ParameterError
 from .pointprocess import (
     LazyPPP,
     Window,
+    _pair_blocks,
+    _ragged_index,
     associate_strongest,
     sample_ppp,
     schedule_active,
@@ -95,12 +98,6 @@ SE_CSV_HEADER = [
 
 _TIERS = ("mmw", "muw")
 _DIRECTIONS = ("dl", "ul")
-# Receiver-transmitter pairs per geometry chunk.  A chunk holds a handful
-# of flat float and index arrays, 128 KiB each at 2^14 pairs.  2^16 pairs
-# at a time raised the all-receiver benchmark's peak RSS by 4.5 MiB (5 %)
-# and ran no faster (measured on the earlier (receiver, transmitter) grid
-# layout, whose scratch per pair was smaller).
-_BLOCK_PAIRS = 1 << 14
 # Expected points per batch of replications (see _batches).  A batch's
 # association and receiver geometry run over all its replications at once,
 # so the fixed cost of each numpy call is shared, but its scratch grows by
@@ -292,8 +289,9 @@ def _receivers_sir(config: SimConfig, rngs, bounds, receivers, rx_all, tx_all, p
     ``receivers`` are indices of active links, ascending; replication k's
     links are ``bounds[k]`` to ``bounds[k + 1] - 1``.  Each receiver is
     paired with every active transmitter of its replication, on flat
-    (receiver, transmitter) pairs, at most ``_BLOCK_PAIRS`` of them at a
-    time (or one receiver's, when it has more).  A transmitter interferes
+    (receiver, transmitter) pairs, cut by :func:`~mmudn.pointprocess._pair_blocks`
+    into blocks of at most ``_BLOCK_PAIRS`` pairs (or one receiver's, when it
+    has more).  A transmitter interferes
     when it is not the receiver's own and at a positive distance; for mmW
     also within R_L, with its mainlobe, aimed at its own partner, covering
     the receiver.  The fading draws come from each receiver's replication
@@ -303,21 +301,16 @@ def _receivers_sir(config: SimConfig, rngs, bounds, receivers, rx_all, tx_all, p
     rep = np.searchsorted(bounds, receivers, side="right") - 1
     first = bounds[rep]
     sizes = bounds[rep + 1] - first
-    pair_ends = np.cumsum(sizes)
     if config.tier == "mmw":
         # Each transmitter aims its mainlobe at its own partner.
         to_partner = window.displacement(tx_all, partner_all)
         partner_norm = np.linalg.norm(to_partner, axis=1)
     rep = rep.tolist()
     out = []
-    lo = 0
-    while lo < receivers.size:
-        done = pair_ends[lo - 1] if lo else 0
-        hi = max(lo + 1, int(np.searchsorted(pair_ends, done + _BLOCK_PAIRS, side="right")))
+    for lo, hi in _pair_blocks(sizes):
         cnt = sizes[lo:hi]
         starts = np.cumsum(cnt) - cnt
-        tx = np.repeat(first[lo:hi] - starts, cnt)
-        tx += np.arange(tx.size)
+        tx = _ragged_index(first[lo:hi], cnt)
         rx = rx_all[receivers[lo:hi]]
         # The pair of each receiver with its own transmitter.
         own = starts + receivers[lo:hi] - first[lo:hi]
@@ -340,7 +333,6 @@ def _receivers_sir(config: SimConfig, rngs, bounds, receivers, rx_all, tx_all, p
             keep[near] = cos_angle >= math.cos(config.params.theta / 2.0)
         for k, a, b, pair in zip(rep[lo:hi], starts.tolist(), (starts + cnt).tolist(), own.tolist()):
             out.append(_faded(config, rngs[k], float(dist[pair]), dist[a:b][keep[a:b]]))
-        lo = hi
     return out
 
 

@@ -3,7 +3,9 @@ prints them in the terminal summary, where pytest's capture cannot hide
 them for passing tests, pins the CPU count the simulator's pool sees, and
 provides the per-receiver SIR reference that the simulator tests and
 criterion 4 compare the simulator with (fixtures ``per_receiver_sir`` and
-``power_mismatches``), and the KD-tree Voronoi cell areas that criterion 11
+``power_mismatches``), the paper's printed maximal DL rates that criterion 7
+and the worked-point tests compare the optimum with (fixture
+``printed_r_d``), and the KD-tree Voronoi cell areas that criterion 11
 checks against the cell-size law (fixtures ``kd_tree`` and
 ``estimate_cell_areas``)."""
 
@@ -15,6 +17,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 from mmudn import simulator as sim
+from mmudn.analytic_se import los_probability
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -122,6 +125,40 @@ def per_receiver_sir():
 @pytest.fixture
 def power_mismatches():
     return _power_mismatches
+
+
+def _printed_r_d(result, spectrum, params, p_l=None):
+    """The paper's printed maximal DL rate on the branch of ``result``, an
+    ``optimal_allocation`` result at ``params`` and ``spectrum``, evaluated
+    on its gammas: (printed, literal).
+
+    C_L: (W_m g_m + W_mu g_mu) / (1 + zeta).
+    C_H: W_m g_m (W_m.u g_m.u + W_mu g_mu) / (zeta W_m g_m + W_m.u g_m.u).
+    D:   W_m.u g_m.u (W_mu g_mu + W_m.u g_m) / (W_m.u g_m.u + zeta W_m g_m),
+    whose numerator carries the non-decoupled mmW UL SE g_m.  ``literal`` is
+    the D expression read with the LOS distance in place of the LOS
+    probability in g_m (g_m scaled by R_L / p_L); None off D or at p_L = 0.
+    """
+    g, z = result.gammas, spectrum.zeta
+    wm_gm = spectrum.w_m * g.gamma_m
+    wmu_gmu = spectrum.w_mu_band * g.gamma_mu
+    wmul_gmu_ul = spectrum.w_m_ul * g.gamma_m_u
+    if not result.region.in_d:
+        if result.region.region == "C_L":
+            return (wm_gm + wmu_gmu) / (1.0 + z), None
+        return wm_gm * (wmul_gmu_ul + wmu_gmu) / (z * wm_gm + wmul_gmu_ul), None
+    wmul_gm = spectrum.w_m_ul * g.gamma_m
+    printed = wmul_gmu_ul * (wmu_gmu + wmul_gm) / (wmul_gmu_ul + z * wm_gm)
+    pl = los_probability(params.lambda_m, params.r_los) if p_l is None else p_l
+    if pl == 0:
+        return printed, None
+    wmul_gm_lit = wmul_gm * (params.r_los / pl)
+    return printed, wmul_gmu_ul * (wmu_gmu + wmul_gm_lit) / (wmul_gmu_ul + z * wm_gm)
+
+
+@pytest.fixture
+def printed_r_d():
+    return _printed_r_d
 
 
 def _kd_tree(points, window):

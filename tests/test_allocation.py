@@ -11,11 +11,9 @@ from mmudn.allocation import (
     Allocation,
     Gammas,
     SpectrumParams,
-    allocation_limits,
     cl_boundary,
     gammas_from_params,
     lp_oracle,
-    max_dl_rate,
     mmw_ul_bandwidth,
     optimal_allocation,
     optimal_allocation_decoupled,
@@ -30,7 +28,7 @@ from mmudn.analytic_se import (
     se_mmw_bounds_tractable,
     se_muw_bounds,
 )
-from mmudn.errors import AssumptionError, ParameterError
+from mmudn.errors import AssumptionError, DomainError, ParameterError
 
 LAMBDA_U = 1e-4
 
@@ -61,13 +59,8 @@ def test_papr_outage_basic():
     assert all(0.0 <= v < 1.0 for v in vals)
 
 
-def test_papr_bandwidth_as_printed_frozen():
-    w = mmw_ul_bandwidth(244140.0, 10.0, 0.7, mode="as-printed")
-    assert w == pytest.approx(4.659044394e9, rel=1e-9)
-
-
 def test_papr_bandwidth_exact_roundtrip():
-    w = mmw_ul_bandwidth(244140.0, 10.0, 0.7, mode="exact-inversion")
+    w = mmw_ul_bandwidth(244140.0, 10.0, 0.7)
     assert papr_outage(w, 244140.0, 10.0) == pytest.approx(0.7, abs=1e-12)
     assert w == pytest.approx(2.000719142e9, rel=1e-9)
 
@@ -75,8 +68,6 @@ def test_papr_bandwidth_exact_roundtrip():
 def test_papr_bandwidth_validation():
     with pytest.raises(ParameterError):
         mmw_ul_bandwidth(244140.0, 10.0, 1.0)
-    with pytest.raises(ParameterError):
-        mmw_ul_bandwidth(244140.0, 10.0, 0.7, mode="guess")
     with pytest.raises(ParameterError):
         papr_outage(-1.0, 244140.0, 10.0)
 
@@ -174,14 +165,23 @@ def test_cl_boundary_infinite_when_no_switch():
     assert cl_boundary(net(10.0), spec(zeta=0.0)) == math.inf
 
 
-# --- allocation limits ----------------------------------------------------------------
-
-
-def test_allocation_limits_frozen():
-    assert allocation_limits(spec(zeta=0.25)) == pytest.approx((0.2, 1 / 1.8))
-    s = SpectrumParams(w_m=500e6, w_mu_band=20e6, w_m_ul=500e6, zeta=1.0)
-    assert allocation_limits(s)[1] == pytest.approx(0.5)
-    assert allocation_limits(spec(zeta=0.0)) == (0.0, 0.0)
+def test_cl_boundary_at_and_below_unit_muw_ratio():
+    # Below lhat_mu = 1 the asymptotic SEs are undefined, as in the gammas.
+    for lhat_mu in (0.5, 1.0 - 1e-9):
+        with pytest.raises(DomainError):
+            cl_boundary(net(10.0, lhat_mu=lhat_mu), spec())
+        with pytest.raises(DomainError):
+            gammas_from_params(net(10.0, lhat_mu=lhat_mu))
+    # At lhat_mu = 1 the uW band carries no rate: only lhat_m = 1 is in C_L.
+    assert cl_boundary(net(10.0, lhat_mu=1.0), spec()) == 1.0
+    assert optimal_allocation(net(1.0, lhat_mu=1.0), spec()).region.region == "C_L"
+    for lhat in (1.0 + 1e-9, 1.5):
+        assert optimal_allocation(net(lhat, lhat_mu=1.0), spec()).region.region == "C_H"
+    # Just above it the switch moves off 1 and the classification flips there.
+    lhat = cl_boundary(net(10.0, lhat_mu=1.01), spec())
+    assert 1.0 < lhat < 1.01
+    assert optimal_allocation(net(lhat * 0.999, lhat_mu=1.01), spec()).region.region == "C_L"
+    assert optimal_allocation(net(lhat * 1.001, lhat_mu=1.01), spec()).region.region == "C_H"
 
 
 # --- optimal allocation -----------------------------------------------------------------
@@ -195,18 +195,20 @@ def test_ch_worked_point():
     assert res.rate.r_d == pytest.approx(9.396655315e8, rel=1e-9)
 
 
-def test_cl_worked_point_rate():
-    mr = max_dl_rate(net(1.2), spec(), p_l=0.6046)
-    assert mr.branch == "C_L"
-    assert mr.r_d_star == pytest.approx(7.729651640e7, rel=1e-8)
-    assert mr.printed_formula_value == pytest.approx(mr.r_d_star, rel=1e-9)
+def test_cl_worked_point_rate(printed_r_d):
+    res = optimal_allocation(net(1.2), spec(), p_l=0.6046)
+    printed, _ = printed_r_d(res, spec(), net(1.2), p_l=0.6046)
+    assert str(res.region) == "C_L"
+    assert res.rate.r_d == pytest.approx(7.729651640e7, rel=1e-8)
+    assert printed == pytest.approx(res.rate.r_d, rel=1e-9)
 
 
-def test_ch_worked_point_rate():
-    mr = max_dl_rate(net(100.0), spec(), p_l=0.6864)
-    assert mr.branch == "C_H"
-    assert mr.r_d_star == pytest.approx(9.396655315e8, rel=1e-8)
-    assert mr.printed_formula_value == pytest.approx(mr.r_d_star, rel=1e-9)
+def test_ch_worked_point_rate(printed_r_d):
+    res = optimal_allocation(net(100.0), spec(), p_l=0.6864)
+    printed, _ = printed_r_d(res, spec(), net(100.0), p_l=0.6864)
+    assert str(res.region) == "C_H"
+    assert res.rate.r_d == pytest.approx(9.396655315e8, rel=1e-8)
+    assert printed == pytest.approx(res.rate.r_d, rel=1e-9)
 
 
 def test_zeta_one_limit_beta_mu_half():
@@ -249,14 +251,15 @@ def test_decoupled_d_worked_point():
     assert res.allocation.beta_mu == 0.0
 
 
-def test_decoupled_d_max_rate_both_values():
-    mr = max_dl_rate(net(1.25), spec(), decoupled=True, p_l=0.6196)
-    assert mr.branch == "D"
-    assert mr.r_d_star == pytest.approx(9.229626003e7, rel=1e-8)
-    # The closed-form expression disagrees with substitution on this branch;
-    # both it and its literal alternative reading are surfaced, not hidden.
-    assert mr.printed_formula_value == pytest.approx(3.639536862e7, rel=1e-8)
-    assert mr.printed_literal == pytest.approx(1.141385294e9, rel=1e-8)
+def test_decoupled_d_max_rate_both_values(printed_r_d):
+    res = optimal_allocation(net(1.25), spec(), p_l=0.6196, decoupled=True)
+    printed, literal = printed_r_d(res, spec(), net(1.25), p_l=0.6196)
+    assert res.region.in_d
+    assert res.rate.r_d == pytest.approx(9.229626003e7, rel=1e-8)
+    # The printed expression disagrees with the optimum on this branch, and
+    # so does its literal alternative reading.
+    assert printed == pytest.approx(3.639536862e7, rel=1e-8)
+    assert literal == pytest.approx(1.141385294e9, rel=1e-8)
 
 
 def test_decoupled_d_saturated_mmw_band_matches_lp():

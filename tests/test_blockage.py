@@ -1,4 +1,3 @@
-import io
 import math
 import warnings
 from dataclasses import replace
@@ -176,7 +175,8 @@ def test_blockage_params_rejects_bad_eta():
 # --- CSV I/O ---------------------------------------------------------------------
 
 
-def test_stats_csv_missing_column():
-    bad = io.StringIO("region,avg_perimeter_m\nX,1.0\n")
-    with pytest.raises(ParameterError):
+def test_stats_csv_missing_column(tmp_path):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("region,avg_perimeter_m\nX,1.0\n")
+    with pytest.raises(ParameterError, match="missing columns"):
         read_building_stats_csv(bad)

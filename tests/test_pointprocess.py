@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
-from scipy.stats import gamma as gamma_dist
 
 from mmudn import pointprocess as pp
 from mmudn.errors import DomainError, ParameterError
@@ -17,9 +15,6 @@ from mmudn.pointprocess import (
     associate_strongest,
     sample_ppp,
     schedule_active,
-    scheduled_user_density,
-    voronoi_cell_moments,
-    voronoi_cell_pdf,
 )
 
 
@@ -323,32 +318,7 @@ def test_active_bs_probability_limits_and_errors():
         active_bs_probability(0.0)
 
 
-def test_scheduled_user_density_approaches_one():
-    assert scheduled_user_density(100.0) == pytest.approx(0.9936, abs=2e-4)
-    assert scheduled_user_density(1e6) == pytest.approx(1.0, abs=1e-5)
-
-
-# --- Voronoi cell law -------------------------------------------------------
-
-
-def test_voronoi_pdf_matches_gamma_law():
-    x = np.linspace(1e-3, 5.0, 200)
-    for lam in (0.5, 1.0, 3.0):
-        expected = gamma_dist.pdf(x, a=4.5, scale=1.0 / (3.5 * lam))
-        np.testing.assert_allclose(voronoi_cell_pdf(x, lam), expected, rtol=1e-10)
-
-
-def test_voronoi_pdf_normalizes():
-    val, _ = quad(lambda x: voronoi_cell_pdf(x, 1.0), 0, np.inf)
-    assert val == pytest.approx(1.0, abs=1e-9)
-
-
-def test_voronoi_moments():
-    mean, var = voronoi_cell_moments(2.0)
-    assert mean == pytest.approx(4.5 / 7.0, rel=1e-12)
-    assert var == pytest.approx(4.5 / 49.0, rel=1e-12)
-    with pytest.raises(ParameterError):
-        voronoi_cell_moments(0.0)
+# --- Voronoi cell areas ------------------------------------------------------
 
 
 def test_estimate_cell_areas_partitions_window(estimate_cell_areas):

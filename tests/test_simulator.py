@@ -165,12 +165,12 @@ def test_different_seeds_differ():
 # --- block geometry against the per-receiver loop ------------------------------------
 
 
-@pytest.mark.parametrize("block_pairs", [sim._BLOCK_PAIRS, 1])
+@pytest.mark.parametrize("block_pairs", [pp._BLOCK_PAIRS, 1])
 @pytest.mark.parametrize("tier", ["muw", "mmw"])
 @pytest.mark.parametrize("direction", ["dl", "ul"])
 def test_block_geometry_is_bit_identical(monkeypatch, per_receiver_sir, tier, direction, block_pairs):
     # block_pairs = 1 puts one receiver in each block, however many are active.
-    monkeypatch.setattr(sim, "_BLOCK_PAIRS", block_pairs)
+    monkeypatch.setattr(pp, "_BLOCK_PAIRS", block_pairs)
     real_network = sim._scheduled_network
 
     def unrestricted_network(config, rngs, los_radius):
@@ -192,7 +192,7 @@ def test_block_geometry_is_bit_identical(monkeypatch, per_receiver_sir, tier, di
             cases = {
                 status: True,
                 "one active": len(rows) == 1,
-                "several blocks": len(rows) > max(1, sim._BLOCK_PAIRS // max(len(rows), 1)),
+                "several blocks": len(rows) > max(1, pp._BLOCK_PAIRS // max(len(rows), 1)),
                 "free row": any(row is None for row in rows),
                 "zero row": any(row is not None and not row.any() for row in rows),
             }
