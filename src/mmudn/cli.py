@@ -73,7 +73,10 @@ def _parse_grid(s: str) -> list[float]:
         import numpy as np
 
         return [float(x) for x in np.logspace(math.log10(start), math.log10(stop), count)]
-    return [_parse_ratio(tok) for tok in s.split(",") if tok.strip()]
+    grid = [_parse_ratio(tok) for tok in s.split(",") if tok.strip()]
+    if not grid:
+        raise ValueError("lambda_hat grid must be nonempty")
+    return grid
 
 
 _KEYS = {

@@ -9,7 +9,10 @@ receiving end of a scheduled link drawn uniformly among all scheduled links,
 so that every link is equally likely to be the typical one — averaging over
 i.i.d. unit-mean exponential fading draws.  mmW links require the LOS
 indicator (distance within R_L) and interferers must additionally cover the
-receiver with their mainlobe.
+receiver with their mainlobe.  One pass gives each replication one record,
+its status, SE and active-BS count (see :func:`_reps_records`):
+:func:`estimate_se` reads the status and SE, and
+:func:`validate_homogenization` the active-BS count of the same network.
 
 Replications run in batches (see :func:`_batches`): each numpy pass of a
 batch covers all its replications, so the fixed cost of a numpy call, which
@@ -55,6 +58,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .analytic_se import (
+    _TIERS,
     NetworkParams,
     bounds_for,
     # Not called here: perfbench's traced run patches these two names on
@@ -96,7 +100,6 @@ SE_CSV_HEADER = [
     "interference_free_fraction",
 ]
 
-_TIERS = ("mmw", "muw")
 _DIRECTIONS = ("dl", "ul")
 # Expected points per batch of replications (see _batches).  A batch's
 # association and receiver geometry run over all its replications at once,
@@ -171,8 +174,9 @@ class SEEstimate:
     """SE mean over interference-limited replications with a 95% normal CI.
 
     ``interference_free_fraction`` counts replications whose typical receiver
-    saw no LOS-and-aligned interferer; those are excluded from the mean.
-    ``discarded`` counts replications with no active transmitter at all.
+    (in all-receiver mode: every receiver) saw no LOS-and-aligned
+    interferer; those are excluded from the mean.  ``discarded`` counts
+    replications with no active transmitter at all.
     """
 
     mean: float
@@ -221,10 +225,11 @@ def _scheduled_network(config: SimConfig, rngs, los_radius: float):
 def _batch_sir(config: SimConfig, reps: range) -> list[tuple]:
     """The replications of one batch, in order.
 
-    Returns one (status, sir) per replication, where status is 'ok',
+    Returns one (status, sir, active) per replication, where status is 'ok',
     'interference_free' or 'no_active'; sir is a (fading_draws,) array of
     SIR samples (or an array of shape (n_receivers, fading_draws) when
-    averaging all receivers), or None.
+    averaging all receivers), or None; and active counts the replication's
+    active BSs.
 
     In typical mode each replication's one receiver is the receiving end of
     a scheduled link drawn uniformly among its scheduled links, the
@@ -253,14 +258,14 @@ def _batch_sir(config: SimConfig, reps: range) -> list[tuple]:
     # Replication k's receivers are receivers[ends[k]:ends[k + 1]].
     ends = np.searchsorted(receivers, bounds).tolist()
     out = []
-    for a, b in zip(ends, ends[1:]):
+    for a, b, n_active in zip(ends, ends[1:], np.diff(bounds).tolist()):
         rows = [sir for sir in sirs[a:b] if sir is not None]
         if a == b:
-            out.append(("no_active", None))
+            out.append(("no_active", None, n_active))
         elif not rows:
-            out.append(("interference_free", None))
+            out.append(("interference_free", None, n_active))
         else:
-            out.append(("ok", np.stack(rows) if config.average_all_receivers else rows[0]))
+            out.append(("ok", np.stack(rows) if config.average_all_receivers else rows[0], n_active))
     return out
 
 
@@ -336,18 +341,13 @@ def _receivers_sir(config: SimConfig, rngs, bounds, receivers, rx_all, tx_all, p
     return out
 
 
-def _reps_sir(config: SimConfig, reps: range):
-    """(status, sir) of each replication of ``reps``, batch by batch, as a
-    generator, so that only one batch's SIR samples are held at a time."""
-    for batch in _batches(config, reps):
-        yield from _batch_sir(config, batch)
-
-
-def _reps_se(config: SimConfig, reps: range) -> list[tuple]:
-    """(status, SE) of each replication of ``reps``."""
+def _reps_records(config: SimConfig, reps: range) -> list[tuple]:
+    """(status, SE, active-BS count) of each replication of ``reps``, batch
+    by batch, so that only one batch's SIR samples are held at a time."""
     return [
-        (status, float(np.mean(np.log1p(sir))) if status == "ok" else math.nan)
-        for status, sir in _reps_sir(config, reps)
+        (status, float(np.mean(np.log1p(sir))) if status == "ok" else math.nan, n_active)
+        for batch in _batches(config, reps)
+        for status, sir, n_active in _batch_sir(config, batch)
     ]
 
 
@@ -395,10 +395,10 @@ def _run_reps(config: SimConfig, fn) -> list:
 def estimate_se(config: SimConfig) -> SEEstimate:
     """Monte Carlo SE (nats/s/Hz) at the typical receiver of the configured
     tier and direction."""
-    results = _run_reps(config, _reps_se)
-    ses = np.array([se for status, se in results if status == "ok"])
-    n_free = sum(1 for status, _ in results if status == "interference_free")
-    n_dead = sum(1 for status, _ in results if status == "no_active")
+    records = _run_reps(config, _reps_records)
+    ses = np.array([se for status, se, _ in records if status == "ok"])
+    n_free = sum(1 for status, _, _ in records if status == "interference_free")
+    n_dead = sum(1 for status, _, _ in records if status == "no_active")
     n_counted = config.replications - n_dead
     free_frac = n_free / n_counted if n_counted else 0.0
     if ses.size == 0:
@@ -408,24 +408,18 @@ def estimate_se(config: SimConfig) -> SEEstimate:
     return SEEstimate(mean, ci, int(ses.size), free_frac, discarded=n_dead)
 
 
-def _reps_active_count(config: SimConfig, reps: range) -> list[int]:
-    counts = []
-    for batch in _batches(config, reps):
-        _, _, assoc = _scheduled_network(config, _generators(config, batch), math.inf)
-        ends = np.searchsorted(assoc.active_bs, assoc.bs_starts)
-        counts += (ends[1:] - ends[:-1]).tolist()
-    return counts
-
-
 def validate_homogenization(config: SimConfig) -> dict:
     """Empirical active-BS density vs. the user density it should approach.
 
     Valid only for uniformly placed users on the downlink; the active-BS
-    process homogenizes toward density lambda_u as the ratio grows.
+    process homogenizes toward density lambda_u as the ratio grows.  It
+    counts the active BSs of the network :func:`estimate_se` simulates for
+    ``config``: an mmW BS is active only when it serves a user within R_L,
+    so there the ratio tends to the LOS probability p_L, not to 1.
     """
     if config.direction != "dl":
         raise ParameterError("homogenization check is a downlink diagnostic")
-    counts = _run_reps(config, _reps_active_count)
+    counts = [n_active for _, _, n_active in _run_reps(config, _reps_records)]
     density = float(np.sum(counts)) / (config.window.area * config.replications)
     return {
         "empirical_active_density": density,

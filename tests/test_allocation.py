@@ -14,10 +14,8 @@ from mmudn.allocation import (
     cl_boundary,
     gammas_from_params,
     lp_oracle,
-    mmw_ul_bandwidth,
     optimal_allocation,
     optimal_allocation_decoupled,
-    papr_outage,
     rates,
     sweep_allocation,
 )
@@ -49,27 +47,7 @@ def spec(zeta=0.25, w_m=500e6, w_mu=20e6, w_m_ul=100e6):
     return SpectrumParams(w_m=w_m, w_mu_band=w_mu, w_m_ul=w_m_ul, zeta=zeta)
 
 
-# --- PAPR-limited UL bandwidth -------------------------------------------------
-
-
-def test_papr_outage_basic():
-    assert papr_outage(0.0, 244140.0, 10.0) == 0.0
-    vals = [papr_outage(w, 244140.0, 10.0) for w in np.linspace(1e6, 5e9, 50)]
-    assert np.all(np.diff(vals) > 0)
-    assert all(0.0 <= v < 1.0 for v in vals)
-
-
-def test_papr_bandwidth_exact_roundtrip():
-    w = mmw_ul_bandwidth(244140.0, 10.0, 0.7)
-    assert papr_outage(w, 244140.0, 10.0) == pytest.approx(0.7, abs=1e-12)
-    assert w == pytest.approx(2.000719142e9, rel=1e-9)
-
-
-def test_papr_bandwidth_validation():
-    with pytest.raises(ParameterError):
-        mmw_ul_bandwidth(244140.0, 10.0, 1.0)
-    with pytest.raises(ParameterError):
-        papr_outage(-1.0, 244140.0, 10.0)
+# --- spectrum -------------------------------------------------------------------
 
 
 def test_spectrum_clamps_oversized_ul_band():

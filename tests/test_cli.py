@@ -285,6 +285,15 @@ def test_nonpositive_density_ratio_exits_2(capsys, argv):
     assert "density ratio must be positive" in err
 
 
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_empty_grid_exits_2(capsys, command):
+    # Every command parses the grid, so an empty one fails before any runs.
+    code, out, err = _run(capsys, command, "--set", "lambda_hat_grid=,")
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert "lambda_hat grid must be nonempty" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -299,11 +308,14 @@ def test_nonpositive_density_ratio_exits_2(capsys, argv):
         ["se", "--set", "tier=mmw", "--set", "r_los_m=nan"],
         ["sweep", "--set", "lambda_hat_grid=10", *FAST_SIM, "--set", "window_side_m=-5"],
         ["sweep", "--set", "lambda_hat_grid=10", *FAST_SIM, "--set", "window_side_m=nan"],
+        ["se", "--set", "tier=thz"],
+        ["se", "--set", "tier=MMW"],
     ],
     ids=[
         "se_alpha_nan", "se_grid_start_nan", "se_grid_stop_inf", "allocate_density_nan",
         "allocate_ul_band_nan", "allocate_band_inf", "se_mmw_ratio_inf", "se_alpha_inf",
-        "se_mmw_r_los_nan", "sweep_window_negative", "sweep_window_nan",
+        "se_mmw_r_los_nan", "sweep_window_negative", "sweep_window_nan", "se_tier_unknown",
+        "se_tier_upper_case",
     ],
 )
 def test_non_finite_or_out_of_range_input_exits_2(capsys, argv):

@@ -180,7 +180,7 @@ def test_block_geometry_is_bit_identical(monkeypatch, per_receiver_sir, tier, di
 
     def check(config, reps):
         for rep in reps:
-            [(status, sir)] = sim._batch_sir(config, range(rep, rep + 1))
+            [(status, sir, _)] = sim._batch_sir(config, range(rep, rep + 1))
             ref_status, ref_sir, rows = per_receiver_sir(config, rep)
             assert status == ref_status, (config, rep)
             if ref_sir is None:
@@ -218,7 +218,8 @@ def test_block_geometry_is_bit_identical(monkeypatch, per_receiver_sir, tier, di
 
 
 def _sirs(config, reps):
-    return list(sim._reps_sir(config, reps))
+    """(status, sir) of each replication of ``reps``, batch by batch."""
+    return [(status, sir) for batch in sim._batches(config, reps) for status, sir, _ in sim._batch_sir(config, batch)]
 
 
 # (case, configuration), each branch of the batch pipeline: dense blocks; a
@@ -336,6 +337,18 @@ def test_homogenization_matches_active_probability_at_unity():
     out = validate_homogenization(c)
     # Empirical active density ~ lambda_bs * p_a = lambda_u * lhat * p_a.
     assert out["ratio"] == pytest.approx(active_bs_probability(1.0), rel=0.05)
+
+
+def test_homogenization_counts_the_simulated_network():
+    # The active BSs counted are those of the network estimate_se simulates:
+    # mmW with no LOS limit is the uW network of the same density, bit for
+    # bit, and at R_L = 5 m a BS with no user within R_L stays inactive.
+    def ratio(**kw):
+        return validate_homogenization(cfg(replications=10, **kw))["ratio"]
+
+    muw = ratio()
+    assert ratio(tier="mmw", params=net(r_los=math.inf)) == muw
+    assert ratio(tier="mmw", params=net(r_los=5.0)) < muw
 
 
 def test_homogenization_rejects_uplink():
@@ -484,7 +497,7 @@ def test_lazy_bs_draw_has_the_full_window_law(monkeypatch, tier, lhat, side, dir
     # replication share its geometry, so only one per replication is i.i.d.
     def samples(kind):
         config = _acceptance_config(tier, direction, lhat, side, _LAW_REPS[tier], _LAW_SEEDS[kind])
-        sirs = sim._reps_sir(config, range(config.replications))
+        sirs = _sirs(config, range(config.replications))
         return [sir for status, sir in sirs if status == "ok"]
 
     lazy = samples("lazy")
@@ -512,4 +525,4 @@ def test_replication_cost_follows_the_users():
         assert len(bss) < 20_000, (lhat, len(bss))
         assert abs(assoc.n_bs - expected) < 5 * math.sqrt(expected), (lhat, assoc.n_bs)
         assert assoc.scheduled_user.size == len(bss)
-        assert next(sim._reps_sir(config, range(1)))[0] == "ok"
+        assert _sirs(config, range(1))[0][0] == "ok"
