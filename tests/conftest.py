@@ -163,6 +163,28 @@ def printed_r_d():
     return _printed_r_d
 
 
+def _papr_outage(w, f_s, delta):
+    """The paper's PAPR outage of an mmW UL band of width ``w`` at sampling
+    rate ``f_s`` and PAPR threshold ``delta``."""
+    return -math.expm1(-(w * math.exp(-delta) / f_s) * math.sqrt(math.pi * delta / 3))
+
+
+def _mmw_ul_bandwidth(f_s, delta, epsilon):
+    """The exact inverse of ``_papr_outage``: the widest band whose outage
+    is ``epsilon``, the usable W_m,u."""
+    return f_s * math.exp(delta) * math.sqrt(3.0 / (math.pi * delta)) * (-math.log1p(-epsilon))
+
+
+@pytest.fixture
+def papr_outage():
+    return _papr_outage
+
+
+@pytest.fixture
+def mmw_ul_bandwidth():
+    return _mmw_ul_bandwidth
+
+
 def _kd_tree(points, window):
     """Periodic KD-tree of ``points`` on the window's torus."""
     # The unbalanced, non-compact build is faster to construct and finds the

@@ -400,27 +400,19 @@ def test_criterion_09_decoupling_gain_magnitude():
     )
 
 
-def test_criterion_10_papr():
-    # The paper's PAPR outage of an mmW UL band of width w, and its exact
-    # inverse, the widest band whose outage is epsilon: the usable W_m,u.
-    def outage(w, f_s, delta):
-        return -math.expm1(-(w * math.exp(-delta) / f_s) * math.sqrt(math.pi * delta / 3))
-
-    def bandwidth(f_s, delta, epsilon):
-        return f_s * math.exp(delta) * math.sqrt(3.0 / (math.pi * delta)) * (-math.log1p(-epsilon))
-
+def test_criterion_10_papr(papr_outage, mmw_ul_bandwidth):
     failures = []
     f_s, delta, eps = 244140.0, 10.0, 0.7
-    w_star = bandwidth(f_s, delta, eps)
-    if abs(outage(w_star, f_s, delta) - eps) > 1e-9:
+    w_star = mmw_ul_bandwidth(f_s, delta, eps)
+    if abs(papr_outage(w_star, f_s, delta) - eps) > 1e-9:
         failures.append("exact inversion does not round-trip within 1e-9")
     if w_star != pytest.approx(2.000719142e9, rel=1e-9):
         failures.append(f"w* = {w_star:.10e} Hz, not 2.000719142e9")
     grid = np.linspace(1e6, 5e9, 100)
-    vals = np.array([outage(w, f_s, delta) for w in grid])
+    vals = np.array([papr_outage(w, f_s, delta) for w in grid])
     if not np.all(np.diff(vals) > 0):
         failures.append("outage not strictly increasing on the 100-point grid")
-    if outage(0.0, f_s, delta) != 0.0 or not np.all((vals >= 0.0) & (vals < 1.0)):
+    if papr_outage(0.0, f_s, delta) != 0.0 or not np.all((vals >= 0.0) & (vals < 1.0)):
         failures.append("outage outside [0, 1) or nonzero at w = 0")
     _report(10, failures, f"w* = {w_star:.6e} Hz")
 

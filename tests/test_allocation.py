@@ -47,6 +47,22 @@ def spec(zeta=0.25, w_m=500e6, w_mu=20e6, w_m_ul=100e6):
     return SpectrumParams(w_m=w_m, w_mu_band=w_mu, w_m_ul=w_m_ul, zeta=zeta)
 
 
+# --- PAPR-limited UL bandwidth (the paper's formulas, held test-side) -----------
+
+
+def test_papr_outage_basic(papr_outage):
+    assert papr_outage(0.0, 244140.0, 10.0) == 0.0
+    vals = [papr_outage(w, 244140.0, 10.0) for w in np.linspace(1e6, 5e9, 50)]
+    assert np.all(np.diff(vals) > 0)
+    assert all(0.0 <= v < 1.0 for v in vals)
+
+
+def test_papr_bandwidth_exact_roundtrip(papr_outage, mmw_ul_bandwidth):
+    w = mmw_ul_bandwidth(244140.0, 10.0, 0.7)
+    assert papr_outage(w, 244140.0, 10.0) == pytest.approx(0.7, abs=1e-12)
+    assert w == pytest.approx(2.000719142e9, rel=1e-9)
+
+
 # --- spectrum -------------------------------------------------------------------
 
 
