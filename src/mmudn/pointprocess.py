@@ -1,5 +1,5 @@
-"""Spatial primitives: PPP sampling, strongest-power association, random
-scheduling and the active-BS probability.
+"""Spatial primitives: the torus window, PPP sampling, strongest-power
+association and random scheduling.
 
 All stochastic routines take an explicit numpy Generator so that every
 replication of an experiment can run on its own deterministic stream.
@@ -51,7 +51,6 @@ __all__ = [
     "sample_ppp",
     "associate_strongest",
     "schedule_active",
-    "active_bs_probability",
 ]
 
 
@@ -79,11 +78,11 @@ class Window:
     def displacement(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
         """Minimal-image displacement vector(s) from src to dst."""
         d = np.asarray(dst, dtype=float) - np.asarray(src, dtype=float)
-        return d - self.side * np.round(d / self.side)
-
-    def distance(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-        d = self.displacement(src, dst)
-        return np.sqrt(np.sum(d * d, axis=-1))
+        # d - side * round(d / side), with fewer temporaries.
+        shift = np.round(d / self.side)
+        shift *= self.side
+        d -= shift
+        return d
 
 
 @dataclass(frozen=True)
@@ -579,12 +578,3 @@ def schedule_active(assoc: AssociationMap, rng) -> AssociationMap:
         user_starts=assoc.user_starts,
         bs_starts=assoc.bs_starts,
     )
-
-
-def active_bs_probability(lambda_hat: float) -> float:
-    """Probability that a BS has at least one associated user,
-    ``1 - [1 + (3.5 lambda_hat)^-1]^-3.5`` for BS-to-user density ratio lambda_hat.
-    """
-    if lambda_hat <= 0:
-        raise ParameterError(f"lambda_hat must be positive, got {lambda_hat}")
-    return -math.expm1(-3.5 * math.log1p(1.0 / (3.5 * lambda_hat)))

@@ -26,17 +26,23 @@ whatever the replication count.
 
 One rule decides which transmitters interfere, in both receiver modes (see
 :func:`_receivers_sir`): typical mode measures one receiver per
-replication, all-receiver mode every receiver.  Each receiver is paired with
-every active transmitter of its own replication on flat (receiver,
-transmitter) pairs, in the blocks an association search uses (at most
-``pointprocess._BLOCK_PAIRS`` pairs at a time), and a transmitter counts
-when it is not the receiver's own, at a positive distance and, for mmW,
-within R_L with a covering mainlobe (tested only for the pairs within R_L).
-Fading is drawn per receiver, ``g0`` then ``g_i``, receiver by
-receiver, with the sizes and order of a one-receiver loop; one large draw
-per replication would reorder the stream, and measured slower.  Elements
-take the same floating-point operations however the pairs are cut into
-batches and chunks, so neither changes a bit.
+replication, all-receiver mode every receiver.  A transmitter counts when
+it is not the receiver's own, at a positive distance and, for mmW, within
+R_L with a covering mainlobe (tested only for the pairs within R_L).  Each
+receiver is paired only with candidates of its own replication: for mmW
+with many receivers per replication, the transmitters in the 3x3 block of
+grid cells around its own, cells at least R_L wide and keyed
+k n^2 + x n + y as in association, so the pairs grow linearly with the
+users; otherwise (muW, few receivers, or a block that wraps the grid)
+every active transmitter of its replication.  The pairs run in the blocks
+an association search uses (at most ``pointprocess._BLOCK_PAIRS`` pairs at
+a time), one replication's receivers against all its transmitters as a
+receivers x transmitters grid.  Fading is drawn per receiver, ``g0`` then
+``g_i``, receiver by receiver, with the sizes and order of a one-receiver
+loop, interferers in ascending transmitter index; one large draw per
+replication would reorder the stream, and measured slower.  Elements take
+the same floating-point operations however the pairs are cut into batches,
+cells and chunks, so none of these changes a bit.
 
 Replications are independent and reproducible: replication ``i`` runs on
 ``default_rng([master_seed, i])`` regardless of batch, execution order or
@@ -72,6 +78,8 @@ from .errors import ParameterError
 from .pointprocess import (
     LazyPPP,
     Window,
+    _block_slots,
+    _cell_xy,
     _pair_blocks,
     _ragged_index,
     associate_strongest,
@@ -109,6 +117,15 @@ _DIRECTIONS = ("dl", "ul")
 # 2^16 ran 1,000-user replications faster but doubled the largest batch's
 # scratch to 6 MiB.  BENCH_16.json has the timings and peaks per budget.
 _BATCH_POINTS = 1 << 15
+
+# Receivers per replication from which the receiver geometry bins a batch's
+# transmitters into cells (see _candidates); with fewer, pairing each
+# receiver with every transmitter of its replication costs less.  Timed on
+# a 2-core VM, geometry per mmW replication at R_L = 10 m and lambda_u =
+# 0.01: cells took about 50 % longer with one receiver (typical mode), 38-40 %
+# longer with 12-16 receivers and 5 % with 25, and 17-19 % less with 36-49,
+# 39 % with 64, 50 % with 100 and 89 % with 1,000.
+_CELL_RECEIVERS = 24
 
 
 @dataclass(frozen=True)
@@ -293,52 +310,114 @@ def _receivers_sir(config: SimConfig, rngs, bounds, receivers, rx_all, tx_all, p
 
     ``receivers`` are indices of active links, ascending; replication k's
     links are ``bounds[k]`` to ``bounds[k + 1] - 1``.  Each receiver is
-    paired with every active transmitter of its replication, on flat
-    (receiver, transmitter) pairs, cut by :func:`~mmudn.pointprocess._pair_blocks`
-    into blocks of at most ``_BLOCK_PAIRS`` pairs (or one receiver's, when it
-    has more).  A transmitter interferes
-    when it is not the receiver's own and at a positive distance; for mmW
-    also within R_L, with its mainlobe, aimed at its own partner, covering
-    the receiver.  The fading draws come from each receiver's replication
-    stream, receiver by receiver.
+    paired with its candidate transmitters (see :func:`_candidates`): those
+    of its replication in the 3x3 block of cells around its own, or every
+    one of its replication when that block wraps the grid.  The pairs are
+    cut by :func:`~mmudn.pointprocess._pair_blocks` into blocks of at most
+    ``_BLOCK_PAIRS`` (or one receiver's, when it has more); a block of one
+    replication's receivers against all its transmitters is a receivers x
+    transmitters grid.  A transmitter interferes when it is not the
+    receiver's own and at a positive distance; for mmW also within R_L,
+    with its mainlobe, aimed at its own partner, covering the receiver.
+    Each receiver meets its interferers in ascending transmitter index, and
+    its fading draws come from its replication stream, receiver by
+    receiver.
     """
-    window = config.window
+    window, mmw = config.window, config.tier == "mmw"
     rep = np.searchsorted(bounds, receivers, side="right") - 1
-    first = bounds[rep]
-    sizes = bounds[rep + 1] - first
-    if config.tier == "mmw":
-        # Each transmitter aims its mainlobe at its own partner.
-        to_partner = window.displacement(tx_all, partner_all)
-        partner_norm = np.linalg.norm(to_partner, axis=1)
+    rx = rx_all[receivers]
+    order, starts, counts = _candidates(config, bounds, rep, rx, tx_all)
+    pairs = counts.sum(axis=1)
     rep = rep.tolist()
     out = []
-    for lo, hi in _pair_blocks(sizes):
-        cnt = sizes[lo:hi]
-        starts = np.cumsum(cnt) - cnt
-        tx = _ragged_index(first[lo:hi], cnt)
-        rx = rx_all[receivers[lo:hi]]
-        # The pair of each receiver with its own transmitter.
-        own = starts + receivers[lo:hi] - first[lo:hi]
-        # Receiver-to-transmitter torus displacement, one coordinate at a time.
-        dx = window.displacement(np.repeat(rx[:, 0], cnt), tx_all[tx, 0])
-        dy = window.displacement(np.repeat(rx[:, 1], cnt), tx_all[tx, 1])
+    for lo, hi in _pair_blocks(pairs):
+        # Receiver i of the block holds pairs edges[i] to edges[i + 1] - 1.
+        edges = np.concatenate(([0], np.cumsum(pairs[lo:hi])))
+        grid = order is None and rep[lo] == rep[hi - 1]
+        if grid:
+            first, size = starts[lo, 0], counts[lo, 0]
+            tx = tx_all[first : first + size]
+            dx = window.displacement(rx[lo:hi, :1], tx[:, 0]).ravel()
+            dy = window.displacement(rx[lo:hi, 1:], tx[:, 1]).ravel()
+        else:
+            tx = _ragged_index(starts[lo:hi].ravel(), counts[lo:hi].ravel())
+            if order is not None:
+                tx = order[tx]
+            # Receiver-to-transmitter torus displacement, one coordinate at a time.
+            dx = window.displacement(np.repeat(rx[lo:hi, 0], pairs[lo:hi]), tx_all[tx, 0])
+            dy = window.displacement(np.repeat(rx[lo:hi, 1], pairs[lo:hi]), tx_all[tx, 1])
         dist = np.sqrt(dx * dx + dy * dy)
         keep = dist > 0
-        keep[own] = False
-        if config.tier == "mmw":
+        if mmw:
             keep &= dist <= config.params.r_los
+            near = np.flatnonzero(keep)
+            # Receiver i of the block and transmitter j of each pair within R_L.
+            if grid:
+                i = near // size
+                j = near - i * size + first
+            else:
+                i = np.searchsorted(edges, near, side="right") - 1
+                j = tx[near]
             # Interferer j covers the receiver when the angle between its
             # partner direction and its direction to the receiver is within
-            # theta/2; only the pairs within R_L take the test.
-            near = np.flatnonzero(keep)
-            j = tx[near]
-            num = to_partner[j, 0] * -dx[near] + to_partner[j, 1] * -dy[near]
-            den = partner_norm[j] * dist[near]
+            # theta/2.
+            to_partner = window.displacement(tx_all[j], partner_all[j])
+            num = to_partner[:, 0] * -dx[near] + to_partner[:, 1] * -dy[near]
+            den = np.linalg.norm(to_partner, axis=1) * dist[near]
             cos_angle = np.where(den > 0, num / np.maximum(den, 1e-300), 1.0)
-            keep[near] = cos_angle >= math.cos(config.params.theta / 2.0)
-        for k, a, b, pair in zip(rep[lo:hi], starts.tolist(), (starts + cnt).tolist(), own.tolist()):
-            out.append(_faded(config, rngs[k], float(dist[pair]), dist[a:b][keep[a:b]]))
+            own = j == receivers[lo:hi][i]
+            hit = (cos_angle >= math.cos(config.params.theta / 2.0)) & ~own
+            kept = near[hit]
+            # An own link not within R_L (or of length 0) carries no signal,
+            # whatever its length.
+            r0 = np.full(hi - lo, math.inf)
+            r0[i[own]] = dist[near[own]]
+        else:
+            # Each receiver's pairs are its replication's links, its own among them.
+            own = edges[:-1] + receivers[lo:hi] - starts[lo:hi, 0]
+            r0 = dist[own]
+            keep[own] = False
+            kept = np.flatnonzero(keep)
+        cuts = np.searchsorted(kept, edges).tolist()
+        if order is not None:
+            # Cells list a block's transmitters out of index order.
+            kept = kept[np.lexsort((j[hit], i[hit]))]
+        d = dist[kept]
+        for k, r, a, b in zip(rep[lo:hi], r0.tolist(), cuts, cuts[1:]):
+            out.append(_faded(config, rngs[k], r, d[a:b]))
     return out
+
+
+def _candidates(config: SimConfig, bounds, rep, rx, tx_all):
+    """The candidate interferers of each receiver, at ``rx``, of replication
+    ``rep``: runs ``starts[i, c]`` to ``starts[i, c] + counts[i, c] - 1`` of
+    the transmitters sorted by ``order`` (None: in index order).
+
+    Replication k's transmitters fall in the cells k n^2 + x n + y of an
+    n x n grid whose cells are at least the interference radius wide, R_L
+    plus the association's margin, so every transmitter within R_L of a
+    receiver lies in the 3x3 block of cells around the receiver's.  With
+    fewer than three cells per side (muW has no radius) the block wraps the
+    grid and holds every transmitter of the replication: one run, in index
+    order.  So does a batch of fewer than ``_CELL_RECEIVERS`` receivers per
+    replication, for which binning the transmitters costs more than the
+    pairs it saves.
+    """
+    side = config.window.side
+    radius = config.params.r_los if config.tier == "mmw" else math.inf
+    n_reps = bounds.size - 1
+    # About one transmitter per cell at most, so that the grids' table
+    # stays within the transmitters' size.
+    n = min(int(side / (radius + 2e-9 * side)), math.isqrt(tx_all.shape[0] // n_reps + 1))
+    if n < 3 or rep.size < _CELL_RECEIVERS * (np.count_nonzero(np.diff(rep)) + 1):
+        first = bounds[rep]
+        return None, first[:, None], (bounds[rep + 1] - first)[:, None]
+    cx, cy = _cell_xy(tx_all, side, n)
+    keys = np.repeat(np.arange(n_reps) * (n * n), np.diff(bounds)) + cx * n + cy
+    cells = np.bincount(keys, minlength=n_reps * n * n)
+    block = _block_slots(rx, side, n, 1)[0] + (rep * (n * n))[:, None]
+    counts = cells[block]
+    return np.argsort(keys), np.cumsum(cells)[block] - counts, counts
 
 
 def _reps_records(config: SimConfig, reps: range) -> list[tuple]:

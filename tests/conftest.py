@@ -1,8 +1,10 @@
 """Shared test plumbing: collects acceptance-criterion result lines and
 prints them in the terminal summary, where pytest's capture cannot hide
 them for passing tests, pins the CPU count the simulator's pool sees, and
-provides the per-receiver SIR reference that the simulator tests and
-criterion 4 compare the simulator with (fixtures ``per_receiver_sir`` and
+provides the torus distance and the 3.5 law of the active-BS probability
+(fixtures ``torus_distance`` and ``active_bs_probability``), the
+per-receiver SIR reference that the simulator tests and criterion 4
+compare the simulator with (fixtures ``per_receiver_sir`` and
 ``power_mismatches``), the paper's printed maximal DL rates that criterion 7
 and the worked-point tests compare the optimum with (fixture
 ``printed_r_d``), and the KD-tree Voronoi cell areas that criterion 11
@@ -37,9 +39,32 @@ def _two_cpus(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
 
 
+def _torus_distance(window, src, dst):
+    """Minimal-image distance(s) from ``src`` to ``dst`` on the window's torus."""
+    d = window.displacement(src, dst)
+    return np.sqrt(np.sum(d * d, axis=-1))
+
+
+@pytest.fixture(scope="session")
+def torus_distance():
+    return _torus_distance
+
+
+def _active_bs_probability(lambda_hat):
+    """Probability that a BS has at least one associated user,
+    1 - [1 + (3.5 lambda_hat)^-1]^-3.5 at BS-to-user density ratio
+    lambda_hat."""
+    return -math.expm1(-3.5 * math.log1p(1.0 / (3.5 * lambda_hat)))
+
+
+@pytest.fixture
+def active_bs_probability():
+    return _active_bs_probability
+
+
 def _per_receiver_sir(config, rep, power=1.0):
     """Reference for a replication of ``_batch_sir``: the geometry one
-    receiver at a time, by ``Window.distance`` and an explicit mainlobe test,
+    receiver at a time, by the torus distance and an explicit mainlobe test,
     with the same draws, on the replication's network alone (a batch of one).
     Every transmitter sends at ``power``, in the signal and in each
     interferer's term.
@@ -69,13 +94,13 @@ def _per_receiver_sir(config, rep, power=1.0):
     rows = []
     for ridx in receiver_ids:
         rx = rx_all[ridx]
-        r0 = float(window.distance(tx_all[ridx], rx))
+        r0 = float(_torus_distance(window, tx_all[ridx], rx))
         if r0 <= 0 or (mmw and r0 > r_los):
             rows.append(np.zeros(n_draws))
             continue
         others = np.flatnonzero(np.arange(active.size) != ridx)
         tx_i = tx_all[others]
-        d_i = window.distance(rx, tx_i)
+        d_i = _torus_distance(window, rx, tx_i)
         keep = d_i > 0
         if mmw:
             keep &= d_i <= r_los

@@ -11,7 +11,6 @@ from mmudn.pointprocess import (
     LazyPPP,
     PointSet,
     Window,
-    active_bs_probability,
     associate_strongest,
     sample_ppp,
     schedule_active,
@@ -36,16 +35,16 @@ def test_window_for_expected_points():
 
 
 def test_torus_distance_against_image_enumeration():
+    # The displacement is the vector to the nearest of the nine images.
     rng = np.random.default_rng(0)
     w = Window(side=10.0)
     a = rng.uniform(0, 10, size=2)
     b = rng.uniform(0, 10, size=(50, 2))
-    got = w.distance(a, b)
+    got = w.displacement(a, b)
     shifts = np.array([(i, j) for i in (-10, 0, 10) for j in (-10, 0, 10)])
-    brute = np.min(
-        np.linalg.norm(b[:, None, :] + shifts[None, :, :] - a, axis=-1), axis=1
-    )
-    np.testing.assert_allclose(got, brute, rtol=1e-12)
+    images = b[:, None, :] + shifts[None, :, :] - a
+    nearest = np.argmin(np.linalg.norm(images, axis=-1), axis=1)
+    np.testing.assert_allclose(got, images[np.arange(len(b)), nearest], rtol=1e-12, atol=1e-12)
 
 
 @given(
@@ -60,10 +59,10 @@ def test_torus_distance_symmetric_and_bounded(side, ax, ay, bx, by):
     w = Window(side=side)
     a = np.array([ax * side, ay * side])
     b = np.array([bx * side, by * side])
-    d_ab = float(w.distance(a, b))
-    d_ba = float(w.distance(b, a))
-    assert d_ab == pytest.approx(d_ba, rel=1e-12)
-    assert d_ab <= side / math.sqrt(2.0) + 1e-9
+    d_ab = w.displacement(a, b)
+    d_ba = w.displacement(b, a)
+    np.testing.assert_allclose(d_ab, -d_ba, rtol=1e-12, atol=1e-12 * side)
+    assert np.all(np.abs(d_ab) <= side / 2 + 1e-9)
 
 
 # --- PPP sampling -----------------------------------------------------------
@@ -187,20 +186,20 @@ _ASSOC_CASES = [
 
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=25, deadline=None)
-def test_association_invariant_nearest_among_candidates(seed):
+def test_association_invariant_nearest_among_candidates(torus_distance, seed):
     # Every case runs on every drawn seed, so each gets all 25 examples.
     for case in _ASSOC_CASES:
-        _check_association(seed, *case)
+        _check_association(torus_distance, seed, *case)
 
 
-def _brute_force(users, bss, w, los_radius):
-    """Nearest BS of each user by the torus distance to every BS (the
+def _brute_force(distance, users, bss, w, los_radius):
+    """Nearest BS of each user by the torus ``distance`` to every BS (the
     lowest index on a tie), or -1 when none is closer than ``los_radius``."""
-    d_all = np.array([w.distance(u, bss) for u in users])
+    d_all = np.array([distance(w, u, bss) for u in users])
     return np.where(d_all.min(axis=1) < los_radius, np.argmin(d_all, axis=1), -1)
 
 
-def _check_association(seed, bs_density, los_radius, layout):
+def _check_association(distance, seed, bs_density, los_radius, layout):
     side = 20.0
     rng = np.random.default_rng(seed)
     w = Window(side=side)
@@ -222,7 +221,7 @@ def _check_association(seed, bs_density, los_radius, layout):
         users = np.vstack([users, [side - 0.005, side - 0.005]])
     elif layout == "holes":
         radius = rng.uniform(0.3, 1.2, size=len(users))
-        d = np.array([w.distance(u, bss) for u in users])
+        d = np.array([distance(w, u, bss) for u in users])
         bss = bss[np.all(d > radius[:, None], axis=0)]
     elif layout == "clustered":
         bss = bss / 4.0
@@ -236,13 +235,13 @@ def _check_association(seed, bs_density, los_radius, layout):
     assoc = associate_strongest(_point_set(users, w), _point_set(bss, w), los_radius)
     np.testing.assert_array_equal(
         assoc.user_to_bs,
-        _brute_force(users, bss, w, los_radius),
+        _brute_force(distance, users, bss, w, los_radius),
         err_msg=f"{bs_density, los_radius, layout}",
     )
 
 
 @pytest.mark.parametrize("los_radius", [0.25, 0.3])
-def test_los_sized_cells_hold_every_bs_within_los_radius(monkeypatch, los_radius):
+def test_los_sized_cells_hold_every_bs_within_los_radius(monkeypatch, torus_distance, los_radius):
     # Both radii are shorter than the 0.45 m side of 4-BS cells at 20 BSs/m^2.
     # Cells just wider than the radius put every BS within it in a user's
     # 3x3 block, so no block grows.  0.25 m divides the 20 m window: cells
@@ -261,7 +260,7 @@ def test_los_sized_cells_hold_every_bs_within_los_radius(monkeypatch, los_radius
 
     monkeypatch.setattr(pp, "_search", refuse_rings)
     assoc = associate_strongest(users, bss, los_radius)
-    expected = _brute_force(users.points, bss.points, w, los_radius)
+    expected = _brute_force(torus_distance, users.points, bss.points, w, los_radius)
     assert np.any(expected < 0) and np.any(expected >= 0)
     np.testing.assert_array_equal(assoc.user_to_bs, expected)
 
@@ -305,17 +304,12 @@ def test_schedule_uniform_pick():
 # --- Active-BS statistics ---------------------------------------------------
 
 
-def test_active_bs_probability_values():
+def test_active_bs_probability_values(active_bs_probability):
     # Frozen against direct evaluation of 1 - [1 + (3.5 lhat)^-1]^-3.5.
     assert active_bs_probability(100.0) == pytest.approx(0.009936049464, rel=1e-9)
     assert active_bs_probability(1.0) == pytest.approx(0.5850513490, rel=1e-9)
     assert active_bs_probability(1e-6) == pytest.approx(1.0, abs=1e-4)
-
-
-def test_active_bs_probability_limits_and_errors():
     assert active_bs_probability(1e12) < 1e-11
-    with pytest.raises(ParameterError):
-        active_bs_probability(0.0)
 
 
 # --- Voronoi cell areas ------------------------------------------------------
@@ -377,7 +371,7 @@ _LAZY_CASES = [
 
 @pytest.mark.parametrize("bs_density,los_radius,per_cell", _LAZY_CASES)
 def test_lazy_association_is_nearest_over_the_whole_window(
-    monkeypatch, bs_density, los_radius, per_cell
+    monkeypatch, torus_distance, bs_density, los_radius, per_cell
 ):
     # The BSs of the cells left undrawn are drawn afterwards, from another
     # stream: no user may have one nearer than its association.
@@ -397,7 +391,7 @@ def test_lazy_association_is_nearest_over_the_whole_window(
             points = np.vstack([points, rest[~np.isin(cx * n + cy, cells)]])
         assert assoc.scheduled_user.size == len(bss) <= assoc.n_bs
         if len(users) and len(points):
-            expected = _brute_force(users.points, points, w, los_radius)
+            expected = _brute_force(torus_distance, users.points, points, w, los_radius)
             np.testing.assert_array_equal(assoc.user_to_bs, expected)
     if per_cell < 1 and los_radius > 0.2:
         assert grew, "no block grew by a ring"

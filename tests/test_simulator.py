@@ -16,7 +16,6 @@ from mmudn.pointprocess import (
     AssociationMap,
     PointSet,
     Window,
-    active_bs_probability,
     associate_strongest,
     sample_ppp,
     schedule_active,
@@ -172,10 +171,17 @@ def test_block_geometry_is_bit_identical(monkeypatch, per_receiver_sir, tier, di
     # block_pairs = 1 puts one receiver in each block, however many are active.
     monkeypatch.setattr(pp, "_BLOCK_PAIRS", block_pairs)
     real_network = sim._scheduled_network
+    real_candidates = sim._candidates
 
     def unrestricted_network(config, rngs, los_radius):
         return real_network(config, rngs, math.inf)
 
+    def spy_candidates(config, *args):
+        order, starts, counts = real_candidates(config, *args)
+        seen.add("one cell" if order is None else "cells")
+        return order, starts, counts
+
+    monkeypatch.setattr(sim, "_candidates", spy_candidates)
     seen = set()
 
     def check(config, reps):
@@ -208,10 +214,37 @@ def test_block_geometry_is_bit_identical(monkeypatch, per_receiver_sir, tier, di
             with monkeypatch.context() as m:
                 m.setattr(sim, "_scheduled_network", unrestricted_network)
                 check(cfg(replications=1, params=net(lhat_m=2.0), **base), range(4))
-    expected = {"one active", "several blocks", "free row", "ok", "interference_free"}
+        # Windows just over 3 R_L and 4 R_L wide, of 45 and 80 expected
+        # users: grids of 3 and 4 cells per side, whose 3x3 blocks wrap the
+        # torus seam, with cells in both receiver modes.
+        with monkeypatch.context() as m:
+            m.setattr(sim, "_CELL_RECEIVERS", 1)
+            for side in (150.001, 200.001):
+                params = NetworkParams(lambda_m=0.2, lambda_mu=0.2, lambda_u=2e-3, r_los=50.0)
+                check(cfg(replications=1, window=Window(side=side), params=params, **base), range(3))
+    expected = {"one active", "several blocks", "free row", "ok", "interference_free", "one cell"}
     if tier == "mmw":
-        expected.add("zero row")
+        expected |= {"zero row", "cells"}
     assert expected <= seen
+
+
+@pytest.mark.parametrize("seam", [False, True])
+@pytest.mark.parametrize("offset,counts", [(-1e-6, True), (1e-6, False)])
+def test_mainlobe_half_angle(seam, offset, counts):
+    # Two links by hand: an interferer 3 m from the receiver whose partner
+    # lies theta/2 + offset from its direction to the receiver, and (seam)
+    # the receiver just right of x = 0, its interferer and the interferer's
+    # partner across the seam.
+    theta, side = math.radians(15.0), 100.0
+    config = cfg(tier="mmw", params=net(r_los=10.0, theta=theta), window=Window(side=side))
+    rx = np.array([0.5 if seam else 50.0, 50.0])
+    tx = (rx - [3.0, 0.0]) % side
+    angle = theta / 2 + offset
+    partner = (tx + 5.0 * np.array([math.cos(angle), math.sin(angle)])) % side
+    rx_all, tx_all = np.array([rx, partner]), np.array([rx + [0.0, 4.0], tx])
+    rngs = [np.random.default_rng(0)]
+    [sir] = sim._receivers_sir(config, rngs, np.array([0, 2]), np.array([0]), rx_all, tx_all, rx_all)
+    assert (sir is not None) == counts
 
 
 # --- batches ------------------------------------------------------------------------------
@@ -332,7 +365,7 @@ def test_homogenization_dense_regime():
     assert out["ratio"] == pytest.approx(1.0, abs=0.05)
 
 
-def test_homogenization_matches_active_probability_at_unity():
+def test_homogenization_matches_active_probability_at_unity(active_bs_probability):
     c = cfg(params=net(lhat_mu=1.0), replications=60)
     out = validate_homogenization(c)
     # Empirical active density ~ lambda_bs * p_a = lambda_u * lhat * p_a.
