@@ -78,11 +78,7 @@ class Window:
     def displacement(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
         """Minimal-image displacement vector(s) from src to dst."""
         d = np.asarray(dst, dtype=float) - np.asarray(src, dtype=float)
-        # d - side * round(d / side), with fewer temporaries.
-        shift = np.round(d / self.side)
-        shift *= self.side
-        d -= shift
-        return d
+        return d - self.side * np.round(d / self.side)
 
 
 @dataclass(frozen=True)
@@ -293,12 +289,19 @@ def _cells_per_side(count: float, side: float, los_radius: float) -> int:
     ``_BS_PER_CELL`` BSs per cell or, when the LOS radius is shorter than that
     cell side, cells just wider than it, at most isqrt(4 count) per side."""
     n = math.isqrt(int(count // _BS_PER_CELL))
-    margin = 1e-9 * side
-    if n >= 3 and los_radius + 2 * margin < side / n:
+    if n >= 3 and _los_cells(side, los_radius) > n:
         # Cells wider than the LOS radius by a margin still hold every BS
         # within it in a user's block, and fewer other BSs.
-        n = min(int(side / (los_radius + 2 * margin)), math.isqrt(int(4 * count)))
+        n = min(_los_cells(side, los_radius), math.isqrt(int(4 * count)))
     return n
+
+
+def _los_cells(side: float, los_radius: float) -> int:
+    """Cells per side of the finest grid whose cells are wider than
+    ``los_radius`` by a margin for rounding in the cell assignment at each
+    end: every point within ``los_radius`` of another lies in the 3x3 block
+    of cells around the other's."""
+    return int(side / (los_radius + 2e-9 * side))
 
 
 def _cell_xy(points: np.ndarray, side: float, n_cells: int) -> tuple[np.ndarray, np.ndarray]:
@@ -383,18 +386,53 @@ def _block_slots(user_points: np.ndarray, side: float, n_cells: int, radius: int
     window side, so that a BS in the cell less them is the displacement to
     the BS's image next to the user.  Rows and columns are wrapped apart, on
     (users, 2 radius + 1) arrays, then spread over the block."""
+    keys, shift_x, shift_y = _block_keys(user_points, side, n_cells, radius)
+    row, col = _block_cells(2 * radius + 1)
+    frame_x = (user_points[:, :1] - side * shift_x)[:, row]
+    frame_y = (user_points[:, 1:] - side * shift_y)[:, col]
+    return keys, frame_x, frame_y
+
+
+def _block_keys(user_points: np.ndarray, side: float, n_cells: int, radius: int):
+    """The keys x n + y of each user's block of cells within ``radius``
+    rows and columns of its own, wrapped onto the grid, row by row, and the
+    window sides (-1, 0 or 1) by which each of the block's rows and columns
+    was wrapped."""
     ux, uy = _cell_xy(user_points, side, n_cells)
-    width = 2 * radius + 1
     offsets = np.arange(-radius, radius + 1)
     nx = ux[:, None] + offsets
     ny = uy[:, None] + offsets
     shift_x = nx // n_cells
     shift_y = ny // n_cells
-    row, col = _block_cells(width)
+    row, col = _block_cells(2 * radius + 1)
     keys = ((nx - n_cells * shift_x) * n_cells)[:, row] + (ny - n_cells * shift_y)[:, col]
-    frame_x = (user_points[:, :1] - side * shift_x)[:, row]
-    frame_y = (user_points[:, 1:] - side * shift_y)[:, col]
-    return keys, frame_x, frame_y
+    return keys, shift_x, shift_y
+
+
+def _block_candidates(points, bounds, user_points, process, side: float, los_radius: float, max_cells: int):
+    """Each user's candidates among the points of its process that may lie
+    within ``los_radius`` of it, or None when cells that wide fit fewer
+    than three times across the window (the 3x3 block would wrap the grid).
+
+    Process k's points are ``points[bounds[k]:bounds[k + 1]]``; user i,
+    at ``user_points[i]``, is of process ``process[i]``.  The points fall in
+    the cells k n^2 + x n + y of n x n grids, at most ``max_cells`` per
+    side, whose cells are wider than ``los_radius`` (see
+    :func:`_los_cells`), and a user's candidates are the points of the 3x3
+    block of cells around its own: (order, starts, counts), where slot c of
+    user i holds positions ``starts[i, c]`` to ``starts[i, c] + counts[i, c]
+    - 1`` of the points sorted by ``order``.
+    """
+    n = min(_los_cells(side, los_radius), max_cells)
+    if n < 3:
+        return None
+    n_processes = bounds.size - 1
+    cx, cy = _cell_xy(points, side, n)
+    keys = np.repeat(np.arange(n_processes) * (n * n), np.diff(bounds)) + cx * n + cy
+    cells = np.bincount(keys, minlength=n_processes * n * n)
+    block = _block_keys(user_points, side, n, 1)[0] + (process * (n * n))[:, None]
+    counts = cells[block]
+    return np.argsort(keys), np.cumsum(cells)[block] - counts, counts
 
 
 @functools.cache

@@ -36,13 +36,12 @@ k n^2 + x n + y as in association, so the pairs grow linearly with the
 users; otherwise (muW, few receivers, or a block that wraps the grid)
 every active transmitter of its replication.  The pairs run in the blocks
 an association search uses (at most ``pointprocess._BLOCK_PAIRS`` pairs at
-a time), one replication's receivers against all its transmitters as a
-receivers x transmitters grid.  Fading is drawn per receiver, ``g0`` then
-``g_i``, receiver by receiver, with the sizes and order of a one-receiver
-loop, interferers in ascending transmitter index; one large draw per
-replication would reorder the stream, and measured slower.  Elements take
-the same floating-point operations however the pairs are cut into batches,
-cells and chunks, so none of these changes a bit.
+a time).  Fading is drawn per receiver, ``g0`` then ``g_i``, receiver by
+receiver, with the sizes and order of a one-receiver loop, interferers in
+ascending transmitter index; one large draw per replication would reorder
+the stream, and measured slower.  Elements take the same floating-point
+operations however the pairs are cut into batches, cells and chunks, so
+none of these changes a bit.
 
 Replications are independent and reproducible: replication ``i`` runs on
 ``default_rng([master_seed, i])`` regardless of batch, execution order or
@@ -78,8 +77,7 @@ from .errors import ParameterError
 from .pointprocess import (
     LazyPPP,
     Window,
-    _block_slots,
-    _cell_xy,
+    _block_candidates,
     _pair_blocks,
     _ragged_index,
     associate_strongest,
@@ -122,9 +120,10 @@ _BATCH_POINTS = 1 << 15
 # transmitters into cells (see _candidates); with fewer, pairing each
 # receiver with every transmitter of its replication costs less.  Timed on
 # a 2-core VM, geometry per mmW replication at R_L = 10 m and lambda_u =
-# 0.01: cells took about 50 % longer with one receiver (typical mode), 38-40 %
-# longer with 12-16 receivers and 5 % with 25, and 17-19 % less with 36-49,
-# 39 % with 64, 50 % with 100 and 89 % with 1,000.
+# 0.01: cells took 44-67 % longer with one receiver (typical mode), 31-45 %
+# longer with 12-16 receivers and 3 % with 25, and 5-15 % less with 36,
+# 16 % with 49, 32 % with 64, 45 % with 100 and 92 % with 1,000
+# (BENCH_28.json, cell_threshold_geometry_ms_per_replication).
 _CELL_RECEIVERS = 24
 
 
@@ -314,50 +313,42 @@ def _receivers_sir(config: SimConfig, rngs, bounds, receivers, rx_all, tx_all, p
     of its replication in the 3x3 block of cells around its own, or every
     one of its replication when that block wraps the grid.  The pairs are
     cut by :func:`~mmudn.pointprocess._pair_blocks` into blocks of at most
-    ``_BLOCK_PAIRS`` (or one receiver's, when it has more); a block of one
-    replication's receivers against all its transmitters is a receivers x
-    transmitters grid.  A transmitter interferes when it is not the
-    receiver's own and at a positive distance; for mmW also within R_L,
-    with its mainlobe, aimed at its own partner, covering the receiver.
-    Each receiver meets its interferers in ascending transmitter index, and
-    its fading draws come from its replication stream, receiver by
-    receiver.
+    ``_BLOCK_PAIRS`` (or one receiver's, when it has more).  A transmitter
+    interferes when it is not the receiver's own and at a positive
+    distance; for mmW also within R_L, with its mainlobe, aimed at its own
+    partner, covering the receiver.  Each receiver meets its interferers in
+    ascending transmitter index, and its fading draws come from its
+    replication stream, receiver by receiver.
     """
     window, mmw = config.window, config.tier == "mmw"
     rep = np.searchsorted(bounds, receivers, side="right") - 1
     rx = rx_all[receivers]
     order, starts, counts = _candidates(config, bounds, rep, rx, tx_all)
+    # Contiguous coordinate columns: gathering 16k pairs from one took 14 us
+    # against 42 us from a column of the (transmitters, 2) array.  The
+    # geometry of a 1,000-user muW all-receiver replication fell from 24.4
+    # to 18.7 ms (medians of 10 alternating process pairs, 2-core VM).
+    tx_x, tx_y = tx_all.T.copy()
     pairs = counts.sum(axis=1)
     rep = rep.tolist()
     out = []
     for lo, hi in _pair_blocks(pairs):
         # Receiver i of the block holds pairs edges[i] to edges[i + 1] - 1.
         edges = np.concatenate(([0], np.cumsum(pairs[lo:hi])))
-        grid = order is None and rep[lo] == rep[hi - 1]
-        if grid:
-            first, size = starts[lo, 0], counts[lo, 0]
-            tx = tx_all[first : first + size]
-            dx = window.displacement(rx[lo:hi, :1], tx[:, 0]).ravel()
-            dy = window.displacement(rx[lo:hi, 1:], tx[:, 1]).ravel()
-        else:
-            tx = _ragged_index(starts[lo:hi].ravel(), counts[lo:hi].ravel())
-            if order is not None:
-                tx = order[tx]
-            # Receiver-to-transmitter torus displacement, one coordinate at a time.
-            dx = window.displacement(np.repeat(rx[lo:hi, 0], pairs[lo:hi]), tx_all[tx, 0])
-            dy = window.displacement(np.repeat(rx[lo:hi, 1], pairs[lo:hi]), tx_all[tx, 1])
+        tx = _ragged_index(starts[lo:hi].ravel(), counts[lo:hi].ravel())
+        if order is not None:
+            tx = order[tx]
+        # Receiver-to-transmitter torus displacement, one coordinate at a time.
+        dx = window.displacement(np.repeat(rx[lo:hi, 0], pairs[lo:hi]), tx_x[tx])
+        dy = window.displacement(np.repeat(rx[lo:hi, 1], pairs[lo:hi]), tx_y[tx])
         dist = np.sqrt(dx * dx + dy * dy)
         keep = dist > 0
         if mmw:
             keep &= dist <= config.params.r_los
             near = np.flatnonzero(keep)
             # Receiver i of the block and transmitter j of each pair within R_L.
-            if grid:
-                i = near // size
-                j = near - i * size + first
-            else:
-                i = np.searchsorted(edges, near, side="right") - 1
-                j = tx[near]
+            i = np.searchsorted(edges, near, side="right") - 1
+            j = tx[near]
             # Interferer j covers the receiver when the angle between its
             # partner direction and its direction to the receiver is within
             # theta/2.
@@ -393,31 +384,25 @@ def _candidates(config: SimConfig, bounds, rep, rx, tx_all):
     ``rep``: runs ``starts[i, c]`` to ``starts[i, c] + counts[i, c] - 1`` of
     the transmitters sorted by ``order`` (None: in index order).
 
-    Replication k's transmitters fall in the cells k n^2 + x n + y of an
-    n x n grid whose cells are at least the interference radius wide, R_L
-    plus the association's margin, so every transmitter within R_L of a
-    receiver lies in the 3x3 block of cells around the receiver's.  With
-    fewer than three cells per side (muW has no radius) the block wraps the
-    grid and holds every transmitter of the replication: one run, in index
-    order.  So does a batch of fewer than ``_CELL_RECEIVERS`` receivers per
-    replication, for which binning the transmitters costs more than the
-    pairs it saves.
+    For mmW the candidates are the transmitters of the receiver's
+    replication in the 3x3 block of cells around its own, on a grid whose
+    cells are wider than R_L (see
+    :func:`~mmudn.pointprocess._block_candidates`).  With fewer than three
+    such cells per side (and for muW, which has no radius) the block would
+    wrap the grid, so the candidates are every transmitter of the
+    replication: one run, in index order.  So are they for a batch of fewer
+    than ``_CELL_RECEIVERS`` receivers per replication, for which binning
+    the transmitters costs more than the pairs it saves.
     """
-    side = config.window.side
-    radius = config.params.r_los if config.tier == "mmw" else math.inf
-    n_reps = bounds.size - 1
-    # About one transmitter per cell at most, so that the grids' table
-    # stays within the transmitters' size.
-    n = min(int(side / (radius + 2e-9 * side)), math.isqrt(tx_all.shape[0] // n_reps + 1))
-    if n < 3 or rep.size < _CELL_RECEIVERS * (np.count_nonzero(np.diff(rep)) + 1):
-        first = bounds[rep]
-        return None, first[:, None], (bounds[rep + 1] - first)[:, None]
-    cx, cy = _cell_xy(tx_all, side, n)
-    keys = np.repeat(np.arange(n_reps) * (n * n), np.diff(bounds)) + cx * n + cy
-    cells = np.bincount(keys, minlength=n_reps * n * n)
-    block = _block_slots(rx, side, n, 1)[0] + (rep * (n * n))[:, None]
-    counts = cells[block]
-    return np.argsort(keys), np.cumsum(cells)[block] - counts, counts
+    if config.tier == "mmw" and rep.size >= _CELL_RECEIVERS * (np.count_nonzero(np.diff(rep)) + 1):
+        # About one transmitter per cell at most, so that the cell counts
+        # stay within the transmitters' size.
+        max_cells = math.isqrt(tx_all.shape[0] // (bounds.size - 1) + 1)
+        cells = _block_candidates(tx_all, bounds, rx, rep, config.window.side, config.params.r_los, max_cells)
+        if cells is not None:
+            return cells
+    first = bounds[rep]
+    return None, first[:, None], (bounds[rep + 1] - first)[:, None]
 
 
 def _reps_records(config: SimConfig, reps: range) -> list[tuple]:
