@@ -154,7 +154,6 @@ class AllocationResult:
     region: RegionLabel
     rate: RatePair
     gammas: Gammas
-    a1_satisfied: bool
 
 
 # ---------------------------------------------------------------------------
@@ -273,18 +272,16 @@ def cl_boundary(params: NetworkParams, spectrum: SpectrumParams) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _check_a1(spectrum: SpectrumParams, g: Gammas, strict: bool) -> bool:
-    """Dominant-mmW-DL assumption W_m gamma_m > W_mu gamma_mu underlying the
-    closed forms; violated near lhat_m = 1.  The branch formulas still match
-    the LP there, so by default only a flag is set.
+def _check_a1(spectrum: SpectrumParams, g: Gammas) -> None:
+    """Raise unless the dominant-mmW-DL assumption W_m gamma_m > W_mu gamma_mu
+    underlying the closed forms holds; it fails near lhat_m = 1, where the
+    branch formulas still match the LP, so only ``strict`` callers check it.
     """
-    ok = spectrum.w_m * g.gamma_m > spectrum.w_mu_band * g.gamma_mu
-    if not ok and strict:
+    if not spectrum.w_m * g.gamma_m > spectrum.w_mu_band * g.gamma_mu:
         raise AssumptionError(
             "W_m gamma_m <= W_mu gamma_mu: mmW DL does not dominate "
             f"({spectrum.w_m * g.gamma_m:.6g} <= {spectrum.w_mu_band * g.gamma_mu:.6g})"
         )
-    return ok
 
 
 def _closed_form(
@@ -330,10 +327,12 @@ def optimal_allocation(
     With ``decoupled`` the uW BSs also receive the mmW UL: in the dense
     region D the UL rides on the mmW band (beta_mu = 0), and on the uW band
     too only once the whole mmW band is UL (beta_m = 1); outside D the plain
-    branch formulas apply with the decoupled mmW UL SE.
+    branch formulas apply with the decoupled mmW UL SE.  With ``strict``
+    a point where the dominant-mmW-DL assumption fails raises.
     """
     g = gammas_from_params(params, p_l=p_l, decoupled=decoupled)
-    a1 = _check_a1(spectrum, g, strict)
+    if strict:
+        _check_a1(spectrum, g)
     region = _classify(params, spectrum, g, decoupled)
     alloc = _closed_form(spectrum, g, region)
     return AllocationResult(
@@ -341,7 +340,6 @@ def optimal_allocation(
         region=region,
         rate=rates(alloc, spectrum, g),
         gammas=g,
-        a1_satisfied=a1,
     )
 
 
@@ -426,8 +424,7 @@ def sweep_allocation(
 
     Each row: lambda_hat_m, region label (decoupling-aware), plain-optimum
     betas and rates, decoupled DL rate and the decoupling gain.  With
-    ``strict`` the dominant-mmW-DL assumption check raises instead of
-    flagging.
+    ``strict`` a point where the dominant-mmW-DL assumption fails raises.
     """
     grid = [float(lhat) for lhat in lambda_hat_grid]
     if not grid:

@@ -24,7 +24,6 @@ __all__ = [
     "se_muw_bounds",
     "se_mmw_bounds_tractable",
     "se_mmw_bounds_integral",
-    "approximation_validity_probability",
     "bounds_for",
 ]
 
@@ -93,7 +92,6 @@ class SEBounds:
     lower: float
     upper: float
     asymptotic: float
-    udn_warning: bool = False
 
     def __post_init__(self):
         if self.lower > self.upper + 1e-12:
@@ -108,15 +106,13 @@ def interference_constant(alpha: float) -> float:
     return x / math.sin(x)
 
 
-def _warn_if_sparse(lambda_hat: float) -> bool:
+def _warn_if_sparse(lambda_hat: float) -> None:
     if lambda_hat < 1:
         warnings.warn(
             f"density ratio {lambda_hat} < 1 is outside the ultra-dense regime",
             UDNRegimeWarning,
             stacklevel=3,
         )
-        return True
-    return False
 
 
 def _asymptote(lambda_hat: float, alpha: float, p_l: float = 1.0) -> float:
@@ -132,7 +128,7 @@ def se_muw_bounds(lambda_hat_mu: float, alpha_mu: float) -> SEBounds:
     upper = ln(1 + [(1 + 2/a) lhat]^(a/2)) - a/2.
     """
     rho = interference_constant(alpha_mu)
-    warned = _warn_if_sparse(lambda_hat_mu)
+    _warn_if_sparse(lambda_hat_mu)
     half = 0.5 * alpha_mu
     lower = math.log1p((lambda_hat_mu / rho) ** half) - half
     upper = math.log1p(((1 + 2 / alpha_mu) * lambda_hat_mu) ** half) - half
@@ -140,7 +136,6 @@ def se_muw_bounds(lambda_hat_mu: float, alpha_mu: float) -> SEBounds:
         lower=max(0.0, lower),
         upper=max(0.0, upper),
         asymptotic=max(0.0, _asymptote(lambda_hat_mu, alpha_mu)),
-        udn_warning=warned,
     )
 
 
@@ -165,7 +160,7 @@ def se_mmw_bounds_tractable(params: NetworkParams) -> SEBounds:
     a = params.alpha_m
     lhat = params.lambda_hat_m
     rho = interference_constant(a)
-    warned = _warn_if_sparse(lhat)
+    _warn_if_sparse(lhat)
     p_l = los_probability(params.lambda_m, params.r_los)
     gain = 2 * math.pi / params.theta
     half = 0.5 * a
@@ -177,7 +172,7 @@ def se_mmw_bounds_tractable(params: NetworkParams) -> SEBounds:
     lower = max(0.0, lower)
     upper = max(0.0, upper)
     asym = max(0.0, _asymptote(lhat, a, p_l))
-    return SEBounds(lower=lower, upper=upper, asymptotic=asym, udn_warning=warned)
+    return SEBounds(lower=lower, upper=upper, asymptotic=asym)
 
 
 def _legendre(n: int, x: float) -> tuple[float, float]:
@@ -281,7 +276,7 @@ def se_mmw_bounds_integral(params: NetworkParams) -> SEBounds:
     a = params.alpha_m
     lhat = params.lambda_hat_m
     rho = interference_constant(a)
-    warned = _warn_if_sparse(lhat)
+    _warn_if_sparse(lhat)
     lam_pi_rl2 = params.lambda_m * math.pi * params.r_los**2
     lower = _integral_bound(lhat, a, params.theta, lam_pi_rl2, rho, rho / lhat)
     upper = _integral_bound(
@@ -291,7 +286,7 @@ def se_mmw_bounds_integral(params: NetworkParams) -> SEBounds:
     upper = max(0.0, upper)
     p_l = los_probability(params.lambda_m, params.r_los)
     asym = max(0.0, _asymptote(lhat, a, p_l))
-    return SEBounds(lower=lower, upper=upper, asymptotic=asym, udn_warning=warned)
+    return SEBounds(lower=lower, upper=upper, asymptotic=asym)
 
 
 def bounds_for(tier: str, params: NetworkParams, lambda_hat: float) -> SEBounds:
@@ -305,11 +300,3 @@ def bounds_for(tier: str, params: NetworkParams, lambda_hat: float) -> SEBounds:
         return se_mmw_bounds_integral(replace(params, lambda_m=lambda_hat * params.lambda_u))
     return se_muw_bounds(lambda_hat, params.alpha_mu)
 
-
-def approximation_validity_probability(params: NetworkParams) -> float:
-    """Probability that the mmW interference-constant bounds hold in a UDN,
-    ``1 - exp(-rho_m * lambda_u * pi * R_L^2)``.  Reported for diagnostics;
-    the closed forms assume it holds.
-    """
-    rho = interference_constant(params.alpha_m)
-    return -math.expm1(-rho * params.lambda_u * math.pi * params.r_los**2)

@@ -1,10 +1,10 @@
 """2D/3D blockage parameters and average LOS distances from building statistics.
 
 Building heights are modeled as ``floor_height`` times a lognormal floor
-count; the BS height defaults to the mean building height.  The five
-reference regions of Table I (three Seoul districts plus Manhattan and
-Chicago) are the ``REFERENCE_REGIONS`` constant; other regions are read from
-a CSV with the ``STATS_CSV_HEADER`` columns.
+count; the BS height is given with the statistics.  The five reference
+regions of Table I (three Seoul districts plus Manhattan and Chicago) are
+the ``REFERENCE_REGIONS`` constant; other regions are read from a CSV with
+the ``STATS_CSV_HEADER`` columns.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import csv
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, ParameterError
+from .errors import ParameterError
 
 __all__ = [
     "BuildingStats",
@@ -41,8 +41,8 @@ class BuildingStats:
     """Per-region building statistics driving the blockage model.
 
     ``mu_ln``/``sigma_ln`` parameterize the lognormal *floor count*; the
-    building height is ``floor_height`` times that count.  ``bs_height``
-    defaults to the mean building height.
+    building height is ``floor_height`` times that count.  ``bs_height`` is
+    the BS height in meters.
     """
 
     avg_perimeter: float
@@ -50,8 +50,8 @@ class BuildingStats:
     coverage: float
     mu_ln: float
     sigma_ln: float
-    floor_height: float = 3.0
-    bs_height: float | None = None
+    floor_height: float
+    bs_height: float
 
     def __post_init__(self):
         # Written so that NaN fails every check.
@@ -63,17 +63,8 @@ class BuildingStats:
             raise ParameterError("sigma_ln must be finite and positive")
         if not 0 < self.floor_height < math.inf:
             raise ParameterError("floor_height must be finite and positive")
-        if self.bs_height is not None and not 0 < self.bs_height < math.inf:
+        if not 0 < self.bs_height < math.inf:
             raise ParameterError("bs_height must be finite and positive")
-
-    @property
-    def mean_height(self) -> float:
-        """Mean building height of the lognormal floor-count model."""
-        return self.floor_height * math.exp(self.mu_ln + 0.5 * self.sigma_ln**2)
-
-    @property
-    def effective_bs_height(self) -> float:
-        return self.bs_height if self.bs_height is not None else self.mean_height
 
 
 @dataclass(frozen=True)
@@ -90,8 +81,6 @@ class BlockageParams:
 
 def blockage_beta(stats: BuildingStats) -> float:
     """2D blockage parameter ``beta = -2 rho ln(1 - kappa) / (pi A)`` (per meter)."""
-    if stats.coverage >= 1:
-        raise DomainError("coverage >= 1 leaves no LOS paths")
     return -2.0 * stats.avg_perimeter * math.log1p(-stats.coverage) / (
         math.pi * stats.avg_area
     )
@@ -112,7 +101,7 @@ def height_fraction_eta(stats: BuildingStats) -> float:
     z = (ln c - mu) / sigma.  The second term is formed in logs, so a wide
     lognormal cannot overflow it.
     """
-    c = stats.effective_bs_height / stats.floor_height
+    c = stats.bs_height / stats.floor_height
     mu, sigma = stats.mu_ln, stats.sigma_ln
     z = (math.log(c) - mu) / sigma
     eta = _normal_cdf(z)

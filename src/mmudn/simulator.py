@@ -165,7 +165,7 @@ class SimConfig:
         if expected_users < 1e3:
             warnings.warn(
                 f"window holds only {expected_users:.0f} expected users (< 1000); "
-                "estimates may carry extra boundary variance",
+                "estimates leave out interference from beyond half the window side",
                 stacklevel=2,
             )
 
@@ -287,13 +287,12 @@ def _batch_sir(config: SimConfig, reps: range) -> list[tuple]:
 
 def _faded(config: SimConfig, rng: np.random.Generator, r0: float, d_i: np.ndarray):
     """A receiver's SIR samples, at distance ``r0`` from its transmitter and
-    ``d_i`` from the interferers that count: all zeros when its own link
-    breaks the LOS indicator, None when no interferer counts.  The fading
-    draws come from ``rng``, ``g0`` then ``g_i``.  Same-tier transmit powers
-    cancel exactly in the SIR, so it is computed power-free."""
+    ``d_i`` from the interferers that count: all zeros when it has no link
+    (``r0`` is inf), None when no interferer counts.  The fading draws come
+    from ``rng``, ``g0`` then ``g_i``.  Same-tier transmit powers cancel
+    exactly in the SIR, so it is computed power-free."""
     n_draws, alpha = config.fading_draws, config.alpha
-    if r0 <= 0 or (config.tier == "mmw" and r0 > config.params.r_los):
-        # Desired link violating the LOS indicator carries no signal.
+    if r0 == math.inf:
         return np.zeros(n_draws)
     if d_i.size == 0:
         return None
@@ -313,12 +312,13 @@ def _receivers_sir(config: SimConfig, rngs, bounds, receivers, rx_all, tx_all, p
     of its replication in the 3x3 block of cells around its own, or every
     one of its replication when that block wraps the grid.  The pairs are
     cut by :func:`~mmudn.pointprocess._pair_blocks` into blocks of at most
-    ``_BLOCK_PAIRS`` (or one receiver's, when it has more).  A transmitter
-    interferes when it is not the receiver's own and at a positive
-    distance; for mmW also within R_L, with its mainlobe, aimed at its own
-    partner, covering the receiver.  Each receiver meets its interferers in
-    ascending transmitter index, and its fading draws come from its
-    replication stream, receiver by receiver.
+    ``_BLOCK_PAIRS`` (or one receiver's, when it has more).  A pair is kept
+    at a positive distance, for mmW also within R_L.  The receiver's own
+    kept pair gives its link length ``r0``; without one it has no link and
+    its SIR is zero.  Any other kept transmitter interferes, for mmW only
+    when its mainlobe, aimed at its own partner, covers the receiver.  Each
+    receiver meets its interferers in ascending transmitter index, and its
+    fading draws come from its replication stream, receiver by receiver.
     """
     window, mmw = config.window, config.tier == "mmw"
     rep = np.searchsorted(bounds, receivers, side="right") - 1
@@ -345,34 +345,29 @@ def _receivers_sir(config: SimConfig, rngs, bounds, receivers, rx_all, tx_all, p
         keep = dist > 0
         if mmw:
             keep &= dist <= config.params.r_los
-            near = np.flatnonzero(keep)
-            # Receiver i of the block and transmitter j of each pair within R_L.
-            i = np.searchsorted(edges, near, side="right") - 1
-            j = tx[near]
+        own = tx == np.repeat(receivers[lo:hi], pairs[lo:hi])
+        # A receiver whose own pair is not kept has no link: r0 = inf.
+        mine = np.flatnonzero(keep & own)
+        r0 = np.full(hi - lo, math.inf)
+        r0[np.searchsorted(edges, mine, side="right") - 1] = dist[mine]
+        kept = np.flatnonzero(keep & ~own)
+        if mmw:
+            # Receiver i of the block and transmitter j of each pair.
+            i = np.searchsorted(edges, kept, side="right") - 1
+            j = tx[kept]
             # Interferer j covers the receiver when the angle between its
             # partner direction and its direction to the receiver is within
             # theta/2.
             to_partner = window.displacement(tx_all[j], partner_all[j])
-            num = to_partner[:, 0] * -dx[near] + to_partner[:, 1] * -dy[near]
-            den = np.linalg.norm(to_partner, axis=1) * dist[near]
+            num = to_partner[:, 0] * -dx[kept] + to_partner[:, 1] * -dy[kept]
+            den = np.linalg.norm(to_partner, axis=1) * dist[kept]
             cos_angle = np.where(den > 0, num / np.maximum(den, 1e-300), 1.0)
-            own = j == receivers[lo:hi][i]
-            hit = (cos_angle >= math.cos(config.params.theta / 2.0)) & ~own
-            kept = near[hit]
-            # An own link not within R_L (or of length 0) carries no signal,
-            # whatever its length.
-            r0 = np.full(hi - lo, math.inf)
-            r0[i[own]] = dist[near[own]]
-        else:
-            # Each receiver's pairs are its replication's links, its own among them.
-            own = edges[:-1] + receivers[lo:hi] - starts[lo:hi, 0]
-            r0 = dist[own]
-            keep[own] = False
-            kept = np.flatnonzero(keep)
+            hit = cos_angle >= math.cos(config.params.theta / 2.0)
+            kept, i, j = kept[hit], i[hit], j[hit]
         cuts = np.searchsorted(kept, edges).tolist()
         if order is not None:
             # Cells list a block's transmitters out of index order.
-            kept = kept[np.lexsort((j[hit], i[hit]))]
+            kept = kept[np.lexsort((j, i))]
         d = dist[kept]
         for k, r, a, b in zip(rep[lo:hi], r0.tolist(), cuts, cuts[1:]):
             out.append(_faded(config, rngs[k], r, d[a:b]))

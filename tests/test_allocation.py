@@ -225,13 +225,11 @@ def test_constraint_tight_off_the_corner():
 
 
 def test_a1_flag_and_strict_raise():
-    # Near lhat_m = 1 the mmW DL term no longer dominates.
-    p = net(1.05)
-    res = optimal_allocation(p, spec())
-    assert not res.a1_satisfied
+    # Near lhat_m = 1 the mmW DL term no longer dominates: strict raises
+    # there, and not where it dominates.
     with pytest.raises(AssumptionError):
-        optimal_allocation(p, spec(), strict=True)
-    assert optimal_allocation(net(100.0), spec()).a1_satisfied
+        optimal_allocation(net(1.05), spec(), strict=True)
+    optimal_allocation(net(100.0), spec(), strict=True)
 
 
 # --- decoupled allocation ---------------------------------------------------------------

@@ -1,6 +1,10 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,13 +42,13 @@ def test_beta_reference_values():
 
 
 def test_beta_vanishes_with_coverage():
-    st = BuildingStats(50.0, 200.0, 1e-9, 1.0, 0.3)
+    st = BuildingStats(50.0, 200.0, 1e-9, 1.0, 0.3, 3.0, 10.0)
     assert blockage_beta(st) < 1e-9
 
 
 def test_beta_monotone_in_coverage():
     betas = [
-        blockage_beta(BuildingStats(50.0, 200.0, k, 1.0, 0.3))
+        blockage_beta(BuildingStats(50.0, 200.0, k, 1.0, 0.3, 3.0, 10.0))
         for k in np.linspace(0.05, 0.9, 20)
     ]
     assert np.all(np.diff(betas) > 0)
@@ -52,7 +56,7 @@ def test_beta_monotone_in_coverage():
 
 def test_beta_rejects_full_coverage():
     with pytest.raises(ParameterError):
-        BuildingStats(50.0, 200.0, 1.0, 1.0, 0.3)
+        BuildingStats(50.0, 200.0, 1.0, 1.0, 0.3, 3.0, 10.0)
 
 
 # --- eta ----------------------------------------------------------------------
@@ -60,20 +64,20 @@ def test_beta_rejects_full_coverage():
 
 def test_eta_degenerate_short_buildings():
     # All buildings essentially height zero -> nothing blocks -> eta = 1.
-    st = BuildingStats(50.0, 200.0, 0.3, -30.0, 0.1, bs_height=10.0)
+    st = BuildingStats(50.0, 200.0, 0.3, -30.0, 0.1, 3.0, 10.0)
     assert height_fraction_eta(st) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_eta_degenerate_buildings_at_bs_height():
     # H concentrated exactly at B blocks any positive fraction -> eta -> 0.
-    st = BuildingStats(50.0, 200.0, 0.3, math.log(10.0 / 3.0), 1e-6, bs_height=10.0)
+    st = BuildingStats(50.0, 200.0, 0.3, math.log(10.0 / 3.0), 1e-6, 3.0, 10.0)
     assert height_fraction_eta(st) < 1e-3
 
 
 def test_eta_in_unit_interval_and_monotone_in_bs_height():
     vals = [
         height_fraction_eta(
-            BuildingStats(50.0, 200.0, 0.3, 1.0, 0.4, bs_height=b)
+            BuildingStats(50.0, 200.0, 0.3, 1.0, 0.4, 3.0, b)
         )
         for b in (3.0, 6.0, 12.0, 24.0)
     ]
@@ -90,7 +94,7 @@ def _quad_eta(stats: BuildingStats) -> float:
     alone can step over, so the steps' quantiles z = 0, +-2, +-8 are
     breakpoints.
     """
-    c = stats.effective_bs_height / stats.floor_height
+    c = stats.bs_height / stats.floor_height
     mu, sigma = stats.mu_ln, stats.sigma_ln
 
     def cdf(s):
@@ -123,7 +127,7 @@ def test_eta_closed_form_matches_quad(mu_ln, sigma_ln, floor_height, bs_height):
 
 def test_eta_wide_lognormal_does_not_overflow():
     # exp(mu + sigma^2/2) alone overflows; the second term is formed in logs.
-    wide = BuildingStats(50.0, 200.0, 0.3, 0.0, 38.0, bs_height=10.0)
+    wide = BuildingStats(50.0, 200.0, 0.3, 0.0, 38.0, 3.0, 10.0)
     assert 0.0 <= height_fraction_eta(wide) <= 1.0
 
 
@@ -180,3 +184,24 @@ def test_stats_csv_missing_column(tmp_path):
     bad.write_text("region,avg_perimeter_m\nX,1.0\n")
     with pytest.raises(ParameterError, match="missing columns"):
         read_building_stats_csv(bad)
+
+
+# --- scripts ---------------------------------------------------------------------
+
+
+def test_reproduce_table1_script_runs():
+    # The script reads the library's public names, so it must run: in a
+    # fresh interpreter importing mmudn from this checkout.
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(root / "src") + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "reproduce_table1.py")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = [(line.split(" ", 1)[0], line) for line in proc.stdout.splitlines()]
+    rows = [(name, line) for name, line in rows if name in REFERENCE_REGIONS]
+    assert [name for name, _ in rows] == list(REFERENCE_REGIONS)
+    flagged = [name for name, line in rows if "published beta inconsistent" in line]
+    assert flagged == ["Jongro"]

@@ -90,7 +90,7 @@ CASES = [
 
 def _produce(command: str, args: list[str], path: Path) -> None:
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # the small window warns about boundary variance
+        warnings.simplefilter("ignore")  # the small window warns that it leaves out far interference
         assert run([command, *args, "--output", str(path)]) == EXIT_OK
 
 

@@ -1,13 +1,11 @@
-"""Import scope: each ``mmudn`` command loads only the modules it runs, no
-module of the package imports scipy, and the package's re-exports load
-their home module on first access.
+"""Import scope: each ``mmudn`` command loads only the modules it runs, and
+no module of the package imports scipy.
 
 The scope checks run in fresh interpreters, because this test session has
 long since imported numpy and scipy.
 """
 
 import ast
-import importlib
 import json
 import os
 import subprocess
@@ -15,8 +13,6 @@ import sys
 from pathlib import Path
 
 import pytest
-
-import mmudn
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -114,32 +110,3 @@ def test_simulator_and_parallel_sweep_load_no_scipy():
     assert "mmudn.simulator" in main and "mmudn.pointprocess" in worker
     assert _scipy(set(main)) == [] and _scipy(set(worker)) == []
 
-
-_HOMES = {
-    "NetworkParams": "analytic_se",
-    "SEBounds": "analytic_se",
-    "Allocation": "allocation",
-    "RatePair": "allocation",
-    "RegionLabel": "allocation",
-    "SpectrumParams": "allocation",
-    "BlockageParams": "blockage",
-    "BuildingStats": "blockage",
-    "Window": "pointprocess",
-    "SEEstimate": "simulator",
-    "SimConfig": "simulator",
-}
-
-
-def test_reexports_are_the_home_module_objects():
-    assert set(mmudn.__all__) == {*_HOMES, "__version__"}
-    for name, home in _HOMES.items():
-        assert getattr(mmudn, name) is getattr(importlib.import_module(f"mmudn.{home}"), name)
-
-
-def test_from_import_and_unknown_name():
-    from mmudn import SimConfig
-    from mmudn.simulator import SimConfig as home
-
-    assert SimConfig is home
-    with pytest.raises(AttributeError):
-        mmudn.no_such_name

@@ -247,6 +247,26 @@ def test_mainlobe_half_angle(seam, offset, counts):
     assert (sir is not None) == counts
 
 
+@pytest.mark.parametrize(
+    "tier,own_length,linked", [("muw", 0.0, False), ("mmw", 12.0, False), ("muw", 8.0, True), ("mmw", 8.0, True)]
+)
+def test_receiver_without_own_link(tier, own_length, linked):
+    # One receiver by hand, 3 m from an interferer whose partner lies toward
+    # it, and its own transmitter own_length away.  An own link of length 0,
+    # or (mmW) beyond R_L = 10 m, is no link: the SIR is all zeros and no
+    # fading is drawn from the replication's stream.
+    config = cfg(tier=tier, params=net(r_los=10.0), window=Window(side=100.0))
+    rx = np.array([50.0, 50.0])
+    rx_all = np.array([rx, rx - [1.0, 0.0]])
+    tx_all = np.array([rx + [own_length, 0.0], rx - [3.0, 0.0]])
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    [sir] = sim._receivers_sir(config, [rng], np.array([0, 2]), np.array([0]), rx_all, tx_all, rx_all)
+    assert sir.shape == (config.fading_draws,)
+    assert bool(np.all(sir > 0)) == linked and bool(np.any(sir > 0)) == linked
+    assert (rng.bit_generator.state != state) == linked
+
+
 # --- batches ------------------------------------------------------------------------------
 
 
