@@ -220,7 +220,12 @@ def _gauss_legendre(f, upper: float, tol: float) -> float:
 
     def rule(n: int) -> float:
         nodes, weights = _gauss_legendre_rule(n)
-        return upper * sum(w * f(upper * s) for s, w in zip(nodes, weights))
+        # Summed left to right by hand: the builtin sum of floats is
+        # compensated from Python 3.12 on, and would move the last bits.
+        total = 0.0
+        for s, w in zip(nodes, weights):
+            total += w * f(upper * s)
+        return upper * total
 
     n = _GL_FIRST_ORDER
     coarse = rule(n // 2)

@@ -18,6 +18,15 @@ cell side, until it is settled; a block that wraps the grid settles its
 users, as it holds the minimum image of every BS.  Exact ties go to the
 lowest BS index, as in a search over all BSs.
 
+The search costs what the block's BSs and (user, BS) pairs cost, not what
+its cells do.  The cell index keeps its BSs in key order, so a row of a
+block, consecutive keys x n + y, is one run of index entries found by a
+lookup at each end, however many of its cells are empty: nine cells become
+three runs.  At the LOS-sized cells of a sparse mmW tier most cells of a
+block are empty (78 % at 0.25 BS per cell).  A block whose columns wrap the
+grid (about 2/n of users) is searched as the user's own columns and the
+wrapped ones apart, each in its own frame, and the nearer kept.
+
 The BSs are either a :class:`PointSet`, whose points association sorts into
 the cells it visits, or a :class:`LazyPPP`, which association draws cell by
 cell: only the cells it visits, then one Poisson count for the rest of the
@@ -157,8 +166,11 @@ class LazyPPP:
         processes' n x n grids, cell (x, y) of process k keyed k n^2 + x n + y:
         for each process, one Poisson count over its cells' area, spread over
         them uniformly, then uniform x and y offsets inside each cell.
-        Returns (x, y, their indices, count per cell); the points come out
-        sorted by cell."""
+        Returns (x, y, their indices, count per cell).  The j-th point drawn
+        goes to the j-th of the picked cells in key order, so the points
+        come out sorted by cell.  The cells are repeated once, by their
+        counts, and each point's row and column taken from its key: at under
+        one BS per cell, work per cell is most of a draw's cost."""
         side = self.window.side
         h = side / n
         grid = n * n
@@ -179,10 +191,12 @@ class LazyPPP:
             start += count
         picks, xy = np.concatenate(picks), np.concatenate(draws, axis=1)
         counts = np.bincount(picks, minlength=keys.size)
-        cell_x = local // n
+        cell = np.repeat(local, counts)
+        cell_x = cell // n
         x, y = xy
-        x += np.repeat(cell_x, counts)
-        y += np.repeat(local - cell_x * n, counts)
+        x += cell_x
+        cell -= cell_x * n
+        y += cell
         xy *= h
         np.minimum(xy, side, out=xy)
         ids = np.arange(len(self), start)
@@ -325,16 +339,19 @@ _TABLE_CELLS_PER_SLOT = 64
 
 class _CellIndex:
     """The BSs of the covered cells of the processes' n x n grids over the
-    window, cell by cell: covered cell ``keys[i]`` (ascending; cell (x, y)
-    of process k has key k n^2 + x n + y) holds positions ``starts[i]`` to
-    ``starts[i] + counts[i] - 1`` of ``x``, ``y`` (coordinates) and ``ids``
-    (BS indices).  :meth:`cover` adds cells with the BS set's ``_cells``: a
-    lazily drawn process draws them, a point set sorts its points into
-    them."""
+    window, in key order: cell (x, y) of process k has key k n^2 + x n + y,
+    and covered cell ``keys[i]`` (ascending) holds entries ``bounds[i]`` to
+    ``bounds[i + 1] - 1`` of ``x``, ``y`` (coordinates) and ``ids`` (BS
+    indices).  So the BSs of a run of consecutive covered cells are one run
+    of entries, found by one lookup at each end however many of its cells
+    are empty (:meth:`entries`).  :meth:`cover` adds cells with the BS
+    set's ``_cells``: a lazily drawn process draws them, a point set sorts
+    its points into them."""
 
     def __init__(self, bss, n: int, n_processes: int, n_slots: int):
         self.bss, self.n, self.side = bss, n, bss.window.side
-        self.keys = self.starts = self.counts = self.ids = np.empty(0, dtype=np.int64)
+        self.keys = self.counts = self.ids = np.empty(0, dtype=np.int64)
+        self.bounds = np.zeros(1, dtype=np.int64)
         self.x = self.y = np.empty(0)
         self.size = n_processes * n * n
         # Each covered cell's i, when the grids are small enough for a table.
@@ -342,55 +359,155 @@ class _CellIndex:
         if self.size <= _TABLE_CELLS_PER_SLOT * n_slots:
             self.table = np.zeros(self.size, dtype=np.int64)
 
-    def rows(self, cells: np.ndarray) -> np.ndarray:
-        """The i of each of the given covered cells."""
+    def entries(self, first: np.ndarray, last: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The first entry and the entry count of each run of covered cells
+        ``first`` to ``last``."""
         if self.table is not None:
-            return self.table[cells]
-        return np.searchsorted(self.keys, cells)
+            first, last = self.table[first], self.table[last]
+        else:
+            first, last = np.searchsorted(self.keys, first), np.searchsorted(self.keys, last)
+        start = self.bounds[first]
+        return start, self.bounds[last + 1] - start
 
-    def _uncovered(self, cells: np.ndarray) -> np.ndarray:
-        """The distinct cells of ``cells`` not covered yet, ascending."""
+    def _uncovered(self, first: np.ndarray, last: np.ndarray, width: int) -> np.ndarray:
+        """The distinct cells of the runs ``first`` to ``last`` of at most
+        ``width`` cells not covered yet, ascending."""
+        # The j-th cell of each run, or its last: one array of runs at a time.
+        cells = [first, last] + [np.minimum(first + j, last) for j in range(1, width - 1)]
         if self.table is not None:
             mask = np.zeros(self.size, dtype=bool)
-            mask[cells] = True
+            for c in cells:
+                mask[c] = True
             mask[self.keys] = False
             return np.flatnonzero(mask)
-        cells = np.sort(cells, axis=None)
+        cells = np.sort(np.concatenate([c.ravel() for c in cells]))
         cells = cells[np.concatenate(([True], cells[1:] != cells[:-1]))]
         return cells[np.isin(cells, self.keys, assume_unique=True, invert=True)]
 
-    def cover(self, cells: np.ndarray) -> None:
-        new = self._uncovered(cells)
+    def cover(self, first: np.ndarray, last: np.ndarray, width: int) -> None:
+        """Cover the cells of the runs ``first`` to ``last`` of at most
+        ``width`` cells."""
+        new = self._uncovered(first, last, width)
         if not new.size:
             return
         x, y, ids, counts = self.bss._cells(new, self.n)
-        starts = self.ids.size + np.cumsum(counts) - counts
         if self.keys.size:
-            # Cells added by a grown block: merge them in key order.
-            order = np.argsort(np.concatenate((self.keys, new)))
-            new = np.concatenate((self.keys, new))[order]
-            starts = np.concatenate((self.starts, starts))[order]
-            counts = np.concatenate((self.counts, counts))[order]
-            x, y = np.concatenate((self.x, x)), np.concatenate((self.y, y))
-            ids = np.concatenate((self.ids, ids))
-        self.keys, self.starts, self.counts = new, starts, counts
-        self.x, self.y, self.ids = x, y, ids
+            # Cells added by a grown block: merge them and their BSs in key
+            # order.
+            keys = np.concatenate((self.keys, new))
+            order = np.argsort(keys)
+            counts = np.concatenate((self.counts, counts))
+            at = _ragged_index((np.cumsum(counts) - counts)[order], counts[order])
+            new, counts = keys[order], counts[order]
+            x, y = np.concatenate((self.x, x))[at], np.concatenate((self.y, y))[at]
+            ids = np.concatenate((self.ids, ids))[at]
+        self.keys, self.counts, self.x, self.y, self.ids = new, counts, x, y, ids
+        self.bounds = np.concatenate(([0], np.cumsum(counts)))
         if self.table is not None:
-            self.table[self.keys] = np.arange(self.keys.size)
+            self.table[new] = np.arange(new.size)
 
 
-def _block_slots(user_points: np.ndarray, side: float, n_cells: int, radius: int):
+def _block_spans(user_points: np.ndarray, base: np.ndarray, side: float, n_cells: int, radius: int):
     """Each user's block of cells within ``radius`` rows and columns of its
-    own, as (cell, image shift) slots: the cell's key, wrapped onto the grid,
-    and the user's coordinates in the slot's frame, shifted by 0 or one
-    window side, so that a BS in the cell less them is the displacement to
-    the BS's image next to the user.  Rows and columns are wrapped apart, on
-    (users, 2 radius + 1) arrays, then spread over the block."""
-    keys, shift_x, shift_y = _block_keys(user_points, side, n_cells, radius)
-    row, col = _block_cells(2 * radius + 1)
-    frame_x = (user_points[:, :1] - side * shift_x)[:, row]
-    frame_y = (user_points[:, 1:] - side * shift_y)[:, col]
-    return keys, frame_x, frame_y
+    own, as spans of columns, each a run of consecutive cells in each of
+    the block's rows: (wrapped, first, last, frame_x, frame_y, parts).
+
+    The arrays hold a row of the block per row and a span per column: the
+    run of span i in row j holds the cells ``first[j, i]`` to
+    ``last[j, i]``, keys x n + y wrapped onto the grid from the user's
+    ``base``.  The frames are the user's coordinates shifted by 0 or one
+    window side where the row (``frame_x[j, i]``) or the span's columns
+    (``frame_y[i]``) wrapped, so that a BS in the span less them is the
+    displacement to the BS's image next to the user.  Spans 0 to U - 1 are
+    the users' own, their columns clipped to the grid; span U + m holds the
+    columns that wrapped of user ``wrapped[m]``, first below 0, then above
+    n - 1, for the users whose block wrapped (about 2 radius / n of them).
+    ``parts`` ends each run of spans that names a user at most once.  A
+    block wraps the grid at most once (radius <= n)."""
+    users = len(user_points)
+    ux, uy = _cell_xy(user_points, side, n_cells)
+    nx = ux + np.arange(-radius, radius + 1)[:, None]
+    shift_x = nx // n_cells
+    rows = (nx - n_cells * shift_x) * n_cells
+    rows += base
+    frame_x = user_points[:, 0] - side * shift_x
+    low = np.flatnonzero(uy < radius)
+    high = np.flatnonzero(uy >= n_cells - radius)
+    wrapped = np.concatenate((low, high))
+    lo = np.concatenate((np.maximum(uy - radius, 0), np.maximum(uy[low] + (n_cells - radius), 0), np.zeros_like(high)))
+    hi = np.concatenate((np.minimum(uy + radius, n_cells - 1), np.full_like(low, n_cells - 1), uy[high] + (radius - n_cells)))
+    frame_y = user_points[:, 1]
+    frame_y = np.concatenate((frame_y, frame_y[low] + side, frame_y[high] - side))
+    rows = np.concatenate((rows, rows[:, wrapped]), axis=1)
+    frame_x = np.concatenate((frame_x, frame_x[:, wrapped]), axis=1)
+    # A user's columns wrap on both sides only on a grid narrower than 2 radius.
+    parts = (users, users + wrapped.size) if n_cells >= 2 * radius else (users, users + low.size, users + wrapped.size)
+    return wrapped, rows + lo, rows + hi, frame_x, frame_y, parts
+
+
+def _search(index: _CellIndex, user_points: np.ndarray, base: np.ndarray, radius: int):
+    """Each user's nearest BS in its block of ``radius`` of its process's
+    grid, whose keys start at the user's ``base``, drawn or sorted into the
+    index first: (squared distance, BS index), or (inf, -1) for an empty
+    block.  An exact tie goes to the lowest BS index.
+
+    The block is searched as the spans of :func:`_block_spans`, whose runs
+    of cells are runs of index entries, so the work follows the runs and
+    their (user, BS) pairs, not the block's empty cells.  A span's nearest
+    BS is found as a user's, and each user keeps the nearest of its
+    spans'."""
+    wrapped, first, last, frame_x, frame_y, parts = _block_spans(user_points, base, index.side, index.n, radius)
+    width = 2 * radius + 1
+    index.cover(first, last, width)
+    starts, counts = index.entries(first, last)
+    span_pairs = counts.sum(axis=0)
+    # The runs span by span, so that each span's pairs are consecutive.
+    starts, counts, frame_x = (np.column_stack(a).ravel() for a in (starts, counts, frame_x))
+    best = np.full(span_pairs.size, np.inf)
+    nearest = np.full(span_pairs.size, -1, dtype=np.int64)
+
+    def search(lo, hi):
+        # Expand spans lo..hi-1 into their (user, BS) pairs, run by run.
+        per_span = span_pairs[lo:hi]
+        has = np.flatnonzero(per_span)
+        if not has.size:
+            return
+        a, b = lo * width, hi * width
+        cnt = counts[a:b]
+        pos = _ragged_index(starts[a:b], cnt)
+        # d2 = dx * dx + dy * dy, in place to keep the scratch small.
+        d2 = index.x[pos]
+        d2 -= np.repeat(frame_x[a:b], cnt)
+        d2 *= d2
+        dy = index.y[pos]
+        dy -= np.repeat(frame_y[lo:hi], per_span)
+        dy *= dy
+        d2 += dy
+        heads = (np.cumsum(per_span) - per_span)[has]
+        low = np.minimum.reduceat(d2, heads)
+        best[lo + has] = low
+        # The lowest BS index among a span's pairs at its minimum: almost
+        # always one pair, and then no reduction is needed.  Each span's
+        # run of such pairs starts at its first one at or after the span's
+        # first pair.
+        hits = np.flatnonzero(d2 == np.repeat(low, per_span[has]))
+        ids = index.ids[pos[hits]]
+        nearest[lo + has] = ids if hits.size == has.size else np.minimum.reduceat(ids, np.searchsorted(hits, heads))
+
+    for lo, hi in _pair_blocks(span_pairs):
+        search(lo, hi)
+    # Each wrapped span against its user's nearest so far: nearer, or as
+    # near and a lower index.
+    users = parts[0]
+    user_best, user_nearest = best[:users], nearest[:users]
+    for lo, hi in zip(parts, parts[1:]):
+        if lo == hi:
+            continue
+        who, d2, ids = wrapped[lo - users : hi - users], best[lo:hi], nearest[lo:hi]
+        take = (d2 < user_best[who]) | ((d2 == user_best[who]) & (ids < user_nearest[who]))
+        user_best[who[take]] = d2[take]
+        user_nearest[who[take]] = ids[take]
+    return user_best, user_nearest
 
 
 def _block_keys(user_points: np.ndarray, side: float, n_cells: int, radius: int):
@@ -439,57 +556,6 @@ def _block_candidates(points, bounds, user_points, process, side: float, los_rad
 def _block_cells(width: int) -> tuple[np.ndarray, np.ndarray]:
     """Row and column of each cell of a width x width block, row by row."""
     return np.repeat(np.arange(width), width), np.tile(np.arange(width), width)
-
-
-def _search(index: _CellIndex, user_points: np.ndarray, base: np.ndarray, radius: int):
-    """Each user's nearest BS in its block of ``radius`` of its process's
-    grid, whose keys start at the user's ``base``, drawn or sorted into the
-    index first: (squared distance, BS index), or (inf, -1) for an empty
-    block.  An exact tie goes to the lowest BS index."""
-    slot_keys, frame_x, frame_y = _block_slots(user_points, index.side, index.n, radius)
-    slot_keys += base[:, None]
-    index.cover(slot_keys)
-    at = index.rows(slot_keys)
-    slot_counts = index.counts[at]
-    user_pairs = slot_counts.sum(axis=1)
-    # Only the slots holding BSs, user by user.
-    slots = slot_keys.shape[1]
-    held = np.flatnonzero(slot_counts)
-    counts = slot_counts.ravel()[held]
-    starts = index.starts[at.ravel()[held]]
-    frame_x, frame_y = frame_x.ravel()[held], frame_y.ravel()[held]
-    best = np.full(len(user_points), np.inf)
-    nearest = np.full(len(user_points), -1, dtype=np.int64)
-
-    def search(lo, hi):
-        # Expand users lo..hi-1 into their (user, BS) pairs, user by user.
-        per_user = user_pairs[lo:hi]
-        has = np.flatnonzero(per_user)
-        if not has.size:
-            return
-        a, b = np.searchsorted(held, (lo * slots, hi * slots))
-        cnt = counts[a:b]
-        pos = _ragged_index(starts[a:b], cnt)
-        # d2 = dx * dx + dy * dy, in place to keep the scratch small.
-        d2 = index.x[pos]
-        d2 -= np.repeat(frame_x[a:b], cnt)
-        d2 *= d2
-        dy = index.y[pos]
-        dy -= np.repeat(frame_y[a:b], cnt)
-        dy *= dy
-        d2 += dy
-        first = (np.cumsum(per_user) - per_user)[has]
-        low = np.minimum.reduceat(d2, first)
-        # The lowest BS index among a user's pairs at its minimum (almost
-        # always one pair): each user's run of such pairs starts at its
-        # first one at or after the user's first pair.
-        hits = np.flatnonzero(d2 == np.repeat(low, per_user[has]))
-        best[lo + has] = low
-        nearest[lo + has] = np.minimum.reduceat(index.ids[pos[hits]], np.searchsorted(hits, first))
-
-    for lo, hi in _pair_blocks(user_pairs):
-        search(lo, hi)
-    return best, nearest
 
 
 def _nearest(
@@ -606,9 +672,10 @@ def schedule_active(assoc: AssociationMap, rng) -> AssociationMap:
     perms = [r.permutation(associated[lo:hi]) for r, lo, hi in zip(rngs, bounds, bounds[1:]) if hi > lo]
     if perms:
         perm = np.concatenate(perms)
-        bs_of = assoc.user_to_bs[perm]
-        uniq, first = np.unique(bs_of, return_index=True)
-        scheduled[uniq] = perm[first]
+        first = np.full(scheduled.size, perm.size)
+        np.minimum.at(first, assoc.user_to_bs[perm], np.arange(perm.size))
+        served = np.flatnonzero(first < perm.size)
+        scheduled[served] = perm[first[served]]
     return AssociationMap(
         user_to_bs=assoc.user_to_bs,
         n_bs=assoc.n_bs,

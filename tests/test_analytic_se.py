@@ -270,6 +270,23 @@ def test_gauss_legendre_node_cap_raises():
         ase._gauss_legendre(lambda t: 1.0 if t < 1 / math.pi else 0.0, 1.0, 1e-6)
 
 
+def test_mmw_bounds_do_not_depend_on_how_sum_rounds(monkeypatch):
+    # Python 3.12 made the builtin sum of floats compensated (as math.fsum
+    # is).  The quadrature must not call it, or the se_mmw golden's last
+    # bits would depend on the Python version: with sum swapped for fsum in
+    # the module, no bound of the golden's grid moves by a bit.
+    grid = np.geomspace(1.05, 1e4, 40)
+
+    def bounds():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UDNRegimeWarning)
+            return [se_mmw_bounds_integral(mk_params(lhat)) for lhat in grid]
+
+    plain = bounds()
+    monkeypatch.setattr(ase, "sum", math.fsum, raising=False)
+    assert bounds() == plain
+
+
 def test_se_mmw_golden_holds_the_integral():
     # Every bound in the golden equals the integral to 1e-9 relative (its
     # ten printed digits hold 5e-10), not the quadrature's noise.

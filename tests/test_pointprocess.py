@@ -327,15 +327,42 @@ def test_estimate_cell_areas_partitions_window(estimate_cell_areas):
 # --- Lazily drawn BSs -------------------------------------------------------
 
 
-def _lazy_association(monkeypatch, seed, bs_density, los_radius, per_cell):
+class _DyadicDraws:
+    """A BS process's generator whose uniform draws are rounded down to
+    multiples of 1/64: on cells 0.5 m wide every BS coordinate is then a
+    multiple of 1/128 m, and a point midway between two BSs is exactly as
+    far from each."""
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def poisson(self, lam):
+        return self.rng.poisson(lam)
+
+    def integers(self, low, high, size):
+        return self.rng.integers(low, high, size=size)
+
+    def random(self, size):
+        return np.floor(self.rng.random(size) * 64) / 64
+
+
+def _lazy_association(monkeypatch, seed, bs_density, los_radius, per_cell, processes=1, probe=None):
     """Users, then BSs drawn lazily by association, in a 20 m window with
-    about ``per_cell`` expected BSs per cell.  Returns (users, BS process,
-    association, grid cells per side, the cells drawn, in draw order)."""
+    about ``per_cell`` expected BSs per cell.  A batch of several
+    ``processes`` draws each process's users and BSs on streams of their
+    own, the BSs with :class:`_DyadicDraws`, and gives process 1 one more
+    user at ``probe``.  Returns (the user sets, BS process, association,
+    grid cells per side, the cells drawn, in draw order)."""
     monkeypatch.setattr(pp, "_BS_PER_CELL", per_cell)
-    rng = np.random.default_rng(seed)
     w = Window(side=20.0)
-    users = sample_ppp(0.05, w, rng)
-    bss = LazyPPP(bs_density, w, rng)
+    if processes == 1:
+        rng = np.random.default_rng(seed)
+        users = [sample_ppp(0.05, w, rng)]
+        bss = LazyPPP(bs_density, w, rng)
+    else:
+        users = [sample_ppp(0.05, w, np.random.default_rng([seed, k, 1])) for k in range(processes)]
+        users[1] = PointSet(np.vstack([users[1].points, probe]), w)
+        bss = LazyPPP(bs_density, w, [_DyadicDraws(np.random.default_rng([seed, k])) for k in range(processes)])
     drawn, cells = [], bss._cells
 
     def record(keys, n):
@@ -348,53 +375,107 @@ def _lazy_association(monkeypatch, seed, bs_density, los_radius, per_cell):
     return users, bss, assoc, n, [keys for keys, _ in drawn]
 
 
-# (BS density, los_radius, expected BSs per cell).  At 20 BSs/m^2 4-BS cells
-# are 0.45 m wide and 0.5-BS cells 0.16 m: R_L = inf; R_L = 0.1 m, shorter
-# than either, so cells are sized by it; and R_L = 3 m, many cells long.  At
-# 0.5 BS per cell a user has no BS within one cell side with probability
-# exp(-pi / 2), about 0.2, so blocks grow by rings.  At 0.05 BSs/m^2 the
-# window holds 20 expected BSs, too few for a 3x3 block: the grid has two
-# cells per side, every cell is drawn as soon as a user needs one, and a
-# block that wraps settles its users.  At 0.005 BSs/m^2 it holds 2, and the
-# grid is one cell, often with no BS in it.
+def _check_lazy(distance, seed, bs_density, los_radius, users, bss, assoc, n, drawn):
+    """Each process's association against the nearest of its drawn BSs and
+    of the BSs of the cells it left undrawn, drawn afterwards from another
+    stream: no user may have one nearer than its association."""
+    w = bss.window
+    cells = np.concatenate(drawn) if n else np.empty(0, dtype=np.int64)
+    assert np.unique(cells).size == cells.size, "a cell was drawn twice"
+    assert assoc.scheduled_user.size == len(bss) <= assoc.n_bs
+    for k, user_set in enumerate(users):
+        first, end = assoc.bs_starts[k], assoc.bs_starts[k + 1]
+        points = bss.points[first:end]
+        if n:
+            mine = cells[(cells >= k * n * n) & (cells < (k + 1) * n * n)] - k * n * n
+            stream = [seed, 1] if len(users) == 1 else [seed, 1, k]
+            rest = sample_ppp(bs_density, w, np.random.default_rng(stream)).points
+            cx, cy = pp._cell_xy(rest, w.side, n)
+            points = np.vstack([points, rest[~np.isin(cx * n + cy, mine)]])
+        if len(user_set) and len(points):
+            got = assoc.user_to_bs[assoc.user_starts[k] : assoc.user_starts[k + 1]]
+            expected = _brute_force(distance, user_set.points, points, w, los_radius)
+            np.testing.assert_array_equal(np.where(got >= 0, got - first, -1), expected)
+
+
+# The probe user of a batch: in the top row of cells of a 40 x 40 grid, so
+# that its block wraps to the bottom row.
+_PROBE = (10.25, 19.75)
+
+
+def _wrap_tie(distance, points, window, los_radius):
+    """A point in the probe's cell midway between a BS of the bottom row of
+    cells and one of the top rows, across the y wrap, within ``los_radius``
+    of both and nearer to them than to any other BS; None if none is."""
+    side = window.side
+    for b1 in points[points[:, 1] < 0.5]:
+        for b2 in points[points[:, 1] >= side - 1.5]:
+            m = (b1 + b2 + [0.0, side]) / 2
+            if not (10.0 <= m[0] < 10.5 and side - 0.5 <= m[1] < side):
+                continue
+            d = distance(window, m, points)
+            tie = distance(window, m, b1[None])[0]
+            if tie < los_radius and np.count_nonzero(d <= tie) == 2 and np.count_nonzero(d == tie) == 2:
+                return m
+    return None
+
+
+# (BS density, los_radius, expected BSs per cell, processes).  At 20 BSs/m^2
+# 4-BS cells are 0.45 m wide and 0.5-BS cells 0.16 m: R_L = inf; R_L =
+# 0.1 m, shorter than either, so cells are sized by it; and R_L = 3 m, many
+# cells long.  At 0.5 BS per cell a user has no BS within one cell side with
+# probability exp(-pi / 2), about 0.2, so blocks grow by rings.  At 0.05
+# BSs/m^2 the window holds 20 expected BSs, too few for a 3x3 block: the
+# grid has two cells per side, every cell is drawn as soon as a user needs
+# one, and a block that wraps settles its users.  At 0.005 BSs/m^2 it holds
+# 2, and the grid is one cell, often with no BS in it.  The batch of three
+# is the regime of the sparse mmW estimates: R_L = 0.49 m sizes the cells
+# (40 of 0.5 m per side), with 0.5 BS and 0.0125 users per cell, so most
+# cells of a block are empty.  Its probe's block wraps the grid's columns,
+# and a second run moves the probe, in its cell (the same cells are drawn),
+# to a point tied exactly between a BS across the wrap and one inside.
 _LAZY_CASES = [
-    (20.0, math.inf, 4),
-    (20.0, math.inf, 0.5),
-    (20.0, 0.1, 4),
-    (20.0, 0.1, 0.5),
-    (20.0, 3.0, 4),
-    (20.0, 3.0, 0.5),
-    (0.05, math.inf, 4),
-    (0.005, math.inf, 4),
+    (20.0, math.inf, 4, 1),
+    (20.0, math.inf, 0.5, 1),
+    (20.0, 0.1, 4, 1),
+    (20.0, 0.1, 0.5, 1),
+    (20.0, 3.0, 4, 1),
+    (20.0, 3.0, 0.5, 1),
+    (0.05, math.inf, 4, 1),
+    (0.005, math.inf, 4, 1),
+    (2.0, 0.49, 4, 3),
 ]
 
 
-@pytest.mark.parametrize("bs_density,los_radius,per_cell", _LAZY_CASES)
+@pytest.mark.parametrize(
+    "bs_density,los_radius,per_cell,processes",
+    _LAZY_CASES,
+    ids=["-".join(map(str, case[:3])) + (f"-batch{case[3]}" if case[3] > 1 else "") for case in _LAZY_CASES],
+)
 def test_lazy_association_is_nearest_over_the_whole_window(
-    monkeypatch, torus_distance, bs_density, los_radius, per_cell
+    monkeypatch, torus_distance, bs_density, los_radius, per_cell, processes
 ):
-    # The BSs of the cells left undrawn are drawn afterwards, from another
-    # stream: no user may have one nearer than its association.
-    grew = 0
+    grew = ties = 0
     for seed in range(40):
-        users, bss, assoc, n, drawn = _lazy_association(
-            monkeypatch, seed, bs_density, los_radius, per_cell
-        )
-        w = bss.window
-        points = bss.points
-        if n:
-            cells = np.concatenate(drawn)
-            assert np.unique(cells).size == cells.size, "a cell was drawn twice"
-            grew += len(drawn) > 1
-            rest = sample_ppp(bs_density, w, np.random.default_rng([seed, 1])).points
-            cx, cy = pp._cell_xy(rest, w.side, n)
-            points = np.vstack([points, rest[~np.isin(cx * n + cy, cells)]])
-        assert assoc.scheduled_user.size == len(bss) <= assoc.n_bs
-        if len(users) and len(points):
-            expected = _brute_force(torus_distance, users.points, points, w, los_radius)
-            np.testing.assert_array_equal(assoc.user_to_bs, expected)
+        run = _lazy_association(monkeypatch, seed, bs_density, los_radius, per_cell, processes, _PROBE)
+        _check_lazy(torus_distance, seed, bs_density, los_radius, *run)
+        grew += len(run[4]) > 1
+        if processes == 1:
+            continue
+        users, bss, assoc = run[:3]
+        assert run[3] == 40 and not grew, "cells not sized by the LOS radius"
+        window, own = bss.window, bss.points[assoc.bs_starts[1] : assoc.bs_starts[2]]
+        tie = _wrap_tie(torus_distance, own, window, los_radius)
+        if tie is None:
+            continue
+        ties += 1
+        run = _lazy_association(monkeypatch, seed, bs_density, los_radius, per_cell, processes, tie)
+        np.testing.assert_array_equal(run[1].points, bss.points)
+        _check_lazy(torus_distance, seed, bs_density, los_radius, *run)
     if per_cell < 1 and los_radius > 0.2:
         assert grew, "no block grew by a ring"
+    if processes > 1:
+        assert ties, "no exact tie across the wrap"
 
 
 @pytest.mark.parametrize("los_radius,per_cell", [(math.inf, 4), (math.inf, 0.5), (0.1, 0.5)])

@@ -9,16 +9,18 @@ methods of each public class in those lists.
 A reader is an AST read:
 - a module-level name is read by an import of it from its home module, an
   attribute load on that module (``sim.estimate_se``), a ``Name`` load in
-  the home module itself, or a string constant naming it in another file
-  (perfbench's hook tables patch attributes by name);
-- a class member is read by an attribute load of its name or a string
-  constant naming it.
+  the home module itself, or a string key of a dict literal naming it in
+  another file (perfbench's hook tables patch attributes by name, keyed by
+  the attribute);
+- a class member is read by an attribute load of its name or a string key
+  of a dict literal naming it.
 A quoted annotation reads the names it holds.
 
 These are not readers: the ``__all__`` lists, keyword arguments (a
-construction is a write), and ``self.x`` loads and string constants inside
-a ``__post_init__``, which only validates and normalises the class's own
-fields (its strings name fields for ``object.__setattr__``).
+construction is a write), any other string (a label such as a span name
+may spell a function's name without calling it), and ``self.x`` loads
+inside a ``__post_init__``, which only validates and normalises the
+class's own fields.
 """
 
 import ast
@@ -74,8 +76,8 @@ def _public_names(modules: dict[str, Path]) -> tuple[dict[str, tuple[str, str]],
 
 class _Reads(ast.NodeVisitor):
     """The reads of one file: (module, name) pairs through imports and
-    module attributes, bare ``Name`` loads, attribute loads and string
-    constants."""
+    module attributes, bare ``Name`` loads, attribute loads and the string
+    keys of dict literals."""
 
     def __init__(self, path: Path, modules: dict[str, Path]):
         self.modules = modules
@@ -152,9 +154,11 @@ class _Reads(ast.NodeVisitor):
                 self.attrs.add(node.attr)
         self.generic_visit(node)
 
-    def visit_Constant(self, node):
-        if not self._post_init and isinstance(node.value, str) and node.value.isidentifier():
-            self.strings.add(node.value)
+    def visit_Dict(self, node):
+        for key in node.keys:
+            if isinstance(key, ast.Constant) and isinstance(key.value, str) and key.value.isidentifier():
+                self.strings.add(key.value)
+        self.generic_visit(node)
 
 
 def unread_names() -> list[str]:
