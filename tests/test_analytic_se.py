@@ -274,7 +274,7 @@ def test_mmw_bounds_do_not_depend_on_how_sum_rounds(monkeypatch):
     # Python 3.12 made the builtin sum of floats compensated (as math.fsum
     # is).  The quadrature must not call it, or the se_mmw golden's last
     # bits would depend on the Python version: with sum swapped for fsum in
-    # the module, no bound of the golden's grid moves by a bit.
+    # the module, no bound on 40 points of the golden's range moves by a bit.
     grid = np.geomspace(1.05, 1e4, 40)
 
     def bounds():
