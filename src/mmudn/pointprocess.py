@@ -25,7 +25,11 @@ lookup at each end, however many of its cells are empty: nine cells become
 three runs.  At the LOS-sized cells of a sparse mmW tier most cells of a
 block are empty (78 % at 0.25 BS per cell).  A block whose columns wrap the
 grid (about 2/n of users) is searched as the user's own columns and the
-wrapped ones apart, each in its own frame, and the nearer kept.
+wrapped ones apart, each in its own frame, and the nearer kept.  The same
+walk gives the simulator its mmW interference candidates
+(:func:`_block_candidates`): a receiver's block on a grid of cells wider
+than the LOS radius, read as the row runs of the transmitters sorted by
+cell key.
 
 The BSs are either a :class:`PointSet`, whose points association sorts into
 the cells it visits, or a :class:`LazyPPP`, which association draws cell by
@@ -44,7 +48,6 @@ random stream is the one the process gets in a batch of one.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -510,52 +513,39 @@ def _search(index: _CellIndex, user_points: np.ndarray, base: np.ndarray, radius
     return user_best, user_nearest
 
 
-def _block_keys(user_points: np.ndarray, side: float, n_cells: int, radius: int):
-    """The keys x n + y of each user's block of cells within ``radius``
-    rows and columns of its own, wrapped onto the grid, row by row, and the
-    window sides (-1, 0 or 1) by which each of the block's rows and columns
-    was wrapped."""
-    ux, uy = _cell_xy(user_points, side, n_cells)
-    offsets = np.arange(-radius, radius + 1)
-    nx = ux[:, None] + offsets
-    ny = uy[:, None] + offsets
-    shift_x = nx // n_cells
-    shift_y = ny // n_cells
-    row, col = _block_cells(2 * radius + 1)
-    keys = ((nx - n_cells * shift_x) * n_cells)[:, row] + (ny - n_cells * shift_y)[:, col]
-    return keys, shift_x, shift_y
-
-
-def _block_candidates(points, bounds, user_points, process, side: float, los_radius: float, max_cells: int):
+def _block_candidates(points, bounds, user_points, process, side: float, los_radius: float):
     """Each user's candidates among the points of its process that may lie
     within ``los_radius`` of it, or None when cells that wide fit fewer
     than three times across the window (the 3x3 block would wrap the grid).
 
     Process k's points are ``points[bounds[k]:bounds[k + 1]]``; user i,
     at ``user_points[i]``, is of process ``process[i]``.  The points fall in
-    the cells k n^2 + x n + y of n x n grids, at most ``max_cells`` per
-    side, whose cells are wider than ``los_radius`` (see
-    :func:`_los_cells`), and a user's candidates are the points of the 3x3
-    block of cells around its own: (order, starts, counts), where slot c of
-    user i holds positions ``starts[i, c]`` to ``starts[i, c] + counts[i, c]
-    - 1`` of the points sorted by ``order``.
+    the cells k n^2 + x n + y of n x n grids whose cells are wider than
+    ``los_radius`` (see :func:`_los_cells`), with at most about as many
+    cells as points, so that the count per cell stays within the points'
+    size.  A user's candidates are the points of the 3x3 block of cells
+    around its own, read as the row runs of :func:`_block_spans`: (order,
+    starts, counts), where run c of user i holds positions ``starts[i, c]``
+    to ``starts[i, c] + counts[i, c] - 1`` of the points sorted by
+    ``order``.  Runs 0 to 2 are the rows of the user's own columns, runs 3
+    to 5 those of its columns that wrapped the grid, empty when none did.
     """
-    n = min(_los_cells(side, los_radius), max_cells)
+    n_processes = bounds.size - 1
+    n = min(_los_cells(side, los_radius), math.isqrt(len(points) // n_processes + 1))
     if n < 3:
         return None
-    n_processes = bounds.size - 1
     cx, cy = _cell_xy(points, side, n)
     keys = np.repeat(np.arange(n_processes) * (n * n), np.diff(bounds)) + cx * n + cy
-    cells = np.bincount(keys, minlength=n_processes * n * n)
-    block = _block_keys(user_points, side, n, 1)[0] + (process * (n * n))[:, None]
-    counts = cells[block]
-    return np.argsort(keys), np.cumsum(cells)[block] - counts, counts
-
-
-@functools.cache
-def _block_cells(width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column of each cell of a width x width block, row by row."""
-    return np.repeat(np.arange(width), width), np.tile(np.arange(width), width)
+    # Cell key c holds positions ends[c] to ends[c + 1] - 1, so a run of
+    # cells first to last holds ends[first] to ends[last + 1] - 1.
+    ends = np.concatenate(([0], np.cumsum(np.bincount(keys, minlength=n_processes * n * n))))
+    wrapped, first, last = _block_spans(user_points, process * (n * n), side, n, 1)[:3]
+    users = len(user_points)
+    starts, stops = np.zeros((2, users, 6), dtype=np.int64)
+    for run, edge in ((starts, ends[first]), (stops, ends[last + 1])):
+        run[:, :3], run[wrapped, 3:] = edge[:, :users].T, edge[:, users:].T
+    # The stable sort took half the default's time on a 1,900-point batch.
+    return np.argsort(keys, kind="stable"), starts, stops - starts
 
 
 def _nearest(

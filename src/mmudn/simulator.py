@@ -32,16 +32,16 @@ R_L with a covering mainlobe (tested only for the pairs within R_L).  Each
 receiver is paired only with candidates of its own replication: for mmW
 with many receivers per replication, the transmitters in the 3x3 block of
 grid cells around its own, cells at least R_L wide and keyed
-k n^2 + x n + y as in association, so the pairs grow linearly with the
-users; otherwise (muW, few receivers, or a block that wraps the grid)
-every active transmitter of its replication.  The pairs run in the blocks
-an association search uses (at most ``pointprocess._BLOCK_PAIRS`` pairs at
-a time).  Fading is drawn per receiver, ``g0`` then ``g_i``, receiver by
-receiver, with the sizes and order of a one-receiver loop, interferers in
-ascending transmitter index; one large draw per replication would reorder
-the stream, and measured slower.  Elements take the same floating-point
-operations however the pairs are cut into batches, cells and chunks, so
-none of these changes a bit.
+k n^2 + x n + y as in association and read as the same row runs, so the
+pairs grow linearly with the users; otherwise (muW, few receivers, or a
+block that wraps the grid) every active transmitter of its replication.
+The pairs run in the blocks an association search uses (at most
+``pointprocess._BLOCK_PAIRS`` pairs at a time).  Fading is drawn per
+receiver, ``g0`` then ``g_i``, receiver by receiver, with the sizes and
+order of a one-receiver loop, interferers in ascending transmitter index;
+one large draw per replication would reorder the stream, and measured
+slower.  Elements take the same floating-point operations however the pairs
+are cut into batches, cells and chunks, so none of these changes a bit.
 
 Replications are independent and reproducible: replication ``i`` runs on
 ``default_rng([master_seed, i])`` regardless of batch, execution order or
@@ -120,10 +120,11 @@ _BATCH_POINTS = 1 << 15
 # transmitters into cells (see _candidates); with fewer, pairing each
 # receiver with every transmitter of its replication costs less.  Timed on
 # a 2-core VM, geometry per mmW replication at R_L = 10 m and lambda_u =
-# 0.01: cells took 44-67 % longer with one receiver (typical mode), 31-45 %
-# longer with 12-16 receivers and 3 % with 25, and 5-15 % less with 36,
-# 16 % with 49, 32 % with 64, 45 % with 100 and 92 % with 1,000
-# (BENCH_28.json, cell_threshold_geometry_ms_per_replication).
+# 0.01, cells against all pairs on the same networks: cells took 80-93 %
+# longer with one receiver (typical mode), 38-52 % longer with 12-16
+# receivers and 8-10 % with 25, and 4-11 % less with 36 (4 % more in one
+# run of three), 15-17 % with 49, 33 % with 64, 50 % with 100 and 93 % with
+# 1,000 (BENCH_31.json, cell_threshold_geometry_ms_per_replication).
 _CELL_RECEIVERS = 24
 
 
@@ -153,18 +154,20 @@ class SimConfig:
             raise ParameterError("replications and fading draws must be >= 1")
         if self.workers < 1:
             raise ParameterError("workers must be >= 1")
+        if self.master_seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.master_seed}")
         if self.decoupled and (self.tier, self.direction) != ("mmw", "ul"):
             raise ParameterError("decoupling applies to the mmW uplink only")
         if self.window is None:
+            # Sized for 1,000 expected users, it does not warn however it rounds.
             object.__setattr__(
                 self,
                 "window",
                 Window.for_expected_points(self.params.lambda_u, 1e3),
             )
-        expected_users = self.params.lambda_u * self.window.area
-        if expected_users < 1e3:
+        elif (expected_users := self.params.lambda_u * self.window.area) < 1e3:
             warnings.warn(
-                f"window holds only {expected_users:.0f} expected users (< 1000); "
+                f"window holds only {expected_users:.4g} expected users (< 1000); "
                 "estimates leave out interference from beyond half the window side",
                 stacklevel=2,
             )
@@ -308,10 +311,11 @@ def _receivers_sir(config: SimConfig, rngs, bounds, receivers, rx_all, tx_all, p
 
     ``receivers`` are indices of active links, ascending; replication k's
     links are ``bounds[k]`` to ``bounds[k + 1] - 1``.  Each receiver is
-    paired with its candidate transmitters (see :func:`_candidates`): those
-    of its replication in the 3x3 block of cells around its own, or every
-    one of its replication when that block wraps the grid.  The pairs are
-    cut by :func:`~mmudn.pointprocess._pair_blocks` into blocks of at most
+    paired with the candidate transmitters of its runs (see
+    :func:`_candidates`): those of its replication in the 3x3 block of cells
+    around its own, or every one of its replication when that block wraps
+    the grid.  The pairs are cut by
+    :func:`~mmudn.pointprocess._pair_blocks` into blocks of at most
     ``_BLOCK_PAIRS`` (or one receiver's, when it has more).  A pair is kept
     at a positive distance, for mmW also within R_L.  The receiver's own
     kept pair gives its link length ``r0``; without one it has no link and
@@ -376,12 +380,13 @@ def _receivers_sir(config: SimConfig, rngs, bounds, receivers, rx_all, tx_all, p
 
 def _candidates(config: SimConfig, bounds, rep, rx, tx_all):
     """The candidate interferers of each receiver, at ``rx``, of replication
-    ``rep``: runs ``starts[i, c]`` to ``starts[i, c] + counts[i, c] - 1`` of
-    the transmitters sorted by ``order`` (None: in index order).
+    ``rep``: run c of receiver i holds ``starts[i, c]`` to ``starts[i, c] +
+    counts[i, c] - 1`` of the transmitters sorted by ``order`` (None: in
+    index order).
 
     For mmW the candidates are the transmitters of the receiver's
     replication in the 3x3 block of cells around its own, on a grid whose
-    cells are wider than R_L (see
+    cells are wider than R_L, read as the block's row runs (see
     :func:`~mmudn.pointprocess._block_candidates`).  With fewer than three
     such cells per side (and for muW, which has no radius) the block would
     wrap the grid, so the candidates are every transmitter of the
@@ -390,10 +395,7 @@ def _candidates(config: SimConfig, bounds, rep, rx, tx_all):
     the transmitters costs more than the pairs it saves.
     """
     if config.tier == "mmw" and rep.size >= _CELL_RECEIVERS * (np.count_nonzero(np.diff(rep)) + 1):
-        # About one transmitter per cell at most, so that the cell counts
-        # stay within the transmitters' size.
-        max_cells = math.isqrt(tx_all.shape[0] // (bounds.size - 1) + 1)
-        cells = _block_candidates(tx_all, bounds, rx, rep, config.window.side, config.params.r_los, max_cells)
+        cells = _block_candidates(tx_all, bounds, rx, rep, config.window.side, config.params.r_los)
         if cells is not None:
             return cells
     first = bounds[rep]

@@ -82,9 +82,13 @@ def test_small_window_warns():
         SimConfig(params=net(), window=Window(side=100.0))
 
 
-def test_auto_window_sizes_for_thousand_users():
-    c = SimConfig(params=net())
-    assert c.window.area * LAMBDA_U == pytest.approx(1000.0)
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("lambda_u", [1e-4, 3e-4, 1e-2])
+def test_auto_window_sizes_for_thousand_users(lambda_u):
+    # The window sized for the user density never warns about its own size,
+    # whichever way its area rounds (3e-4 rounds below 1,000 users).
+    c = SimConfig(params=NetworkParams(lambda_m=100 * lambda_u, lambda_mu=100 * lambda_u, lambda_u=lambda_u))
+    assert c.window.area * lambda_u == pytest.approx(1000.0)
 
 
 # --- determinism and parallelism ----------------------------------------------------
@@ -179,6 +183,9 @@ def test_block_geometry_is_bit_identical(monkeypatch, per_receiver_sir, tier, di
     def spy_candidates(config, *args):
         order, starts, counts = real_candidates(config, *args)
         seen.add("one cell" if order is None else "cells")
+        # Runs 3 to 5 hold the columns of a block that wrapped the grid.
+        if order is not None and counts[:, 3:].any():
+            seen.add("wrapped runs")
         return order, starts, counts
 
     monkeypatch.setattr(sim, "_candidates", spy_candidates)
@@ -221,7 +228,9 @@ def test_block_geometry_is_bit_identical(monkeypatch, per_receiver_sir, tier, di
             m.setattr(sim, "_CELL_RECEIVERS", 1)
             for side in (150.001, 200.001):
                 params = NetworkParams(lambda_m=0.2, lambda_mu=0.2, lambda_u=2e-3, r_los=50.0)
+                seen.discard("wrapped runs")
                 check(cfg(replications=1, window=Window(side=side), params=params, **base), range(3))
+                assert tier == "muw" or "wrapped runs" in seen, (side, every)
     expected = {"one active", "several blocks", "free row", "ok", "interference_free", "one cell"}
     if tier == "mmw":
         expected |= {"zero row", "cells"}
