@@ -20,9 +20,10 @@ dominates a replication of a few hundred users, is paid once per batch.
 Every replication still draws on its own stream, in the order it would
 alone: users, the BSs around them, the count of the BSs left undrawn, the
 schedule, the typical receiver, then the fading.  Association and scheduling
-run once per batch (see :mod:`~mmudn.pointprocess`).  A batch holds about
-``_BATCH_POINTS`` expected slots and drawn BSs, which bounds its memory
-whatever the replication count.
+run once per batch (see :mod:`~mmudn.pointprocess`).  An estimate has one
+batch plan: batches of nearly equal size, each within ``_BATCH_POINTS``
+expected points (the cells of the users' blocks and the BSs drawn), which
+bounds its memory whatever the replication count.
 
 One rule decides which transmitters interfere, in both receiver modes (see
 :func:`_receivers_sir`): typical mode measures one receiver per
@@ -45,10 +46,10 @@ are cut into batches, cells and chunks, so none of these changes a bit.
 
 Replications are independent and reproducible: replication ``i`` runs on
 ``default_rng([master_seed, i])`` regardless of batch, execution order or
-worker count.  Parallel estimates share one worker pool per process, which
-runs contiguous replication ranges in batches (see :func:`_run_reps`).  The
-simulator and the point-process stack it imports load numpy but no scipy,
-so a forked worker starts with all it needs.
+worker count.  Parallel estimates share one worker pool per process, whose
+tasks are contiguous groups of the plan's whole batches (see
+:func:`_run_reps`).  The simulator and the point-process stack it imports
+load numpy but no scipy, so a forked worker starts with all it needs.
 """
 
 from __future__ import annotations
@@ -110,11 +111,17 @@ _DIRECTIONS = ("dl", "ul")
 # Expected points per batch of replications (see _batches).  A batch's
 # association and receiver geometry run over all its replications at once,
 # so the fixed cost of each numpy call is shared, but its scratch grows by
-# about 100 bytes per point.  At 2^15 points the mc_acceptance benchmark's
-# pool workers peaked 2.3 % higher than with one replication at a time;
-# 2^16 ran 1,000-user replications faster but doubled the largest batch's
-# scratch to 6 MiB.  BENCH_16.json has the timings and peaks per budget.
-_BATCH_POINTS = 1 << 15
+# about 45-100 bytes per point: the largest batch of the muW lambda_hat =
+# 10, 1,000-user configuration (6 replications) peaks at 5.0 MiB under
+# tracemalloc, within the 6 MiB that tests/test_simulator.py holds it to,
+# and the benchmark's largest, 8 muW replications at lambda_hat = 1000, at
+# 7.9 MiB.  Summed medians of ms per mc_acceptance operation at 2^14 to
+# 2^18 (9 interleaved passes, 2-core VM): 1005, 844, 735, 717 and 728 ms on
+# one worker, 612, 507, 460, 438 and 400 ms on two.  Whole two-worker
+# benchmark runs (10 s) were faster at 2^17 than at 2^18 in 6 of 6 pairs,
+# and the pool workers peaked at 65.8 MiB resident against 70.3 MiB.
+# BENCH_32.json has each operation.
+_BATCH_POINTS = 1 << 17
 
 # Receivers per replication from which the receiver geometry bins a batch's
 # transmitters into cells (see _candidates); with fewer, pairing each
@@ -214,16 +221,42 @@ def _generators(config: SimConfig, reps: range) -> list[np.random.Generator]:
     return [np.random.default_rng([config.master_seed, rep]) for rep in reps]
 
 
-def _batches(config: SimConfig, reps: range) -> list[range]:
-    """``reps`` cut into batches of about ``_BATCH_POINTS`` expected points:
-    the nine slots of each user's block, the BSs association draws, which
-    are at most the window's and about four per slot, and 16 more per
-    replication for its generator (1 KiB, the scratch of about ten points)."""
+def _worker_count(config: SimConfig) -> int:
+    """The pool's real size for ``config``: min(workers, CPU count)."""
+    return min(config.workers, os.cpu_count() or 1)
+
+
+def _cut(items, parts: int) -> list:
+    """``items`` cut into ``parts`` contiguous slices whose lengths differ
+    by at most one, the longer first."""
+    size, extra = divmod(len(items), parts)
+    ends = [k * size + min(k, extra) for k in range(parts + 1)]
+    return [items[lo:hi] for lo, hi in zip(ends, ends[1:])]
+
+
+def _replication_points(config: SimConfig) -> float:
+    """A replication's expected points: the nine cells of each user's
+    block, read as three row runs of three cells, the BSs association
+    draws, which are at most the window's and about four per cell, and 16
+    more for its generator (1 KiB, the scratch of about ten points)."""
     area = config.window.area
-    slots = 9 * config.params.lambda_u * area
-    points = 16 + slots + min(config.bs_density * area, 4 * slots)
-    size = max(1, int(_BATCH_POINTS // points))
-    return [reps[lo : lo + size] for lo in range(0, len(reps), size)]
+    cells = 9 * config.params.lambda_u * area
+    return 16 + cells + min(config.bs_density * area, 4 * cells)
+
+
+def _batches(config: SimConfig) -> list[range]:
+    """The estimate's batch plan: ``range(config.replications)`` cut into
+    contiguous batches whose sizes differ by at most one.
+
+    Their count is the smallest that keeps each batch within
+    ``_BATCH_POINTS`` expected points (see :func:`_replication_points`), or
+    at one replication, rounded up to a multiple of the pool's worker count
+    so that the workers get equal shares of whole batches, but at most one
+    batch per replication."""
+    cap = max(1, int(_BATCH_POINTS // _replication_points(config)))
+    workers = _worker_count(config)
+    count = math.ceil(math.ceil(config.replications / cap) / workers) * workers
+    return _cut(range(config.replications), min(count, config.replications))
 
 
 def _scheduled_network(config: SimConfig, rngs, los_radius: float):
@@ -402,12 +435,13 @@ def _candidates(config: SimConfig, bounds, rep, rx, tx_all):
     return None, first[:, None], (bounds[rep + 1] - first)[:, None]
 
 
-def _reps_records(config: SimConfig, reps: range) -> list[tuple]:
-    """(status, SE, active-BS count) of each replication of ``reps``, batch
-    by batch, so that only one batch's SIR samples are held at a time."""
+def _reps_records(config: SimConfig, batches: list[range]) -> list[tuple]:
+    """(status, SE, active-BS count) of each replication of ``batches``,
+    batch by batch, so that only one batch's SIR samples are held at a
+    time."""
     return [
         (status, float(np.mean(np.log1p(sir))) if status == "ok" else math.nan, n_active)
-        for batch in _batches(config, reps)
+        for batch in batches
         for status, sir, n_active in _batch_sir(config, batch)
     ]
 
@@ -419,34 +453,35 @@ _pool_workers = 0
 
 
 def _run_reps(config: SimConfig, fn) -> list:
-    """Every replication of ``config``, by ``fn(config, reps)``, which
-    returns one result per replication of the range ``reps``: the results in
-    replication order, so they are interleaving-independent.
+    """Every replication of ``config``, by ``fn(config, batches)``, which
+    runs the batches it is given, in order, and returns one result per
+    replication: the results in replication order, so they are
+    interleaving-independent.
 
-    The replications are cut into contiguous ranges, about four per worker,
-    and ``fn`` runs a range in batches (see :func:`_batches`).  Parallel
-    calls share one pool per process, with min(workers, CPU count) workers;
-    the output does not depend on that count.  The workers are forked at the
-    first parallel call (or when the pool is replaced) and see module state
-    as of then.  A call whose worker dies raises ``BrokenProcessPool``, and
-    the next call forks a new pool.
+    The batches are the estimate's one plan (see :func:`_batches`).  One
+    worker runs them all; a pool is handed contiguous groups of whole
+    batches, about four groups per worker (one batch each when there are
+    fewer), so no batch is cut again.  Parallel calls share one pool per
+    process, with min(workers, CPU count) workers; the output does not
+    depend on that count.  The workers are forked at the first parallel call
+    (or when the pool is replaced) and see module state as of then.  A call
+    whose worker dies raises ``BrokenProcessPool``, and the next call forks
+    a new pool.
     """
     global _pool, _pool_workers
-    reps = range(config.replications)
-    workers = min(config.workers, os.cpu_count() or 1)
-    if workers == 1 or config.replications == 1:
-        return fn(config, reps)
+    batches = _batches(config)
+    workers = _worker_count(config)
+    if workers == 1 or len(batches) == 1:
+        return fn(config, batches)
     if _pool is None or _pool_workers != workers:
         if _pool is not None:
             _pool.shutdown()
         _pool, _pool_workers = ProcessPoolExecutor(max_workers=workers), workers
-    # About four ranges per worker: few enough to amortize the hand-off and
-    # keep batches long, enough that even a short estimate reaches every
-    # worker.
-    size = max(1, math.ceil(config.replications / (4 * workers)))
-    ranges = [reps[lo : lo + size] for lo in range(0, config.replications, size)]
+    # About four groups per worker: few enough to amortize the hand-off,
+    # enough that the workers finish close together.
+    groups = _cut(batches, min(len(batches), 4 * workers))
     try:
-        parts = list(_pool.map(fn, [config] * len(ranges), ranges))
+        parts = list(_pool.map(fn, [config] * len(groups), groups))
     except BrokenProcessPool:
         _pool = None
         raise

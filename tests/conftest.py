@@ -133,7 +133,7 @@ def _power_mismatches(config, scale):
     1e-12 relative, or whose status differs."""
     power = POWERS[config.tier, config.direction] * scale
     bad = []
-    batches = sim._batches(config, range(config.replications))
+    batches = sim._batches(config)
     records = [record for batch in batches for record in sim._batch_sir(config, batch)]
     for rep, (status, sir, _) in enumerate(records):
         ref_status, ref_sir, _ = _per_receiver_sir(config, rep, power)

@@ -1,11 +1,15 @@
 import math
 import os
+import tracemalloc
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
 from mmudn import pointprocess as pp
@@ -113,7 +117,7 @@ def test_workers_do_not_change_results():
     assert serial == estimate_se(cfg(workers=2, **every))
 
 
-def _exit_worker(config, reps):
+def _exit_worker(config, batches):
     os._exit(1)
 
 
@@ -279,9 +283,9 @@ def test_receiver_without_own_link(tier, own_length, linked):
 # --- batches ------------------------------------------------------------------------------
 
 
-def _sirs(config, reps):
-    """(status, sir) of each replication of ``reps``, batch by batch."""
-    return [(status, sir) for batch in sim._batches(config, reps) for status, sir, _ in sim._batch_sir(config, batch)]
+def _sirs(config, batches):
+    """(status, sir) of each replication of ``batches``, batch by batch."""
+    return [(status, sir) for batch in batches for status, sir, _ in sim._batch_sir(config, batch)]
 
 
 # (case, configuration), each branch of the batch pipeline: dense blocks; a
@@ -310,7 +314,7 @@ _BATCH_CASES = {
 @pytest.mark.parametrize("direction", ["dl", "ul"])
 def test_batch_composition_changes_no_bit(monkeypatch, tier, direction):
     # Every replication's status and SIR samples, with batches of one
-    # replication, of two, and of the default budget, on one worker and on
+    # replication, of two, and of the default plan, on one worker and on
     # two: the batch a replication runs in changes no bit.
     seen = {"radius": set(), "wrapped": 0}
     search = pp._search
@@ -336,7 +340,9 @@ def test_batch_composition_changes_no_bit(monkeypatch, tier, direction):
             monkeypatch.setattr(sim, "_batches", default_batches)
         else:
             monkeypatch.setattr(
-                sim, "_batches", lambda config, reps, size=size: [reps[i : i + size] for i in range(0, len(reps), size)]
+                sim, "_batches", lambda config, size=size: [
+                    range(config.replications)[i : i + size] for i in range(0, config.replications, size)
+                ]
             )
         for (case, every), pair in configs.items():
             monkeypatch.setattr(pp, "_BS_PER_CELL", 0.5 if case == "rings" else 4)
@@ -352,6 +358,85 @@ def test_batch_composition_changes_no_bit(monkeypatch, tier, direction):
     _drop_pool()
     assert statuses == {"ok", "interference_free", "no_active"}
     assert max(seen["radius"]) > 1 and seen["wrapped"] > 0
+
+
+def _batch_edges(config, batches):
+    """(first, end) of each batch a task is given."""
+    return [(batch.start, batch.stop) for batch in batches]
+
+
+def _task_batches(config, batches):
+    """The number of batches a task is given."""
+    return [len(batches)]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 64])
+@pytest.mark.parametrize("replications", [1, 3, 20, 1000])
+def test_pool_runs_the_batch_plan_whole(workers, replications):
+    # No replication is simulated: the tasks only report what they get.  A
+    # pool's tasks are contiguous groups of whole batches of the plan,
+    # about four per worker, whose sizes differ by at most one batch.
+    config = cfg(replications=replications, workers=workers)
+    plan = sim._batches(config)
+    assert sim._run_reps(config, _batch_edges) == [(batch.start, batch.stop) for batch in plan]
+    groups = sim._run_reps(config, _task_batches)
+    capped = min(workers, os.cpu_count() or 1)
+    if capped == 1 or len(plan) == 1:
+        assert groups == [len(plan)]
+    else:
+        assert len(groups) == min(len(plan), 4 * capped)
+        assert sum(groups) == len(plan) and max(groups) - min(groups) <= 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    replications=st.integers(1, 5000),
+    workers=st.integers(1, 64),
+    cpus=st.integers(1, 16),
+    users=st.floats(0.5, 2e4),
+    lhat=st.floats(0.1, 1e5),
+    tier=st.sampled_from(["muw", "mmw"]),
+)
+def test_batch_plan_properties(replications, workers, cpus, users, lhat, tier):
+    config = cfg(
+        replications=replications, workers=workers, tier=tier,
+        params=net(lhat_m=lhat, lhat_mu=lhat), window=Window(side=math.sqrt(users / LAMBDA_U)),
+    )
+    with mock.patch.object(sim.os, "cpu_count", return_value=cpus):
+        plan = sim._batches(config)
+    capped = min(workers, cpus)
+    points = sim._replication_points(config)
+    # Contiguous batches that cover every replication once.
+    assert all(batch.step == 1 for batch in plan)
+    assert [rep for batch in plan for rep in batch] == list(range(replications))
+    sizes = [len(batch) for batch in plan]
+    assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
+    assert max(sizes) * points <= sim._BATCH_POINTS or max(sizes) == 1
+    # Whole rounds of batches for the workers, unless a batch holds only one
+    # replication and there are not enough of them.
+    cap = max(1, int(sim._BATCH_POINTS // points))
+    if replications >= capped and cap > 1:
+        assert len(plan) % capped == 0
+    # The fewest such rounds: one round less would overfill a batch.
+    if capped < len(plan) < replications:
+        assert math.ceil(replications / (len(plan) - capped)) > cap
+
+
+def test_default_batch_memory_is_bounded():
+    # The largest default batch of the muW lhat = 10 configuration of 1,000
+    # users (48 replications, as in the benchmark) stays within the scratch
+    # that _BATCH_POINTS's comment states.
+    lambda_u = 0.01
+    params = NetworkParams(lambda_m=2 * lambda_u, lambda_mu=10 * lambda_u, lambda_u=lambda_u, alpha_mu=4.0)
+    config = SimConfig(params=params, replications=48, master_seed=7)
+    batch = max(sim._batches(config), key=len)
+    tracemalloc.start()
+    try:
+        sim._batch_sir(config, batch)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 2**20, (len(batch), peak / 2**20)
 
 
 # --- transmit powers ----------------------------------------------------------------------
@@ -559,7 +644,7 @@ def test_lazy_bs_draw_has_the_full_window_law(monkeypatch, tier, lhat, side, dir
     # replication share its geometry, so only one per replication is i.i.d.
     def samples(kind):
         config = _acceptance_config(tier, direction, lhat, side, _LAW_REPS[tier], _LAW_SEEDS[kind])
-        sirs = _sirs(config, range(config.replications))
+        sirs = _sirs(config, sim._batches(config))
         return [sir for status, sir in sirs if status == "ok"]
 
     lazy = samples("lazy")
@@ -587,4 +672,4 @@ def test_replication_cost_follows_the_users():
         assert len(bss) < 20_000, (lhat, len(bss))
         assert abs(assoc.n_bs - expected) < 5 * math.sqrt(expected), (lhat, assoc.n_bs)
         assert assoc.scheduled_user.size == len(bss)
-        assert _sirs(config, range(1))[0][0] == "ok"
+        assert _sirs(config, sim._batches(config))[0][0] == "ok"
