@@ -161,24 +161,18 @@ class AllocationResult:
 # ---------------------------------------------------------------------------
 
 
-def gammas_from_params(
-    params: NetworkParams,
-    p_l: float | None = None,
-    decoupled: bool = False,
-) -> Gammas:
+def gammas_from_params(params: NetworkParams, decoupled: bool = False) -> Gammas:
     """Asymptotic per-band SEs from network parameters.
 
-    ``p_l`` overrides the computed LOS probability.  Without decoupling the
-    mmW UL SE equals the DL one; with decoupling the UL receiver set has
-    density lambda_m + lambda_mu, so the density ratio inside the log grows
-    accordingly (the LOS probability stays that of the mmW BSs).
+    Without decoupling the mmW UL SE equals the DL one; with decoupling the
+    UL receiver set has density lambda_m + lambda_mu, so the density ratio
+    inside the log grows accordingly (the LOS probability stays that of the
+    mmW BSs).
     """
     lhat_m, lhat_mu = params.lambda_hat_m, params.lambda_hat_mu
     if lhat_m < 1 or lhat_mu < 1:
         raise DomainError("density ratios must be >= 1 for the asymptotic SEs")
-    pl = los_probability(params.lambda_m, params.r_los) if p_l is None else p_l
-    if not 0 <= pl <= 1:
-        raise ParameterError(f"p_l must lie in [0, 1], got {pl}")
+    pl = los_probability(params.lambda_m, params.r_los)
     gamma_m = _asymptote(lhat_m, params.alpha_m, pl)
     gamma_mu = _asymptote(lhat_mu, params.alpha_mu)
     if not decoupled:
@@ -318,7 +312,6 @@ def _closed_form(
 def optimal_allocation(
     params: NetworkParams,
     spectrum: SpectrumParams,
-    p_l: float | None = None,
     strict: bool = False,
     decoupled: bool = False,
 ) -> AllocationResult:
@@ -330,7 +323,7 @@ def optimal_allocation(
     branch formulas apply with the decoupled mmW UL SE.  With ``strict``
     a point where the dominant-mmW-DL assumption fails raises.
     """
-    g = gammas_from_params(params, p_l=p_l, decoupled=decoupled)
+    g = gammas_from_params(params, decoupled=decoupled)
     if strict:
         _check_a1(spectrum, g)
     region = _classify(params, spectrum, g, decoupled)
@@ -343,14 +336,9 @@ def optimal_allocation(
     )
 
 
-def optimal_allocation_decoupled(
-    params: NetworkParams,
-    spectrum: SpectrumParams,
-    p_l: float | None = None,
-    strict: bool = False,
-) -> AllocationResult:
+def optimal_allocation_decoupled(params: NetworkParams, spectrum: SpectrumParams) -> AllocationResult:
     """:func:`optimal_allocation` with mmW UL decoupling."""
-    return optimal_allocation(params, spectrum, p_l=p_l, strict=strict, decoupled=True)
+    return optimal_allocation(params, spectrum, decoupled=True)
 
 
 # ---------------------------------------------------------------------------
@@ -359,10 +347,7 @@ def optimal_allocation_decoupled(
 
 
 def lp_oracle(
-    params: NetworkParams,
-    spectrum: SpectrumParams,
-    decoupled: bool = False,
-    p_l: float | None = None,
+    params: NetworkParams, spectrum: SpectrumParams, decoupled: bool = False
 ) -> tuple[Allocation, float]:
     """Exact solution of the two-variable LP max R_d s.t. R_u >= zeta R_d,
     0 <= beta <= 1, by vertex enumeration of the feasible polygon.
@@ -371,7 +356,7 @@ def lp_oracle(
     scale.  Ties (within 1e-15 relative in R_d) break toward smaller beta_m,
     then smaller beta_mu.  Returns (allocation, maximal R_d).
     """
-    g = gammas_from_params(params, p_l=p_l, decoupled=decoupled)
+    g = gammas_from_params(params, decoupled=decoupled)
     z = spectrum.zeta
     # Constraint A beta_m + B beta_mu >= C.
     a = spectrum.w_m_ul * g.gamma_m_u + z * spectrum.w_m * g.gamma_m

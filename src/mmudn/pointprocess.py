@@ -134,8 +134,7 @@ class PointSet:
 
 class LazyPPP:
     """Independent homogeneous PPPs on the window, one per generator of
-    ``rng`` (one process for a single Generator), drawn only where
-    :func:`associate_strongest` looks for BSs.
+    ``rngs``, drawn only where :func:`associate_strongest` looks for BSs.
 
     Nothing is drawn at construction.  Association draws, from each
     process's own generator, the cells its users' blocks cover, all in one
@@ -151,11 +150,11 @@ class LazyPPP:
     by process, in draw order within each.
     """
 
-    def __init__(self, density: float, window: Window, rng):
+    def __init__(self, density: float, window: Window, rngs):
         if not (density >= 0):
             raise ParameterError(f"density must be nonnegative, got {density}")
         self.density, self.window = density, window
-        self.rngs = [rng] if isinstance(rng, np.random.Generator) else list(rng)
+        self.rngs = list(rngs)
         self.points = np.empty((0, 2))
         # (process, first index, end index) of each run of drawn BSs.
         self._runs: list[tuple[int, int, int]] = []
@@ -410,42 +409,34 @@ class _CellIndex:
             self.table[new] = np.arange(new.size)
 
 
-def _block_spans(user_points: np.ndarray, base: np.ndarray, side: float, n_cells: int, radius: int):
+def _block_spans(ux: np.ndarray, uy: np.ndarray, base: np.ndarray, n_cells: int, radius: int):
     """Each user's block of cells within ``radius`` rows and columns of its
-    own, as spans of columns, each a run of consecutive cells in each of
-    the block's rows: (wrapped, first, last, frame_x, frame_y, parts).
+    own cell (``ux``, ``uy``), as spans of columns, each a run of
+    consecutive cells in each of the block's rows: (wrapped, first, last,
+    parts).
 
     The arrays hold a row of the block per row and a span per column: the
     run of span i in row j holds the cells ``first[j, i]`` to
     ``last[j, i]``, keys x n + y wrapped onto the grid from the user's
-    ``base``.  The frames are the user's coordinates shifted by 0 or one
-    window side where the row (``frame_x[j, i]``) or the span's columns
-    (``frame_y[i]``) wrapped, so that a BS in the span less them is the
-    displacement to the BS's image next to the user.  Spans 0 to U - 1 are
-    the users' own, their columns clipped to the grid; span U + m holds the
-    columns that wrapped of user ``wrapped[m]``, first below 0, then above
-    n - 1, for the users whose block wrapped (about 2 radius / n of them).
-    ``parts`` ends each run of spans that names a user at most once.  A
-    block wraps the grid at most once (radius <= n)."""
-    users = len(user_points)
-    ux, uy = _cell_xy(user_points, side, n_cells)
+    ``base``.  Spans 0 to U - 1 are the users' own, their columns clipped
+    to the grid; span U + m holds the columns that wrapped of user
+    ``wrapped[m]``, first below 0, then above n - 1, for the users whose
+    block wrapped (about 2 radius / n of them).  ``parts`` ends each run of
+    spans that names a user at most once.  A block wraps the grid at most
+    once (radius <= n)."""
+    users = ux.size
     nx = ux + np.arange(-radius, radius + 1)[:, None]
-    shift_x = nx // n_cells
-    rows = (nx - n_cells * shift_x) * n_cells
+    rows = (nx - n_cells * (nx // n_cells)) * n_cells
     rows += base
-    frame_x = user_points[:, 0] - side * shift_x
     low = np.flatnonzero(uy < radius)
     high = np.flatnonzero(uy >= n_cells - radius)
     wrapped = np.concatenate((low, high))
     lo = np.concatenate((np.maximum(uy - radius, 0), np.maximum(uy[low] + (n_cells - radius), 0), np.zeros_like(high)))
     hi = np.concatenate((np.minimum(uy + radius, n_cells - 1), np.full_like(low, n_cells - 1), uy[high] + (radius - n_cells)))
-    frame_y = user_points[:, 1]
-    frame_y = np.concatenate((frame_y, frame_y[low] + side, frame_y[high] - side))
     rows = np.concatenate((rows, rows[:, wrapped]), axis=1)
-    frame_x = np.concatenate((frame_x, frame_x[:, wrapped]), axis=1)
     # A user's columns wrap on both sides only on a grid narrower than 2 radius.
     parts = (users, users + wrapped.size) if n_cells >= 2 * radius else (users, users + low.size, users + wrapped.size)
-    return wrapped, rows + lo, rows + hi, frame_x, frame_y, parts
+    return wrapped, rows + lo, rows + hi, parts
 
 
 def _search(index: _CellIndex, user_points: np.ndarray, base: np.ndarray, radius: int):
@@ -459,7 +450,20 @@ def _search(index: _CellIndex, user_points: np.ndarray, base: np.ndarray, radius
     their (user, BS) pairs, not the block's empty cells.  A span's nearest
     BS is found as a user's, and each user keeps the nearest of its
     spans'."""
-    wrapped, first, last, frame_x, frame_y, parts = _block_spans(user_points, base, index.side, index.n, radius)
+    side, n = index.side, index.n
+    ux, uy = _cell_xy(user_points, side, n)
+    wrapped, first, last, parts = _block_spans(ux, uy, base, n, radius)
+    # The frames: the user's coordinates shifted by 0 or one window side
+    # where the row (frame_x[j, i]) or the span's columns (frame_y[i])
+    # wrapped, so that a BS in the span less them is the displacement to
+    # the BS's image next to the user.  The wrapped spans' columns lie
+    # first below 0, then above n - 1.
+    frame_x = user_points[:, 0] - side * ((ux + np.arange(-radius, radius + 1)[:, None]) // n)
+    frame_x = np.concatenate((frame_x, frame_x[:, wrapped]), axis=1)
+    frame_y = user_points[:, 1]
+    low = wrapped[: np.count_nonzero(uy < radius)]
+    high = wrapped[low.size :]
+    frame_y = np.concatenate((frame_y, frame_y[low] + side, frame_y[high] - side))
     width = 2 * radius + 1
     index.cover(first, last, width)
     starts, counts = index.entries(first, last)
@@ -539,7 +543,7 @@ def _block_candidates(points, bounds, user_points, process, side: float, los_rad
     # Cell key c holds positions ends[c] to ends[c + 1] - 1, so a run of
     # cells first to last holds ends[first] to ends[last + 1] - 1.
     ends = np.concatenate(([0], np.cumsum(np.bincount(keys, minlength=n_processes * n * n))))
-    wrapped, first, last = _block_spans(user_points, process * (n * n), side, n, 1)[:3]
+    wrapped, first, last, _ = _block_spans(*_cell_xy(user_points, side, n), process * (n * n), n, 1)
     users = len(user_points)
     starts, stops = np.zeros((2, users, 6), dtype=np.int64)
     for run, edge in ((starts, ends[first]), (stops, ends[last + 1])):
@@ -583,7 +587,7 @@ def _nearest(
 
 
 def associate_strongest(
-    users: PointSet | list[PointSet], bss: PointSet | LazyPPP, los_radius: float = math.inf
+    users: list[PointSet], bss: PointSet | LazyPPP, los_radius: float = math.inf
 ) -> AssociationMap:
     """Associate each user with its strongest-power BS.
 
@@ -595,29 +599,28 @@ def associate_strongest(
     association as a search over all BSs.  On a :class:`LazyPPP` it draws
     the BSs it searches, and then the count of those left undrawn, once.
 
-    ``users`` is a :class:`PointSet`, or a sequence of them with one per
-    process of a lazily drawn ``bss``: a batch, in which each user set is
-    associated with its own process exactly as it would be alone, in one
-    pass.  The map indexes users and BSs across the batch (see
+    ``users`` holds one user set per process of a lazily drawn ``bss``, or
+    one for a point set of BSs.  A batch of processes is associated in one
+    pass, each user set with its own process exactly as it would be alone;
+    the map indexes users and BSs across the batch (see
     :class:`AssociationMap`).
     """
     lazy = isinstance(bss, LazyPPP)
-    user_sets = [users] if isinstance(users, PointSet) else list(users)
     if lazy:
         if bss._associated:
             raise DomainError("a lazily drawn BS process is associated only once")
         bss._associated = True
-        if len(user_sets) != len(bss.rngs):
+        if len(users) != len(bss.rngs):
             raise ParameterError("a batch needs one user set per BS process")
     elif len(bss) == 0:
         raise DomainError("cannot associate against an empty BS set")
-    elif len(user_sets) != 1:
+    elif len(users) != 1:
         raise ParameterError("a point set of BSs serves one user set")
     window = bss.window
-    n_processes = len(user_sets)
-    sizes = [len(u) for u in user_sets]
+    n_processes = len(users)
+    sizes = [len(u) for u in users]
     user_starts = np.cumsum([0, *sizes])
-    user_points = np.concatenate([u.points for u in user_sets])
+    user_points = np.concatenate([u.points for u in users])
     process = np.repeat(np.arange(n_processes), sizes)
     # With fewer than three cells per side a 3x3 block wraps the grid, and a
     # block that wraps settles its users.
@@ -646,12 +649,11 @@ def associate_strongest(
     )
 
 
-def schedule_active(assoc: AssociationMap, rng) -> AssociationMap:
+def schedule_active(assoc: AssociationMap, rngs) -> AssociationMap:
     """Each BS with k >= 1 associated users schedules one uniformly at random.
 
-    ``rng`` is a Generator, or for a batch a sequence of them, one per
-    replication, each drawing its replication's schedule."""
-    rngs = [rng] if isinstance(rng, np.random.Generator) else list(rng)
+    ``rngs`` holds one Generator per replication of the map, each drawing
+    its replication's schedule."""
     if len(rngs) != assoc.user_starts.size - 1:
         raise ParameterError("a batch needs one generator per replication")
     scheduled = np.full(assoc.scheduled_user.size, -1, dtype=np.int64)

@@ -115,9 +115,13 @@ _DIRECTIONS = ("dl", "ul")
 # 10, 1,000-user configuration (6 replications) peaks at 5.0 MiB under
 # tracemalloc, within the 6 MiB that tests/test_simulator.py holds it to,
 # and the benchmark's largest, 8 muW replications at lambda_hat = 1000, at
-# 7.9 MiB.  Summed medians of ms per mc_acceptance operation at 2^14 to
-# 2^18 (9 interleaved passes, 2-core VM): 1005, 844, 735, 717 and 728 ms on
-# one worker, 612, 507, 460, 438 and 400 ms on two.  Whole two-worker
+# 7.9 MiB.  Most of the spread is the association grid's cell table (8
+# bytes per cell, n^2 cells per replication), which the count leaves out:
+# it weighs most at high lambda_hat, where the grid has far more cells than
+# the users' blocks cover (56,000 against about 2,000 at lambda_hat = 1000).
+# Summed medians of ms per mc_acceptance operation at 2^14 to 2^18 (9
+# interleaved passes, 2-core VM): 1005, 844, 735, 717 and 728 ms on one
+# worker, 612, 507, 460, 438 and 400 ms on two.  Whole two-worker
 # benchmark runs (10 s) were faster at 2^17 than at 2^18 in 6 of 6 pairs,
 # and the pool workers peaked at 65.8 MiB resident against 70.3 MiB.
 # BENCH_32.json has each operation.
@@ -238,7 +242,9 @@ def _replication_points(config: SimConfig) -> float:
     """A replication's expected points: the nine cells of each user's
     block, read as three row runs of three cells, the BSs association
     draws, which are at most the window's and about four per cell, and 16
-    more for its generator (1 KiB, the scratch of about ten points)."""
+    more for its generator (1 KiB, the scratch of about ten points).  The
+    association grid's cell table, 8 bytes for each of its n^2 cells, is
+    not counted (see ``_BATCH_POINTS``)."""
     area = config.window.area
     cells = 9 * config.params.lambda_u * area
     return 16 + cells + min(config.bs_density * area, 4 * cells)

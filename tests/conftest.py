@@ -7,10 +7,12 @@ per-receiver SIR reference that the simulator tests and criterion 4
 compare the simulator with (fixtures ``per_receiver_sir`` and
 ``power_mismatches``), the paper's printed maximal DL rates that criterion 7
 and the worked-point tests compare the optimum with (fixture
-``printed_r_d``), and the KD-tree Voronoi cell areas that criterion 11
-checks against the cell-size law (fixtures ``kd_tree`` and
-``estimate_cell_areas``)."""
+``printed_r_d``), the paper's printed LOS probabilities that those
+worked points are evaluated at (fixture ``pinned_p_l``), and the KD-tree
+Voronoi cell areas that criterion 11 checks against the cell-size law
+(fixtures ``kd_tree`` and ``estimate_cell_areas``)."""
 
+import contextlib
 import math
 import os
 
@@ -18,6 +20,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
+from mmudn import allocation
 from mmudn import simulator as sim
 from mmudn.analytic_se import los_probability
 
@@ -186,6 +189,21 @@ def _printed_r_d(result, spectrum, params, p_l=None):
 @pytest.fixture
 def printed_r_d():
     return _printed_r_d
+
+
+@contextlib.contextmanager
+def _pinned_p_l(p_l):
+    """Inside the block, the allocation reads the LOS probability ``p_l``
+    in place of 1 - exp(-lambda_m pi R_L^2): the paper evaluates its worked
+    points at p_L printed to four digits."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(allocation, "los_probability", lambda lambda_m, r_los: p_l)
+        yield
+
+
+@pytest.fixture
+def pinned_p_l():
+    return _pinned_p_l
 
 
 def _papr_outage(w, f_s, delta):

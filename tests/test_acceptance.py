@@ -4,6 +4,7 @@ reports every violated clause at once.  Monte Carlo fixtures are module-scoped
 and shared between the bracketing and DL/UL-convergence criteria.
 """
 
+import contextlib
 import math
 import sys
 import time
@@ -272,7 +273,7 @@ def test_criterion_06_lp_oracle_equivalence():
     _report(6, failures[:10], f"1600 points x 2 solvers in {elapsed:.2f} s")
 
 
-def test_criterion_07_printed_formula_cross_check(printed_r_d):
+def test_criterion_07_printed_formula_cross_check(printed_r_d, pinned_p_l):
     failures = []
     spectrum = SpectrumParams(w_m=500e6, w_mu_band=20e6, w_m_ul=100e6, zeta=0.25)
 
@@ -287,7 +288,8 @@ def test_criterion_07_printed_formula_cross_check(printed_r_d):
         )
 
     def optimum(lhat, p_l=None, decoupled=False):
-        res = optimal_allocation(net(lhat), spectrum, p_l=p_l, decoupled=decoupled)
+        with contextlib.nullcontext() if p_l is None else pinned_p_l(p_l):
+            res = optimal_allocation(net(lhat), spectrum, decoupled=decoupled)
         printed, _ = printed_r_d(res, spectrum, net(lhat), p_l)
         return res, res.rate.r_d, printed
 

@@ -181,24 +181,27 @@ def test_cl_boundary_at_and_below_unit_muw_ratio():
 # --- optimal allocation -----------------------------------------------------------------
 
 
-def test_ch_worked_point():
-    res = optimal_allocation(net(100.0), spec(), p_l=0.6864)
+def test_ch_worked_point(pinned_p_l):
+    with pinned_p_l(0.6864):
+        res = optimal_allocation(net(100.0), spec())
     assert res.region.region == "C_H"
     assert res.allocation.beta_m == pytest.approx(0.5243688168, rel=1e-9)
     assert res.allocation.beta_mu == 1.0
     assert res.rate.r_d == pytest.approx(9.396655315e8, rel=1e-9)
 
 
-def test_cl_worked_point_rate(printed_r_d):
-    res = optimal_allocation(net(1.2), spec(), p_l=0.6046)
+def test_cl_worked_point_rate(printed_r_d, pinned_p_l):
+    with pinned_p_l(0.6046):
+        res = optimal_allocation(net(1.2), spec())
     printed, _ = printed_r_d(res, spec(), net(1.2), p_l=0.6046)
     assert str(res.region) == "C_L"
     assert res.rate.r_d == pytest.approx(7.729651640e7, rel=1e-8)
     assert printed == pytest.approx(res.rate.r_d, rel=1e-9)
 
 
-def test_ch_worked_point_rate(printed_r_d):
-    res = optimal_allocation(net(100.0), spec(), p_l=0.6864)
+def test_ch_worked_point_rate(printed_r_d, pinned_p_l):
+    with pinned_p_l(0.6864):
+        res = optimal_allocation(net(100.0), spec())
     printed, _ = printed_r_d(res, spec(), net(100.0), p_l=0.6864)
     assert str(res.region) == "C_H"
     assert res.rate.r_d == pytest.approx(9.396655315e8, rel=1e-8)
@@ -235,16 +238,18 @@ def test_a1_flag_and_strict_raise():
 # --- decoupled allocation ---------------------------------------------------------------
 
 
-def test_decoupled_d_worked_point():
-    res = optimal_allocation_decoupled(net(1.25), spec(), p_l=0.6196)
+def test_decoupled_d_worked_point(pinned_p_l):
+    with pinned_p_l(0.6196):
+        res = optimal_allocation_decoupled(net(1.25), spec())
     assert res.region.in_d
     assert str(res.region) == "C_L+D"
     assert res.allocation.beta_m == pytest.approx(0.2527644474, rel=1e-9)
     assert res.allocation.beta_mu == 0.0
 
 
-def test_decoupled_d_max_rate_both_values(printed_r_d):
-    res = optimal_allocation(net(1.25), spec(), p_l=0.6196, decoupled=True)
+def test_decoupled_d_max_rate_both_values(printed_r_d, pinned_p_l):
+    with pinned_p_l(0.6196):
+        res = optimal_allocation(net(1.25), spec(), decoupled=True)
     printed, literal = printed_r_d(res, spec(), net(1.25), p_l=0.6196)
     assert res.region.in_d
     assert res.rate.r_d == pytest.approx(9.229626003e7, rel=1e-8)
@@ -308,12 +313,14 @@ def test_lp_zeta_zero_corner():
     assert r_d == pytest.approx(plain.rate.r_d, rel=1e-12)
 
 
-def test_lp_agrees_at_worked_points():
+def test_lp_agrees_at_worked_points(pinned_p_l):
     s = spec()
-    alloc, r_d = lp_oracle(net(100.0), s, p_l=0.6864)
+    with pinned_p_l(0.6864):
+        alloc, r_d = lp_oracle(net(100.0), s)
     assert alloc.beta_m == pytest.approx(0.5243688168, rel=1e-9)
     assert r_d == pytest.approx(9.396655315e8, rel=1e-9)
-    alloc, r_d = lp_oracle(net(1.25), s, decoupled=True, p_l=0.6196)
+    with pinned_p_l(0.6196):
+        alloc, r_d = lp_oracle(net(1.25), s, decoupled=True)
     assert alloc.beta_m == pytest.approx(0.2527644474, rel=1e-9)
     assert alloc.beta_mu == 0.0
 

@@ -110,7 +110,7 @@ def test_associate_nearest_bs():
     w = Window(side=10.0)
     users = _point_set([[1.0, 1.0], [6.0, 6.0]], w)
     bss = _point_set([[0.0, 0.0], [7.0, 7.0]], w)
-    assoc = associate_strongest(users, bss)
+    assoc = associate_strongest([users], bss)
     assert assoc.user_to_bs.tolist() == [0, 1]
 
 
@@ -118,7 +118,7 @@ def test_associate_wraps_around_torus():
     w = Window(side=10.0)
     users = _point_set([[9.9, 5.0]], w)
     bss = _point_set([[0.2, 5.0], [5.0, 5.0]], w)
-    assoc = associate_strongest(users, bss)
+    assoc = associate_strongest([users], bss)
     assert assoc.user_to_bs.tolist() == [0]
 
 
@@ -126,7 +126,7 @@ def test_associate_los_radius_leaves_user_unassociated():
     w = Window(side=100.0)
     users = _point_set([[50.0, 50.0]], w)
     bss = _point_set([[0.0, 0.0]], w)
-    assoc = associate_strongest(users, bss, los_radius=10.0)
+    assoc = associate_strongest([users], bss, los_radius=10.0)
     assert assoc.user_to_bs.tolist() == [-1]
     assert assoc.active_bs.size == 0
 
@@ -136,7 +136,7 @@ def test_associate_empty_bs_set_is_error():
     users = _point_set([[1.0, 1.0]], w)
     empty = PointSet(points=np.empty((0, 2)), window=w)
     with pytest.raises(DomainError):
-        associate_strongest(users, empty)
+        associate_strongest([users], empty)
 
 
 # (BS density, los_radius, layout) in a 20 m window.  At 20 BSs/m^2
@@ -232,7 +232,7 @@ def _check_association(distance, seed, bs_density, los_radius, layout):
         users = grid[rng.integers(0, grid.size, size=(30, 2))]
         users += offsets[rng.integers(0, 3, size=30)]
         users = np.vstack([users, [side - 0.25, side - 0.25], [side - 0.25, 0.0]])
-    assoc = associate_strongest(_point_set(users, w), _point_set(bss, w), los_radius)
+    assoc = associate_strongest([_point_set(users, w)], _point_set(bss, w), los_radius)
     np.testing.assert_array_equal(
         assoc.user_to_bs,
         _brute_force(distance, users, bss, w, los_radius),
@@ -259,7 +259,7 @@ def test_los_sized_cells_hold_every_bs_within_los_radius(monkeypatch, torus_dist
         return search(index, user_points, base, radius)
 
     monkeypatch.setattr(pp, "_search", refuse_rings)
-    assoc = associate_strongest(users, bss, los_radius)
+    assoc = associate_strongest([users], bss, los_radius)
     expected = _brute_force(torus_distance, users.points, bss.points, w, los_radius)
     assert np.any(expected < 0) and np.any(expected >= 0)
     np.testing.assert_array_equal(assoc.user_to_bs, expected)
@@ -273,7 +273,7 @@ def test_schedule_one_user_per_bs():
     w = Window(side=30.0)
     users = sample_ppp(0.5, w, rng)
     bss = sample_ppp(0.05, w, rng)
-    assoc = schedule_active(associate_strongest(users, bss), rng)
+    assoc = schedule_active(associate_strongest([users], bss), [rng])
     for b in range(assoc.n_bs):
         members = np.flatnonzero(assoc.user_to_bs == b)
         if members.size:
@@ -290,12 +290,12 @@ def test_schedule_uniform_pick():
     w = Window(side=10.0)
     users = _point_set([[1, 1], [2, 2], [3, 3], [4, 4]], w)
     bss = _point_set([[5, 5]], w)
-    assoc = associate_strongest(users, bss)
+    assoc = associate_strongest([users], bss)
     rng = np.random.default_rng(4)
     counts = np.zeros(4)
     n = 4000
     for _ in range(n):
-        counts[schedule_active(assoc, rng).scheduled_user[0]] += 1
+        counts[schedule_active(assoc, [rng]).scheduled_user[0]] += 1
     # 5-sigma binomial band around n/4.
     sigma = math.sqrt(n * 0.25 * 0.75)
     assert np.all(np.abs(counts - n / 4) < 5 * sigma)
@@ -358,7 +358,7 @@ def _lazy_association(monkeypatch, seed, bs_density, los_radius, per_cell, proce
     if processes == 1:
         rng = np.random.default_rng(seed)
         users = [sample_ppp(0.05, w, rng)]
-        bss = LazyPPP(bs_density, w, rng)
+        bss = LazyPPP(bs_density, w, [rng])
     else:
         users = [sample_ppp(0.05, w, np.random.default_rng([seed, k, 1])) for k in range(processes)]
         users[1] = PointSet(np.vstack([users[1].points, probe]), w)
@@ -497,7 +497,7 @@ def test_lazy_process_is_associated_once():
     w = Window(side=20.0)
     rng = np.random.default_rng(0)
     users = sample_ppp(0.05, w, rng)
-    bss = LazyPPP(20.0, w, rng)
-    associate_strongest(users, bss)
+    bss = LazyPPP(20.0, w, [rng])
+    associate_strongest([users], bss)
     with pytest.raises(DomainError):
-        associate_strongest(users, bss)
+        associate_strongest([users], bss)

@@ -604,7 +604,7 @@ def _full_window_network(config, rngs, los_radius):
         bss = sample_ppp(config.bs_density, config.window, rng)
         users = sample_ppp(config.params.lambda_u, config.window, rng)
         if len(bss) and len(users):
-            assoc = schedule_active(associate_strongest(users, bss, los_radius), rng)
+            assoc = schedule_active(associate_strongest([users], bss, los_radius), [rng])
             bs_points.append(bss.points)
             user_points.append(users.points)
             user_to_bs.append(np.where(assoc.user_to_bs >= 0, assoc.user_to_bs + bs_starts[-1], -1))
