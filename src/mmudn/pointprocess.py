@@ -31,11 +31,11 @@ walk gives the simulator its mmW interference candidates
 than the LOS radius, read as the row runs of the transmitters sorted by
 cell key.
 
-The BSs are either a :class:`PointSet`, whose points association sorts into
-the cells it visits, or a :class:`LazyPPP`, which association draws cell by
-cell: only the cells it visits, then one Poisson count for the rest of the
-window.  The simulator draws its users first and its BSs lazily, so a
-replication costs about the same at any BS density.
+The users are an array of points drawn by :func:`sample_ppp`; the BSs are
+a :class:`LazyPPP`, which association draws cell by cell: only the cells it
+visits, then one Poisson count for the rest of the window.  The simulator
+draws its users first and its BSs lazily, so a replication costs about the
+same at any BS density.
 
 Association and scheduling also run on a batch: a :class:`LazyPPP` of K
 processes, one generator each, and a user set per process.  Process k's grid
@@ -57,7 +57,6 @@ from .errors import DomainError, ParameterError
 
 __all__ = [
     "Window",
-    "PointSet",
     "LazyPPP",
     "AssociationMap",
     "sample_ppp",
@@ -91,45 +90,6 @@ class Window:
         """Minimal-image displacement vector(s) from src to dst."""
         d = np.asarray(dst, dtype=float) - np.asarray(src, dtype=float)
         return d - self.side * np.round(d / self.side)
-
-
-@dataclass(frozen=True)
-class PointSet:
-    points: np.ndarray  # (n, 2)
-    window: Window
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float).reshape(-1, 2)
-        object.__setattr__(self, "points", pts)
-        if pts.size and not np.all(np.isfinite(pts)):
-            raise ParameterError("point coordinates must be finite")
-        if pts.size and (pts.min() < 0 or pts.max() > self.window.side):
-            raise ParameterError("points must lie inside the window")
-
-    def __len__(self) -> int:
-        return self.points.shape[0]
-
-    def _cells(self, keys: np.ndarray, n: int):
-        """The points in the given cells of an n x n grid (ascending keys),
-        sorted by cell: (x, y, their indices, count per cell).  One pass
-        over all points, in slices: whole-array temporaries measured twice as
-        slow."""
-        side = self.window.side
-        wanted = np.zeros(n * n, dtype=bool)
-        wanted[keys] = True
-        kept, kept_keys = [], []
-        for lo in range(0, len(self), _BLOCK_PAIRS):
-            cx, cy = _cell_xy(self.points[lo : lo + _BLOCK_PAIRS], side, n)
-            cell = cx * n + cy
-            inside = np.flatnonzero(wanted[cell])
-            kept.append(inside + lo)
-            kept_keys.append(cell[inside])
-        kept_keys = np.concatenate(kept_keys)
-        order = np.argsort(kept_keys)
-        ids = np.concatenate(kept)[order]
-        kept_keys = kept_keys[order]
-        counts = np.searchsorted(kept_keys, keys, side="right") - np.searchsorted(kept_keys, keys)
-        return self.points[ids, 0], self.points[ids, 1], ids, counts
 
 
 class LazyPPP:
@@ -234,11 +194,9 @@ class AssociationMap:
     and BSs ``bs_starts[k]`` to ``bs_starts[k + 1] - 1``.  ``user_to_bs[u]``
     is the serving BS index or -1 when no BS qualifies (mmW users with no BS
     inside the LOS radius).  ``n_bs`` is the BS count of the batch's windows.
-    ``scheduled_user`` has one entry per BS with an index: all ``n_bs`` of
-    them unless the BSs were drawn lazily, when only the drawn ones (the
-    others serve no user).  ``scheduled_user[b]`` is -1 until
-    :func:`schedule_active` fills it; BSs with no associated user stay at -1
-    and are marked inactive.
+    ``scheduled_user`` has one entry per drawn BS (the others serve no
+    user).  ``scheduled_user[b]`` is -1 until :func:`schedule_active` fills
+    it; BSs with no associated user stay at -1 and are marked inactive.
     """
 
     user_to_bs: np.ndarray
@@ -254,13 +212,13 @@ class AssociationMap:
         return np.flatnonzero(self.scheduled_user >= 0)
 
 
-def sample_ppp(density: float, window: Window, rng: np.random.Generator) -> PointSet:
-    """Homogeneous PPP restricted to the window: Poisson count, uniform locations."""
+def sample_ppp(density: float, window: Window, rng: np.random.Generator) -> np.ndarray:
+    """Homogeneous PPP restricted to the window: Poisson count, uniform
+    locations, as an (n, 2) array."""
     if not (density >= 0):
         raise ParameterError(f"density must be nonnegative, got {density}")
     n = rng.poisson(density * window.area)
-    pts = rng.uniform(0.0, window.side, size=(n, 2))
-    return PointSet(points=pts, window=window)
+    return rng.uniform(0.0, window.side, size=(n, 2))
 
 
 # Expected BSs per cell of the association grid.  A user's nearest BS lies
@@ -268,14 +226,13 @@ def sample_ppp(density: float, window: Window, rng: np.random.Generator) -> Poin
 _BS_PER_CELL = 4
 
 # Pairs per block, for the (user, BS) pairs of an association search and
-# the simulator's (receiver, transmitter) pairs, and BSs per slice of a pass
-# over all BSs.  A block holds a handful of flat float and index arrays,
-# 128 KiB each at 2^14 pairs, so its scratch stays under 1 MiB however many
-# users and BSs a replication holds.  Search blocks whose arrays outlived
-# them raised the all-receiver benchmark's peak RSS by 1.1 MiB.  2^16 pairs
-# at a time raised it by 4.5 MiB (5 %) and ran no faster (measured on an
-# earlier receiver-by-transmitter grid layout, whose scratch per pair was
-# smaller).
+# the simulator's (receiver, transmitter) pairs.  A block holds a handful of
+# flat float and index arrays, 128 KiB each at 2^14 pairs, so its scratch
+# stays under 1 MiB however many users and BSs a replication holds.  Search
+# blocks whose arrays outlived them raised the all-receiver benchmark's peak
+# RSS by 1.1 MiB.  2^16 pairs at a time raised it by 4.5 MiB (5 %) and ran
+# no faster (measured on an earlier receiver-by-transmitter grid layout,
+# whose scratch per pair was smaller).
 _BLOCK_PAIRS = 1 << 14
 
 
@@ -346,9 +303,8 @@ class _CellIndex:
     ``bounds[i + 1] - 1`` of ``x``, ``y`` (coordinates) and ``ids`` (BS
     indices).  So the BSs of a run of consecutive covered cells are one run
     of entries, found by one lookup at each end however many of its cells
-    are empty (:meth:`entries`).  :meth:`cover` adds cells with the BS
-    set's ``_cells``: a lazily drawn process draws them, a point set sorts
-    its points into them."""
+    are empty (:meth:`entries`).  :meth:`cover` adds cells drawn by the BS
+    process's ``_cells``."""
 
     def __init__(self, bss, n: int, n_processes: int, n_slots: int):
         self.bss, self.n, self.side = bss, n, bss.window.side
@@ -441,9 +397,9 @@ def _block_spans(ux: np.ndarray, uy: np.ndarray, base: np.ndarray, n_cells: int,
 
 def _search(index: _CellIndex, user_points: np.ndarray, base: np.ndarray, radius: int):
     """Each user's nearest BS in its block of ``radius`` of its process's
-    grid, whose keys start at the user's ``base``, drawn or sorted into the
-    index first: (squared distance, BS index), or (inf, -1) for an empty
-    block.  An exact tie goes to the lowest BS index.
+    grid, whose keys start at the user's ``base``, drawn into the index
+    first: (squared distance, BS index), or (inf, -1) for an empty block.
+    An exact tie goes to the lowest BS index.
 
     The block is searched as the spans of :func:`_block_spans`, whose runs
     of cells are runs of index entries, so the work follows the runs and
@@ -586,9 +542,7 @@ def _nearest(
     return user_to_bs
 
 
-def associate_strongest(
-    users: list[PointSet], bss: PointSet | LazyPPP, los_radius: float = math.inf
-) -> AssociationMap:
+def associate_strongest(users: list[np.ndarray], bss: LazyPPP, los_radius: float = math.inf) -> AssociationMap:
     """Associate each user with its strongest-power BS.
 
     With equal per-tier transmit powers this is the nearest BS under the
@@ -596,50 +550,40 @@ def associate_strongest(
     within line of sight and leaves users with none unassociated.  An exact
     distance tie goes to the lowest BS index.  The search is pruned to BSs
     near the users (see the module docstring) and returns the same
-    association as a search over all BSs.  On a :class:`LazyPPP` it draws
-    the BSs it searches, and then the count of those left undrawn, once.
+    association as a search over all BSs.  It draws the BSs it searches,
+    and then the count of those left undrawn, once.
 
-    ``users`` holds one user set per process of a lazily drawn ``bss``, or
-    one for a point set of BSs.  A batch of processes is associated in one
-    pass, each user set with its own process exactly as it would be alone;
-    the map indexes users and BSs across the batch (see
-    :class:`AssociationMap`).
+    ``users`` holds one (n, 2) array of user points per process of ``bss``.
+    A batch of processes is associated in one pass, each user set with its
+    own process exactly as it would be alone; the map indexes users and BSs
+    across the batch (see :class:`AssociationMap`).
     """
-    lazy = isinstance(bss, LazyPPP)
-    if lazy:
-        if bss._associated:
-            raise DomainError("a lazily drawn BS process is associated only once")
-        bss._associated = True
-        if len(users) != len(bss.rngs):
-            raise ParameterError("a batch needs one user set per BS process")
-    elif len(bss) == 0:
-        raise DomainError("cannot associate against an empty BS set")
-    elif len(users) != 1:
-        raise ParameterError("a point set of BSs serves one user set")
+    if bss._associated:
+        raise DomainError("a lazily drawn BS process is associated only once")
+    bss._associated = True
+    if len(users) != len(bss.rngs):
+        raise ParameterError("a batch needs one user set per BS process")
     window = bss.window
     n_processes = len(users)
     sizes = [len(u) for u in users]
     user_starts = np.cumsum([0, *sizes])
-    user_points = np.concatenate([u.points for u in users])
+    user_points = np.concatenate(users)
     process = np.repeat(np.arange(n_processes), sizes)
     # With fewer than three cells per side a 3x3 block wraps the grid, and a
     # block that wraps settles its users.
-    n = max(1, _cells_per_side(bss.density * window.area if lazy else len(bss), window.side, los_radius))
+    n = max(1, _cells_per_side(bss.density * window.area, window.side, los_radius))
     index = _CellIndex(bss, n, n_processes, 9 * len(user_points))
     user_to_bs = _nearest(index, user_points, process, los_radius)
+    # The cells left undrawn hold no serving BS: only their count is drawn.
+    ends = np.searchsorted(index.keys, np.arange(n_processes + 1) * (n * n)).tolist()
+    cell_area = (window.side / n) ** 2
     undrawn = 0
-    if lazy:
-        # The cells left undrawn hold no serving BS: only their count is drawn.
-        ends = np.searchsorted(index.keys, np.arange(n_processes + 1) * (n * n)).tolist()
-        cell_area = (window.side / n) ** 2
-        for rng, lo, hi in zip(bss.rngs, ends, ends[1:]):
-            undrawn += int(rng.poisson(bss.density * (n * n - (hi - lo)) * cell_area))
-        rank, bs_starts = bss._group()
-        if rank is not None:
-            hit = user_to_bs >= 0
-            user_to_bs[hit] = rank[user_to_bs[hit]]
-    else:
-        bs_starts = np.array([0, len(bss)])
+    for rng, lo, hi in zip(bss.rngs, ends, ends[1:]):
+        undrawn += int(rng.poisson(bss.density * (n * n - (hi - lo)) * cell_area))
+    rank, bs_starts = bss._group()
+    if rank is not None:
+        hit = user_to_bs >= 0
+        user_to_bs[hit] = rank[user_to_bs[hit]]
     return AssociationMap(
         user_to_bs=user_to_bs,
         n_bs=len(bss) + undrawn,

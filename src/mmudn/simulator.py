@@ -277,7 +277,7 @@ def _scheduled_network(config: SimConfig, rngs, los_radius: float):
     users = [sample_ppp(config.params.lambda_u, config.window, rng) for rng in rngs]
     bss = LazyPPP(config.bs_density, config.window, rngs)
     assoc = schedule_active(associate_strongest(users, bss, los_radius), rngs)
-    return bss, np.concatenate([u.points for u in users]), assoc
+    return bss, np.concatenate(users), assoc
 
 
 def _batch_sir(config: SimConfig, reps: range) -> list[tuple]:

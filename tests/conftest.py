@@ -8,9 +8,11 @@ compare the simulator with (fixtures ``per_receiver_sir`` and
 ``power_mismatches``), the paper's printed maximal DL rates that criterion 7
 and the worked-point tests compare the optimum with (fixture
 ``printed_r_d``), the paper's printed LOS probabilities that those
-worked points are evaluated at (fixture ``pinned_p_l``), and the KD-tree
+worked points are evaluated at (fixture ``pinned_p_l``), the KD-tree
 Voronoi cell areas that criterion 11 checks against the cell-size law
-(fixtures ``kd_tree`` and ``estimate_cell_areas``)."""
+(fixtures ``kd_tree`` and ``estimate_cell_areas``), and a BS process of
+BSs placed at given points, which the association tests search against
+(fixture ``placed_bss``)."""
 
 import contextlib
 import math
@@ -23,6 +25,7 @@ from scipy.spatial import cKDTree
 from mmudn import allocation
 from mmudn import simulator as sim
 from mmudn.analytic_se import los_probability
+from mmudn.pointprocess import LazyPPP, _cell_xy
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -238,14 +241,15 @@ def _kd_tree(points, window):
     return cKDTree(points, boxsize=window.side, balanced_tree=False, compact_nodes=False)
 
 
-def _estimate_cell_areas(bss, n_samples, rng):
-    """Voronoi cell areas estimated by uniform sampling of nearest-BS
-    ownership (no polygon construction): area_i = window area * hit share."""
-    tree = _kd_tree(bss.points, bss.window)
-    pts = rng.uniform(0.0, bss.window.side, size=(n_samples, 2))
+def _estimate_cell_areas(bss, window, n_samples, rng):
+    """Voronoi cell areas of the points ``bss`` estimated by uniform
+    sampling of nearest-BS ownership (no polygon construction): area_i =
+    window area * hit share."""
+    tree = _kd_tree(bss, window)
+    pts = rng.uniform(0.0, window.side, size=(n_samples, 2))
     _, owner = tree.query(pts, k=1)
     counts = np.bincount(owner, minlength=len(bss))
-    return counts * (bss.window.area / n_samples)
+    return counts * (window.area / n_samples)
 
 
 @pytest.fixture
@@ -256,3 +260,45 @@ def kd_tree():
 @pytest.fixture
 def estimate_cell_areas():
     return _estimate_cell_areas
+
+
+class _NoUndrawn:
+    """The generator of a process whose every BS is placed: the window holds
+    no BS beyond them."""
+
+    def poisson(self, lam):
+        return 0
+
+
+class _PlacedBSs(LazyPPP):
+    """One BS process whose BSs are the given ``points``, at their indices.
+
+    Association "draws" a cell as the placed points that lie in it and
+    counts no BS left undrawn, so it searches these points as they are.
+    The density is the point count over the window's area, nudged up where
+    the division rounds down, so that association sizes its grid for the
+    point count (``grid`` is the cells per side it last asked for)."""
+
+    def __init__(self, points, window):
+        points = np.asarray(points, dtype=float).reshape(-1, 2)
+        density = len(points) / window.area
+        if density * window.area < len(points):
+            density = math.nextafter(density, math.inf)
+        super().__init__(density, window, [_NoUndrawn()])
+        self.points = points
+        self._runs = [(0, 0, len(points))]
+
+    def _cells(self, keys, n):
+        self.grid = n
+        cx, cy = _cell_xy(self.points, self.window.side, n)
+        cell = cx * n + cy
+        ids = np.flatnonzero(np.isin(cell, keys))
+        ids = ids[np.argsort(cell[ids], kind="stable")]
+        cell = cell[ids]
+        counts = np.searchsorted(cell, keys, side="right") - np.searchsorted(cell, keys)
+        return self.points[ids, 0], self.points[ids, 1], ids, counts
+
+
+@pytest.fixture(scope="session")
+def placed_bss():
+    return _PlacedBSs

@@ -424,11 +424,11 @@ def test_criterion_11_voronoi_law(kd_tree, estimate_cell_areas):
     rng = np.random.default_rng(2024)
     window = Window(side=100.0)
     bss = sample_ppp(1.0, window, rng)  # ~1e4 cells
-    areas = estimate_cell_areas(bss, 4_000_000, rng)
+    areas = estimate_cell_areas(bss, window, 4_000_000, rng)
     # The shape-4.5 law describes the cell containing a uniformly random
     # point (the typical user's cell), i.e. the size-biased cell area.
     probe = rng.uniform(0.0, window.side, size=(100_000, 2))
-    _, owner = kd_tree(bss.points, window).query(probe, k=1)
+    _, owner = kd_tree(bss, window).query(probe, k=1)
     stat = kstest(areas[owner], "gamma", args=(4.5, 0.0, 1.0 / 3.5)).statistic
     if stat > 0.1:
         failures.append(f"KS distance {stat:.4f} > 0.1")

@@ -9,7 +9,6 @@ from mmudn import pointprocess as pp
 from mmudn.errors import DomainError, ParameterError
 from mmudn.pointprocess import (
     LazyPPP,
-    PointSet,
     Window,
     associate_strongest,
     sample_ppp,
@@ -75,7 +74,7 @@ def test_sample_ppp_count_and_support():
     mean = np.mean(counts)
     # Poisson(250): 200-sample mean should sit within ~5 sigma/sqrt(200).
     assert abs(mean - 250.0) < 5 * math.sqrt(250.0 / 200)
-    pts = sample_ppp(0.1, w, rng).points
+    pts = sample_ppp(0.1, w, rng)
     assert pts.min() >= 0.0 and pts.max() <= 50.0
 
 
@@ -94,49 +93,40 @@ def test_sample_ppp_nan_density():
         sample_ppp(math.nan, Window(10.0), np.random.default_rng(0))
 
 
-def test_pointset_rejects_outside_points():
-    with pytest.raises(ParameterError):
-        PointSet(points=np.array([[11.0, 1.0]]), window=Window(10.0))
-
-
 # --- Association ------------------------------------------------------------
 
 
-def _point_set(points, window):
-    return PointSet(points=np.asarray(points, float), window=window)
-
-
-def test_associate_nearest_bs():
+def test_associate_nearest_bs(placed_bss):
     w = Window(side=10.0)
-    users = _point_set([[1.0, 1.0], [6.0, 6.0]], w)
-    bss = _point_set([[0.0, 0.0], [7.0, 7.0]], w)
-    assoc = associate_strongest([users], bss)
+    users = np.array([[1.0, 1.0], [6.0, 6.0]])
+    assoc = associate_strongest([users], placed_bss([[0.0, 0.0], [7.0, 7.0]], w))
     assert assoc.user_to_bs.tolist() == [0, 1]
 
 
-def test_associate_wraps_around_torus():
+def test_associate_wraps_around_torus(placed_bss):
     w = Window(side=10.0)
-    users = _point_set([[9.9, 5.0]], w)
-    bss = _point_set([[0.2, 5.0], [5.0, 5.0]], w)
-    assoc = associate_strongest([users], bss)
+    users = np.array([[9.9, 5.0]])
+    assoc = associate_strongest([users], placed_bss([[0.2, 5.0], [5.0, 5.0]], w))
     assert assoc.user_to_bs.tolist() == [0]
 
 
-def test_associate_los_radius_leaves_user_unassociated():
+def test_associate_los_radius_leaves_user_unassociated(placed_bss):
     w = Window(side=100.0)
-    users = _point_set([[50.0, 50.0]], w)
-    bss = _point_set([[0.0, 0.0]], w)
-    assoc = associate_strongest([users], bss, los_radius=10.0)
+    users = np.array([[50.0, 50.0]])
+    assoc = associate_strongest([users], placed_bss([[0.0, 0.0]], w), los_radius=10.0)
     assert assoc.user_to_bs.tolist() == [-1]
     assert assoc.active_bs.size == 0
 
 
-def test_associate_empty_bs_set_is_error():
-    w = Window(side=10.0)
-    users = _point_set([[1.0, 1.0]], w)
-    empty = PointSet(points=np.empty((0, 2)), window=w)
-    with pytest.raises(DomainError):
-        associate_strongest([users], empty)
+def test_associate_zero_bs_density_leaves_every_user_unassociated():
+    # A BS density of 0 (lambda_mu_per_m2 = 0 on the CLI) draws no BS.
+    w = Window(side=20.0)
+    rng = np.random.default_rng(6)
+    users = sample_ppp(0.05, w, rng)
+    assoc = schedule_active(associate_strongest([users], LazyPPP(0.0, w, [rng])), [rng])
+    assert len(users) and assoc.user_to_bs.tolist() == [-1] * len(users)
+    assert assoc.n_bs == 0
+    assert assoc.active_bs.size == 0
 
 
 # (BS density, los_radius, layout) in a 20 m window.  At 20 BSs/m^2
@@ -186,10 +176,10 @@ _ASSOC_CASES = [
 
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=25, deadline=None)
-def test_association_invariant_nearest_among_candidates(torus_distance, seed):
+def test_association_invariant_nearest_among_candidates(torus_distance, placed_bss, seed):
     # Every case runs on every drawn seed, so each gets all 25 examples.
     for case in _ASSOC_CASES:
-        _check_association(torus_distance, seed, *case)
+        _check_association(torus_distance, placed_bss, seed, *case)
 
 
 def _brute_force(distance, users, bss, w, los_radius):
@@ -199,7 +189,7 @@ def _brute_force(distance, users, bss, w, los_radius):
     return np.where(d_all.min(axis=1) < los_radius, np.argmin(d_all, axis=1), -1)
 
 
-def _check_association(distance, seed, bs_density, los_radius, layout):
+def _check_association(distance, placed_bss, seed, bs_density, los_radius, layout):
     side = 20.0
     rng = np.random.default_rng(seed)
     w = Window(side=side)
@@ -207,8 +197,8 @@ def _check_association(distance, seed, bs_density, los_radius, layout):
         user_density = bs_density / pp._BS_PER_CELL
     else:
         user_density = 0.05 if bs_density < 1 else 0.02
-    users = sample_ppp(user_density, w, rng).points
-    bss = sample_ppp(bs_density, w, rng).points
+    users = sample_ppp(user_density, w, rng)
+    bss = sample_ppp(bs_density, w, rng)
     if len(users) == 0 or len(bss) < 2:
         return
     if layout == "edge":
@@ -232,16 +222,16 @@ def _check_association(distance, seed, bs_density, los_radius, layout):
         users = grid[rng.integers(0, grid.size, size=(30, 2))]
         users += offsets[rng.integers(0, 3, size=30)]
         users = np.vstack([users, [side - 0.25, side - 0.25], [side - 0.25, 0.0]])
-    assoc = associate_strongest([_point_set(users, w)], _point_set(bss, w), los_radius)
-    np.testing.assert_array_equal(
-        assoc.user_to_bs,
-        _brute_force(distance, users, bss, w, los_radius),
-        err_msg=f"{bs_density, los_radius, layout}",
-    )
+    placed = placed_bss(bss, w)
+    assoc = associate_strongest([users], placed, los_radius)
+    case = f"{bs_density, los_radius, layout}"
+    # The grid the point count sizes, as for BSs drawn at that density.
+    assert placed.grid == max(1, pp._cells_per_side(len(bss), side, los_radius)), case
+    np.testing.assert_array_equal(assoc.user_to_bs, _brute_force(distance, users, bss, w, los_radius), err_msg=case)
 
 
 @pytest.mark.parametrize("los_radius", [0.25, 0.3])
-def test_los_sized_cells_hold_every_bs_within_los_radius(monkeypatch, torus_distance, los_radius):
+def test_los_sized_cells_hold_every_bs_within_los_radius(monkeypatch, torus_distance, placed_bss, los_radius):
     # Both radii are shorter than the 0.45 m side of 4-BS cells at 20 BSs/m^2.
     # Cells just wider than the radius put every BS within it in a user's
     # 3x3 block, so no block grows.  0.25 m divides the 20 m window: cells
@@ -259,8 +249,8 @@ def test_los_sized_cells_hold_every_bs_within_los_radius(monkeypatch, torus_dist
         return search(index, user_points, base, radius)
 
     monkeypatch.setattr(pp, "_search", refuse_rings)
-    assoc = associate_strongest([users], bss, los_radius)
-    expected = _brute_force(torus_distance, users.points, bss.points, w, los_radius)
+    assoc = associate_strongest([users], placed_bss(bss, w), los_radius)
+    expected = _brute_force(torus_distance, users, bss, w, los_radius)
     assert np.any(expected < 0) and np.any(expected >= 0)
     np.testing.assert_array_equal(assoc.user_to_bs, expected)
 
@@ -272,9 +262,11 @@ def test_schedule_one_user_per_bs():
     rng = np.random.default_rng(3)
     w = Window(side=30.0)
     users = sample_ppp(0.5, w, rng)
-    bss = sample_ppp(0.05, w, rng)
+    bss = LazyPPP(0.05, w, [rng])
     assoc = schedule_active(associate_strongest([users], bss), [rng])
-    for b in range(assoc.n_bs):
+    # One entry per drawn BS; the undrawn ones serve no user.
+    assert assoc.scheduled_user.size == len(bss) <= assoc.n_bs
+    for b in range(len(bss)):
         members = np.flatnonzero(assoc.user_to_bs == b)
         if members.size:
             assert assoc.scheduled_user[b] in members
@@ -285,12 +277,11 @@ def test_schedule_one_user_per_bs():
     assert len(set(picked.tolist())) == picked.size
 
 
-def test_schedule_uniform_pick():
+def test_schedule_uniform_pick(placed_bss):
     # Single BS with 4 users: each should be picked ~uniformly.
     w = Window(side=10.0)
-    users = _point_set([[1, 1], [2, 2], [3, 3], [4, 4]], w)
-    bss = _point_set([[5, 5]], w)
-    assoc = associate_strongest([users], bss)
+    users = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0], [4.0, 4.0]])
+    assoc = associate_strongest([users], placed_bss([[5.0, 5.0]], w))
     rng = np.random.default_rng(4)
     counts = np.zeros(4)
     n = 4000
@@ -319,7 +310,7 @@ def test_estimate_cell_areas_partitions_window(estimate_cell_areas):
     rng = np.random.default_rng(5)
     w = Window(side=20.0)
     bss = sample_ppp(0.1, w, rng)
-    areas = estimate_cell_areas(bss, 20000, rng)
+    areas = estimate_cell_areas(bss, w, 20000, rng)
     assert areas.shape == (len(bss),)
     assert areas.sum() == pytest.approx(w.area, rel=1e-12)
 
@@ -361,7 +352,7 @@ def _lazy_association(monkeypatch, seed, bs_density, los_radius, per_cell, proce
         bss = LazyPPP(bs_density, w, [rng])
     else:
         users = [sample_ppp(0.05, w, np.random.default_rng([seed, k, 1])) for k in range(processes)]
-        users[1] = PointSet(np.vstack([users[1].points, probe]), w)
+        users[1] = np.vstack([users[1], probe])
         bss = LazyPPP(bs_density, w, [_DyadicDraws(np.random.default_rng([seed, k])) for k in range(processes)])
     drawn, cells = [], bss._cells
 
@@ -389,12 +380,12 @@ def _check_lazy(distance, seed, bs_density, los_radius, users, bss, assoc, n, dr
         if n:
             mine = cells[(cells >= k * n * n) & (cells < (k + 1) * n * n)] - k * n * n
             stream = [seed, 1] if len(users) == 1 else [seed, 1, k]
-            rest = sample_ppp(bs_density, w, np.random.default_rng(stream)).points
+            rest = sample_ppp(bs_density, w, np.random.default_rng(stream))
             cx, cy = pp._cell_xy(rest, w.side, n)
             points = np.vstack([points, rest[~np.isin(cx * n + cy, mine)]])
         if len(user_set) and len(points):
             got = assoc.user_to_bs[assoc.user_starts[k] : assoc.user_starts[k + 1]]
-            expected = _brute_force(distance, user_set.points, points, w, los_radius)
+            expected = _brute_force(distance, user_set, points, w, los_radius)
             np.testing.assert_array_equal(np.where(got >= 0, got - first, -1), expected)
 
 

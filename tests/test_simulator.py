@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import tracemalloc
@@ -18,7 +19,6 @@ from mmudn.analytic_se import NetworkParams
 from mmudn.errors import ParameterError
 from mmudn.pointprocess import (
     AssociationMap,
-    PointSet,
     Window,
     associate_strongest,
     sample_ppp,
@@ -593,20 +593,21 @@ def _acceptance_config(tier, direction, lhat, side, reps, seed):
         )
 
 
-def _full_window_network(config, rngs, los_radius):
+def _full_window_network(placed_bss, config, rngs, los_radius):
     """The reference draw, replication by replication: every BS of the
-    window by ``sample_ppp``, then the users, associated against the BSs as
-    an ordinary point set; the batch's networks laid end to end, indexed as
-    ``AssociationMap`` says."""
+    window by ``sample_ppp``, then the users, associated against the BSs
+    placed there (``placed_bss``); the batch's networks laid end to end,
+    indexed as ``AssociationMap`` says."""
     bs_points, user_points, user_to_bs, scheduled = [], [], [], []
     bs_starts, user_starts = [0], [0]
     for rng in rngs:
         bss = sample_ppp(config.bs_density, config.window, rng)
         users = sample_ppp(config.params.lambda_u, config.window, rng)
         if len(bss) and len(users):
-            assoc = schedule_active(associate_strongest([users], bss, los_radius), [rng])
-            bs_points.append(bss.points)
-            user_points.append(users.points)
+            placed = placed_bss(bss, config.window)
+            assoc = schedule_active(associate_strongest([users], placed, los_radius), [rng])
+            bs_points.append(bss)
+            user_points.append(users)
             user_to_bs.append(np.where(assoc.user_to_bs >= 0, assoc.user_to_bs + bs_starts[-1], -1))
             scheduled.append(np.where(assoc.scheduled_user >= 0, assoc.scheduled_user + user_starts[-1], -1))
             bs_starts.append(bs_starts[-1] + len(bss))
@@ -621,7 +622,7 @@ def _full_window_network(config, rngs, los_radius):
         user_starts=np.array(user_starts),
         bs_starts=np.array(bs_starts),
     )
-    bss = PointSet(np.concatenate([np.empty((0, 2)), *bs_points]), config.window)
+    bss = placed_bss(np.concatenate([np.empty((0, 2)), *bs_points]), config.window)
     return bss, np.concatenate([np.empty((0, 2)), *user_points]), assoc
 
 
@@ -637,7 +638,7 @@ _LAW_REPS = {"muw": 120, "mmw": 240}
 
 @pytest.mark.parametrize("direction", ["dl", "ul"])
 @pytest.mark.parametrize("tier,lhat,side", _LAW_CASES)
-def test_lazy_bs_draw_has_the_full_window_law(monkeypatch, tier, lhat, side, direction):
+def test_lazy_bs_draw_has_the_full_window_law(monkeypatch, placed_bss, tier, lhat, side, direction):
     # Typical-receiver SIR of the simulator (BSs drawn around the users)
     # against a reference that draws every BS in the window.  The KS test
     # takes one SIR per replication, its first fading draw: the draws of one
@@ -648,7 +649,7 @@ def test_lazy_bs_draw_has_the_full_window_law(monkeypatch, tier, lhat, side, dir
         return [sir for status, sir in sirs if status == "ok"]
 
     lazy = samples("lazy")
-    monkeypatch.setattr(sim, "_scheduled_network", _full_window_network)
+    monkeypatch.setattr(sim, "_scheduled_network", functools.partial(_full_window_network, placed_bss))
     full = samples("full")
     ks = ks_2samp([s[0] for s in lazy], [s[0] for s in full])
     assert ks.pvalue > 1e-3, (ks, len(lazy), len(full))
