@@ -353,8 +353,12 @@ def lp_oracle(
     0 <= beta <= 1, by vertex enumeration of the feasible polygon.
 
     Both tolerances are relative, so the answer does not depend on the rates'
-    scale.  Ties (within 1e-15 relative in R_d) break toward smaller beta_m,
-    then smaller beta_mu.  Returns (allocation, maximal R_d).
+    scale.  Vertices are compared by the DL rate they give up,
+    beta_m W_m gamma_m + beta_mu W_mu gamma_mu, not by R_d: at small zeta
+    that is a small part of R_d, and a tie band on R_d would swallow a real
+    difference between the tiers' UL costs.  Ties (within 1e-15 relative in
+    the rate given up) break toward smaller beta_m, then smaller beta_mu.
+    Returns (allocation, maximal R_d).
     """
     g = gammas_from_params(params, decoupled=decoupled)
     z = spectrum.zeta
@@ -387,11 +391,13 @@ def lp_oracle(
             f"(A={a:.6g}, B={b:.6g}, C={c:.6g})"
         )
 
-    r_d = [_r_d(bm, bmu, spectrum, g) for bm, bmu in candidates]
-    best = max(r_d)
-    tol = 1e-15 * best
-    bm, bmu = min(v for v, r in zip(candidates, r_d) if r >= best - tol)
-    return Allocation(bm, bmu), best
+    w_m_gm = spectrum.w_m * g.gamma_m
+    w_mu_gmu = spectrum.w_mu_band * g.gamma_mu
+    given_up = [bm * w_m_gm + bmu * w_mu_gmu for bm, bmu in candidates]
+    least = min(given_up)
+    tol = 1e-15 * least
+    bm, bmu = min(v for v, d in zip(candidates, given_up) if d <= least + tol)
+    return Allocation(bm, bmu), _r_d(bm, bmu, spectrum, g)
 
 
 # ---------------------------------------------------------------------------

@@ -363,8 +363,8 @@ def test_lp_solution_feasible_and_dominant(
     if max(gap_m, gap_mu) > 1e-12:
         # Only a tie at double precision may part them: a gap that moves R_d
         # by no more than the 1e-12 the rates are held to.  It happens where
-        # the uW SE rounds away (lambda_hat_mu within ulps of 1) or zeta is
-        # below ~1e-15, and rounding, not the model, picks the vertex.
+        # the uW SE rounds away (lambda_hat_mu within ulps of 1), and
+        # rounding, not the model, picks the vertex.
         assert gap_m * w_m * g.gamma_m + gap_mu * w_mu * g.gamma_mu <= 1e-12 * r_d
         assert cf.rate.r_u >= zeta * cf.rate.r_d - 1e-6 * max(1.0, abs(cf.rate.r_d))
 
