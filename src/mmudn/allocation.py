@@ -153,7 +153,6 @@ class AllocationResult:
     allocation: Allocation
     region: RegionLabel
     rate: RatePair
-    gammas: Gammas
 
 
 # ---------------------------------------------------------------------------
@@ -208,14 +207,11 @@ def _classify(
     """Classify the operating point into C_L / C_H and (if decoupled) D.
 
     C_L holds iff zeta W_m gamma_m <= W_mu gamma_mu (the low-density side of
-    the allocation branch switch); zeta = 0 is C_L by convention.  D holds iff
+    the allocation branch switch), so zeta = 0 is C_L.  D holds iff
     ln(lhat_m + lhat_mu) >= (W_m / W_m.u) ln(lhat_m), evaluated in log form.
     The mmW UL SE of ``g`` is not read, so decoupled gammas serve as well.
     """
-    if spectrum.zeta == 0:
-        low = True
-    else:
-        low = spectrum.zeta * spectrum.w_m * g.gamma_m <= spectrum.w_mu_band * g.gamma_mu
+    low = spectrum.zeta * spectrum.w_m * g.gamma_m <= spectrum.w_mu_band * g.gamma_mu
     in_d = None
     if decoupled:
         lhat_m, lhat_mu = params.lambda_hat_m, params.lambda_hat_mu
@@ -328,12 +324,7 @@ def optimal_allocation(
         _check_a1(spectrum, g)
     region = _classify(params, spectrum, g, decoupled)
     alloc = _closed_form(spectrum, g, region)
-    return AllocationResult(
-        allocation=alloc,
-        region=region,
-        rate=rates(alloc, spectrum, g),
-        gammas=g,
-    )
+    return AllocationResult(allocation=alloc, region=region, rate=rates(alloc, spectrum, g))
 
 
 def optimal_allocation_decoupled(params: NetworkParams, spectrum: SpectrumParams) -> AllocationResult:
@@ -350,7 +341,9 @@ def lp_oracle(
     params: NetworkParams, spectrum: SpectrumParams, decoupled: bool = False
 ) -> tuple[Allocation, float]:
     """Exact solution of the two-variable LP max R_d s.t. R_u >= zeta R_d,
-    0 <= beta <= 1, by vertex enumeration of the feasible polygon.
+    0 <= beta <= 1, by vertex enumeration of the feasible polygon.  The
+    corner (1, 1) is always feasible: A + B - C = W_m.u gamma_m.u + W_mu
+    gamma_mu >= 0.
 
     Both tolerances are relative, so the answer does not depend on the rates'
     scale.  Vertices are compared by the DL rate they give up,
@@ -385,11 +378,6 @@ def lp_oracle(
             bmu = (c - a * bm) / b
             if 0.0 <= bmu <= 1.0:
                 candidates.append((bm, bmu))
-    if not candidates:
-        raise AssumptionError(
-            "empty feasible region: UL constraint unsatisfiable inside the box "
-            f"(A={a:.6g}, B={b:.6g}, C={c:.6g})"
-        )
 
     w_m_gm = spectrum.w_m * g.gamma_m
     w_mu_gmu = spectrum.w_mu_band * g.gamma_mu

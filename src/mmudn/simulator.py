@@ -303,16 +303,13 @@ def _batch_sir(config: SimConfig, reps: range) -> list[tuple]:
     bounds = np.searchsorted(active, assoc.bs_starts)
     bs_pos = bss.points[active]
     user_pos = user_points[assoc.scheduled_user[active]]
-    if config.direction == "dl":
-        rx_all, tx_all, partner_all = user_pos, bs_pos, user_pos
-    else:
-        rx_all, tx_all, partner_all = bs_pos, user_pos, bs_pos
+    rx_all, tx_all = (user_pos, bs_pos) if config.direction == "dl" else (bs_pos, user_pos)
     if config.average_all_receivers:
         receivers = np.arange(active.size)
     else:
         spans = zip(rngs, bounds.tolist(), bounds[1:].tolist())
         receivers = np.array([lo + int(rng.integers(hi - lo)) for rng, lo, hi in spans if hi > lo], dtype=np.int64)
-    sirs = _receivers_sir(config, rngs, bounds, receivers, rx_all, tx_all, partner_all)
+    sirs = _receivers_sir(config, rngs, bounds, receivers, rx_all, tx_all)
     # Replication k's receivers are receivers[ends[k]:ends[k + 1]].
     ends = np.searchsorted(receivers, bounds).tolist()
     out = []
@@ -329,13 +326,11 @@ def _batch_sir(config: SimConfig, reps: range) -> list[tuple]:
 
 def _faded(config: SimConfig, rng: np.random.Generator, r0: float, d_i: np.ndarray):
     """A receiver's SIR samples, at distance ``r0`` from its transmitter and
-    ``d_i`` from the interferers that count: all zeros when it has no link
-    (``r0`` is inf), None when no interferer counts.  The fading draws come
-    from ``rng``, ``g0`` then ``g_i``.  Same-tier transmit powers cancel
-    exactly in the SIR, so it is computed power-free."""
+    ``d_i`` from the interferers that count, or None when no interferer
+    counts.  The fading draws come from ``rng``, ``g0`` then ``g_i``.
+    Same-tier transmit powers cancel exactly in the SIR, so it is computed
+    power-free."""
     n_draws, alpha = config.fading_draws, config.alpha
-    if r0 == math.inf:
-        return np.zeros(n_draws)
     if d_i.size == 0:
         return None
     g0 = rng.standard_exponential(n_draws)
@@ -345,27 +340,29 @@ def _faded(config: SimConfig, rng: np.random.Generator, r0: float, d_i: np.ndarr
     return signal / interference
 
 
-def _receivers_sir(config: SimConfig, rngs, bounds, receivers, rx_all, tx_all, partner_all) -> list:
+def _receivers_sir(config: SimConfig, rngs, bounds, receivers, rx_all, tx_all) -> list:
     """The SIR samples of each receiver, by :func:`_faded`, in order.
 
     ``receivers`` are indices of active links, ascending; replication k's
-    links are ``bounds[k]`` to ``bounds[k + 1] - 1``.  Each receiver is
-    paired with the candidate transmitters of its runs (see
+    links are ``bounds[k]`` to ``bounds[k + 1] - 1``, link j from
+    ``tx_all[j]`` to ``rx_all[j]``.  A receiver's link length ``r0`` is read
+    by its index: the association made the link (for mmW, within R_L).
+    Each receiver is paired with the candidate transmitters of its runs (see
     :func:`_candidates`): those of its replication in the 3x3 block of cells
     around its own, or every one of its replication when that block wraps
-    the grid.  The pairs are cut by
-    :func:`~mmudn.pointprocess._pair_blocks` into blocks of at most
-    ``_BLOCK_PAIRS`` (or one receiver's, when it has more).  A pair is kept
-    at a positive distance, for mmW also within R_L.  The receiver's own
-    kept pair gives its link length ``r0``; without one it has no link and
-    its SIR is zero.  Any other kept transmitter interferes, for mmW only
-    when its mainlobe, aimed at its own partner, covers the receiver.  Each
-    receiver meets its interferers in ascending transmitter index, and its
-    fading draws come from its replication stream, receiver by receiver.
+    the grid.  The pairs are cut by :func:`~mmudn.pointprocess._pair_blocks`
+    into blocks of at most ``_BLOCK_PAIRS`` (or one receiver's, when it has
+    more).  Any other transmitter interferes at a positive distance, for mmW
+    only within R_L and when its mainlobe, aimed at its own link's receiver,
+    covers the receiver.  Each receiver meets its interferers in ascending
+    transmitter index, and its fading draws come from its replication
+    stream, receiver by receiver.
     """
     window, mmw = config.window, config.tier == "mmw"
     rep = np.searchsorted(bounds, receivers, side="right") - 1
     rx = rx_all[receivers]
+    d0 = window.displacement(rx, tx_all[receivers])
+    r0 = np.sqrt(d0[:, 0] * d0[:, 0] + d0[:, 1] * d0[:, 1]).tolist()
     order, starts, counts = _candidates(config, bounds, rep, rx, tx_all)
     # Contiguous coordinate columns: gathering 16k pairs from one took 14 us
     # against 42 us from a column of the (transmitters, 2) array.  The
@@ -388,22 +385,18 @@ def _receivers_sir(config: SimConfig, rngs, bounds, receivers, rx_all, tx_all, p
         keep = dist > 0
         if mmw:
             keep &= dist <= config.params.r_los
-        own = tx == np.repeat(receivers[lo:hi], pairs[lo:hi])
-        # A receiver whose own pair is not kept has no link: r0 = inf.
-        mine = np.flatnonzero(keep & own)
-        r0 = np.full(hi - lo, math.inf)
-        r0[np.searchsorted(edges, mine, side="right") - 1] = dist[mine]
-        kept = np.flatnonzero(keep & ~own)
+        keep &= tx != np.repeat(receivers[lo:hi], pairs[lo:hi])
+        kept = np.flatnonzero(keep)
         if mmw:
             # Receiver i of the block and transmitter j of each pair.
             i = np.searchsorted(edges, kept, side="right") - 1
             j = tx[kept]
             # Interferer j covers the receiver when the angle between its
-            # partner direction and its direction to the receiver is within
-            # theta/2.
-            to_partner = window.displacement(tx_all[j], partner_all[j])
-            num = to_partner[:, 0] * -dx[kept] + to_partner[:, 1] * -dy[kept]
-            den = np.linalg.norm(to_partner, axis=1) * dist[kept]
+            # direction to its own link's receiver and its direction to this
+            # receiver is within theta/2.
+            aim = window.displacement(tx_all[j], rx_all[j])
+            num = aim[:, 0] * -dx[kept] + aim[:, 1] * -dy[kept]
+            den = np.linalg.norm(aim, axis=1) * dist[kept]
             cos_angle = np.where(den > 0, num / np.maximum(den, 1e-300), 1.0)
             hit = cos_angle >= math.cos(config.params.theta / 2.0)
             kept, i, j = kept[hit], i[hit], j[hit]
@@ -412,7 +405,7 @@ def _receivers_sir(config: SimConfig, rngs, bounds, receivers, rx_all, tx_all, p
             # Cells list a block's transmitters out of index order.
             kept = kept[np.lexsort((j, i))]
         d = dist[kept]
-        for k, r, a, b in zip(rep[lo:hi], r0.tolist(), cuts, cuts[1:]):
+        for k, r, a, b in zip(rep[lo:hi], r0[lo:hi], cuts, cuts[1:]):
             out.append(_faded(config, rngs[k], r, d[a:b]))
     return out
 

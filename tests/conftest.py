@@ -75,9 +75,8 @@ def _per_receiver_sir(config, rep, power=1.0):
     Every transmitter sends at ``power``, in the signal and in each
     interferer's term.
 
-    Returns (status, sir, rows); ``rows`` holds every receiver's SIR row, all
-    zeros when its own link breaks the LOS indicator and None when no
-    interferer reaches it.
+    Returns (status, sir, rows); ``rows`` holds every receiver's SIR row,
+    None when no interferer reaches it.
     """
     rng = np.random.default_rng([config.master_seed, rep])
     window, alpha, n_draws = config.window, config.alpha, config.fading_draws
@@ -89,10 +88,7 @@ def _per_receiver_sir(config, rep, power=1.0):
         return "no_active", None, []
     bs_pos = bss.points[active]
     user_pos = user_points[assoc.scheduled_user[active]]
-    if config.direction == "dl":
-        rx_all, tx_all, partner_all = user_pos, bs_pos, user_pos
-    else:
-        rx_all, tx_all, partner_all = bs_pos, user_pos, bs_pos
+    rx_all, tx_all = (user_pos, bs_pos) if config.direction == "dl" else (bs_pos, user_pos)
     if config.average_all_receivers:
         receiver_ids = range(active.size)
     else:
@@ -101,16 +97,13 @@ def _per_receiver_sir(config, rep, power=1.0):
     for ridx in receiver_ids:
         rx = rx_all[ridx]
         r0 = float(_torus_distance(window, tx_all[ridx], rx))
-        if r0 <= 0 or (mmw and r0 > r_los):
-            rows.append(np.zeros(n_draws))
-            continue
         others = np.flatnonzero(np.arange(active.size) != ridx)
         tx_i = tx_all[others]
         d_i = _torus_distance(window, rx, tx_i)
         keep = d_i > 0
         if mmw:
             keep &= d_i <= r_los
-            to_partner = window.displacement(tx_i, partner_all[others])
+            to_partner = window.displacement(tx_i, rx_all[others])
             to_rx = window.displacement(tx_i, rx[None, :])
             num = np.einsum("ij,ij->i", to_partner, to_rx)
             den = np.linalg.norm(to_partner, axis=1) * np.linalg.norm(to_rx, axis=1)
@@ -162,27 +155,36 @@ def power_mismatches():
 
 def _printed_r_d(result, spectrum, params, p_l=None):
     """The paper's printed maximal DL rate on the branch of ``result``, an
-    ``optimal_allocation`` result at ``params`` and ``spectrum``, evaluated
-    on its gammas: (printed, literal).
+    ``optimal_allocation`` result at ``params`` and ``spectrum``:
+    (printed, literal).
 
     C_L: (W_m g_m + W_mu g_mu) / (1 + zeta).
     C_H: W_m g_m (W_m.u g_m.u + W_mu g_mu) / (zeta W_m g_m + W_m.u g_m.u).
     D:   W_m.u g_m.u (W_mu g_mu + W_m.u g_m) / (W_m.u g_m.u + zeta W_m g_m),
-    whose numerator carries the non-decoupled mmW UL SE g_m.  ``literal`` is
-    the D expression read with the LOS distance in place of the LOS
-    probability in g_m (g_m scaled by R_L / p_L); None off D or at p_L = 0.
+    whose numerator carries the non-decoupled mmW UL SE g_m.  The gammas
+    are the paper's asymptotic SEs (alpha / 2) p_L ln(lhat), at the LOS
+    probability ``p_l`` (default 1 - exp(-lambda_m pi R_L^2)): g_m at
+    lhat_m, g_mu at lhat_mu with p_L = 1, and g_m.u at lhat_m + lhat_mu
+    when ``result`` is decoupled, else g_m.  ``literal`` is the D expression
+    read with the LOS distance in place of the LOS probability in g_m (g_m
+    scaled by R_L / p_L); None off D or at p_L = 0.
     """
-    g, z = result.gammas, spectrum.zeta
-    wm_gm = spectrum.w_m * g.gamma_m
-    wmu_gmu = spectrum.w_mu_band * g.gamma_mu
-    wmul_gmu_ul = spectrum.w_m_ul * g.gamma_m_u
+    pl = los_probability(params.lambda_m, params.r_los) if p_l is None else p_l
+    gamma_m = 0.5 * params.alpha_m * pl * math.log(params.lambda_hat_m)
+    gamma_mu = 0.5 * params.alpha_mu * math.log(params.lambda_hat_mu)
+    gamma_m_u = gamma_m
+    if result.region.in_d is not None:
+        gamma_m_u = 0.5 * params.alpha_m * pl * math.log(params.lambda_hat_m + params.lambda_hat_mu)
+    z = spectrum.zeta
+    wm_gm = spectrum.w_m * gamma_m
+    wmu_gmu = spectrum.w_mu_band * gamma_mu
+    wmul_gmu_ul = spectrum.w_m_ul * gamma_m_u
     if not result.region.in_d:
         if result.region.region == "C_L":
             return (wm_gm + wmu_gmu) / (1.0 + z), None
         return wm_gm * (wmul_gmu_ul + wmu_gmu) / (z * wm_gm + wmul_gmu_ul), None
-    wmul_gm = spectrum.w_m_ul * g.gamma_m
+    wmul_gm = spectrum.w_m_ul * gamma_m
     printed = wmul_gmu_ul * (wmu_gmu + wmul_gm) / (wmul_gmu_ul + z * wm_gm)
-    pl = los_probability(params.lambda_m, params.r_los) if p_l is None else p_l
     if pl == 0:
         return printed, None
     wmul_gm_lit = wmul_gm * (params.r_los / pl)

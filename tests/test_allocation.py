@@ -401,3 +401,44 @@ def test_sweep_empty_grid_rejected():
 def test_sweep_strict_propagates():
     with pytest.raises(AssumptionError):
         sweep_allocation([1.05], net(10.0), spec(), strict=True)
+
+
+# --- unit of bandwidth ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("c", [2.0, 3.0])
+def test_unit_of_bandwidth_changes_no_allocation(c):
+    # The allocation depends only on ratios of bandwidths: with every W
+    # times c at fixed zeta, each region and beta stays and each rate scales
+    # by c.  A power of two scales every operation exactly; at c = 3 the
+    # betas, fractions of a band, move by at most ulp(1), and the rates by
+    # at most 4 ulps of c R (3 measured, one of them the rounding of c R).
+    def same_beta(a, b):
+        return a == b if c == 2 else abs(a - b) <= math.ulp(1.0)
+
+    def scaled_rate(a, b):
+        return b == c * a if c == 2 else abs(b - c * a) <= 4 * math.ulp(c * a)
+
+    lhats = np.logspace(math.log10(1.05), 12, 9)
+    for w_m, w_mu, w_m_ul, zeta in ((500e6, 20e6, 100e6, 0.25), (1e9, 40e6, 400e6, 0.5), (200e6, 10e6, 150e6, 0.1)):
+        s = spec(zeta, w_m, w_mu, w_m_ul)
+        s_c = spec(zeta, c * w_m, c * w_mu, c * w_m_ul)
+        for r_los in (33.33, 49.61):
+            for lhat in lhats:
+                p = net(lhat, r_los=r_los)
+                for decoupled in (False, True):
+                    a = optimal_allocation(p, s, decoupled=decoupled)
+                    b = optimal_allocation(p, s_c, decoupled=decoupled)
+                    assert a.region == b.region, (lhat, r_los, decoupled)
+                    assert same_beta(a.allocation.beta_m, b.allocation.beta_m), (lhat, a, b)
+                    assert same_beta(a.allocation.beta_mu, b.allocation.beta_mu), (lhat, a, b)
+                    assert scaled_rate(a.rate.r_d, b.rate.r_d) and scaled_rate(a.rate.r_u, b.rate.r_u), (lhat, a, b)
+                    (alloc, r_d), (alloc_c, r_d_c) = lp_oracle(p, s, decoupled), lp_oracle(p, s_c, decoupled)
+                    assert same_beta(alloc.beta_m, alloc_c.beta_m) and same_beta(alloc.beta_mu, alloc_c.beta_mu), lhat
+                    assert scaled_rate(r_d, r_d_c), (lhat, r_d, r_d_c)
+            template = net(1.0, r_los=r_los)
+            for row, row_c in zip(sweep_allocation(lhats, template, s), sweep_allocation(lhats, template, s_c)):
+                assert row["region"] == row_c["region"], row
+                assert same_beta(row["beta_m"], row_c["beta_m"]) and same_beta(row["beta_mu"], row_c["beta_mu"]), row
+                for key in ("r_d", "r_u", "r_d_decoupled"):
+                    assert scaled_rate(row[key], row_c[key]), (key, row, row_c)

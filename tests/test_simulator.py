@@ -178,11 +178,7 @@ def test_different_seeds_differ():
 def test_block_geometry_is_bit_identical(monkeypatch, per_receiver_sir, tier, direction, block_pairs):
     # block_pairs = 1 puts one receiver in each block, however many are active.
     monkeypatch.setattr(pp, "_BLOCK_PAIRS", block_pairs)
-    real_network = sim._scheduled_network
     real_candidates = sim._candidates
-
-    def unrestricted_network(config, rngs, los_radius):
-        return real_network(config, rngs, math.inf)
 
     def spy_candidates(config, *args):
         order, starts, counts = real_candidates(config, *args)
@@ -211,7 +207,6 @@ def test_block_geometry_is_bit_identical(monkeypatch, per_receiver_sir, tier, di
                 "one active": len(rows) == 1,
                 "several blocks": len(rows) > max(1, pp._BLOCK_PAIRS // max(len(rows), 1)),
                 "free row": any(row is None for row in rows),
-                "zero row": any(row is not None and not row.any() for row in rows),
             }
             seen.update(case for case, hit in cases.items() if hit)
 
@@ -220,11 +215,6 @@ def test_block_geometry_is_bit_identical(monkeypatch, per_receiver_sir, tier, di
         check(cfg(replications=1, **base), range(4))
         # About two users in the window: some replications have one active BS.
         check(cfg(replications=1, window=Window(side=150.0), **base), range(12))
-        if tier == "mmw":
-            # Association ignoring R_L gives links the LOS indicator zeroes.
-            with monkeypatch.context() as m:
-                m.setattr(sim, "_scheduled_network", unrestricted_network)
-                check(cfg(replications=1, params=net(lhat_m=2.0), **base), range(4))
         # Windows just over 3 R_L and 4 R_L wide, of 45 and 80 expected
         # users: grids of 3 and 4 cells per side, whose 3x3 blocks wrap the
         # torus seam, with cells in both receiver modes.
@@ -237,7 +227,7 @@ def test_block_geometry_is_bit_identical(monkeypatch, per_receiver_sir, tier, di
                 assert tier == "muw" or "wrapped runs" in seen, (side, every)
     expected = {"one active", "several blocks", "free row", "ok", "interference_free", "one cell"}
     if tier == "mmw":
-        expected |= {"zero row", "cells"}
+        expected.add("cells")
     assert expected <= seen
 
 
@@ -256,28 +246,56 @@ def test_mainlobe_half_angle(seam, offset, counts):
     partner = (tx + 5.0 * np.array([math.cos(angle), math.sin(angle)])) % side
     rx_all, tx_all = np.array([rx, partner]), np.array([rx + [0.0, 4.0], tx])
     rngs = [np.random.default_rng(0)]
-    [sir] = sim._receivers_sir(config, rngs, np.array([0, 2]), np.array([0]), rx_all, tx_all, rx_all)
+    [sir] = sim._receivers_sir(config, rngs, np.array([0, 2]), np.array([0]), rx_all, tx_all)
     assert (sir is not None) == counts
 
 
-@pytest.mark.parametrize(
-    "tier,own_length,linked", [("muw", 0.0, False), ("mmw", 12.0, False), ("muw", 8.0, True), ("mmw", 8.0, True)]
-)
+@pytest.mark.parametrize("tier,own_length,linked", [("muw", 8.0, True), ("mmw", 8.0, True)])
 def test_receiver_without_own_link(tier, own_length, linked):
     # One receiver by hand, 3 m from an interferer whose partner lies toward
-    # it, and its own transmitter own_length away.  An own link of length 0,
-    # or (mmW) beyond R_L = 10 m, is no link: the SIR is all zeros and no
-    # fading is drawn from the replication's stream.
+    # it, and its own transmitter own_length away, within R_L = 10 m: every
+    # receiver has its link, read by its index, so its SIR is positive in
+    # every draw, and the fading comes from the replication's stream.
     config = cfg(tier=tier, params=net(r_los=10.0), window=Window(side=100.0))
     rx = np.array([50.0, 50.0])
     rx_all = np.array([rx, rx - [1.0, 0.0]])
     tx_all = np.array([rx + [own_length, 0.0], rx - [3.0, 0.0]])
     rng = np.random.default_rng(0)
     state = rng.bit_generator.state
-    [sir] = sim._receivers_sir(config, [rng], np.array([0, 2]), np.array([0]), rx_all, tx_all, rx_all)
+    [sir] = sim._receivers_sir(config, [rng], np.array([0, 2]), np.array([0]), rx_all, tx_all)
     assert sir.shape == (config.fading_draws,)
-    assert bool(np.all(sir > 0)) == linked and bool(np.any(sir > 0)) == linked
+    assert bool(np.all(sir > 0)) == linked
     assert (rng.bit_generator.state != state) == linked
+
+
+@pytest.mark.parametrize("tier", ["muw", "mmw"])
+def test_every_active_link_is_one_the_association_made(monkeypatch, tier):
+    # The receiver geometry reads each link's length by its index and does
+    # not test it again.  So on real networks, in both directions, every
+    # active link is longer than 0 and, for mmW, within R_L: exactly, or to
+    # a few ulps where the link crosses the torus seam.  The cases are the
+    # dense, ring-growth and wrapped batch cases, and the two seam windows
+    # of test_block_geometry_is_bit_identical.
+    seam = NetworkParams(lambda_m=0.2, lambda_mu=0.2, lambda_u=2e-3, r_los=50.0)
+    cases = [(case, _BATCH_CASES[case]) for case in ("dense", "rings", "wrapped")]
+    cases += [(side, dict(replications=3, window=Window(side=side), params=seam)) for side in (150.001, 200.001)]
+    crossed = 0
+    for case, kw in cases:
+        monkeypatch.setattr(pp, "_BS_PER_CELL", 0.5 if case == "rings" else 4)
+        for direction in ("dl", "ul"):
+            config = cfg(tier=tier, direction=direction, **kw)
+            r_los = config.params.r_los if tier == "mmw" else math.inf
+            rngs = sim._generators(config, range(config.replications))
+            bss, user_points, assoc = sim._scheduled_network(config, rngs, r_los)
+            active = assoc.active_bs
+            bs_pos, user_pos = bss.points[active], user_points[assoc.scheduled_user[active]]
+            rx, tx = (user_pos, bs_pos) if direction == "dl" else (bs_pos, user_pos)
+            d = config.window.displacement(rx, tx)
+            length = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
+            assert active.size and np.all(length > 0), (case, direction)
+            assert np.all(length <= r_los * (1 + 4 * np.finfo(float).eps)), (case, direction)
+            crossed += np.count_nonzero(np.abs(tx - rx).max(axis=1) > config.window.side / 2)
+    assert crossed
 
 
 # --- batches ------------------------------------------------------------------------------
@@ -448,6 +466,46 @@ def test_power_invariance(power_mismatches, scale):
     # that carries them must agree.
     for tier, direction in (("muw", "dl"), ("mmw", "ul")):
         assert power_mismatches(cfg(replications=6, tier=tier, direction=direction), scale) == []
+
+
+# --- unit of length ----------------------------------------------------------------------
+
+
+def _scaled(c, tier, direction, every):
+    """The unit-change network with every length times ``c`` and every
+    density over c^2: a 100 m window of 100 expected users, lambda_hat = 10
+    in both tiers, and R_L = 5 m, short enough that association sizes the
+    mmW grid by R_L."""
+    params = NetworkParams(
+        lambda_m=0.1 / c**2, lambda_mu=0.1 / c**2, lambda_u=0.01 / c**2, alpha_m=2.5, alpha_mu=4.0, r_los=5.0 * c
+    )
+    return cfg(
+        params=params, window=Window(side=100.0 * c), replications=40, fading_draws=20, master_seed=5,
+        tier=tier, direction=direction, average_all_receivers=every,
+    )
+
+
+@pytest.mark.parametrize("tier", ["muw", "mmw"])
+def test_unit_of_length_changes_no_estimate(tier):
+    # The model has no absolute length: the SE depends only on lambda_u
+    # times the area, lambda_hat, lambda_b R_L^2, theta and alpha.  With
+    # every length times c and every density over c^2, every estimate keeps
+    # its counts, and its mean to a few ulps.  At c = 2 the coordinates,
+    # Poisson counts, cells and streams scale exactly and only (2 r)^-alpha
+    # rounds, so at alpha = 4 (muW) every estimate is bit-identical.
+    for direction in ("dl", "ul"):
+        for every in (False, True):
+            base = estimate_se(_scaled(1, tier, direction, every))
+            for c in (2, 3):
+                est = estimate_se(_scaled(c, tier, direction, every))
+                case = (direction, every, c, base, est)
+                assert (est.n, est.interference_free_fraction, est.discarded) == (
+                    base.n, base.interference_free_fraction, base.discarded
+                ), case
+                assert abs(est.mean - base.mean) <= 16 * math.ulp(base.mean), case
+                assert est.ci_half_width == pytest.approx(base.ci_half_width, rel=1e-12), case
+                if c == 2 and tier == "muw":
+                    assert est == base, case
 
 
 # --- interference-free accounting --------------------------------------------------------

@@ -12,8 +12,9 @@ A reader is an AST read:
   the home module itself, or a string key of a dict literal naming it in
   another file (perfbench's hook tables patch attributes by name, keyed by
   the attribute);
-- a class member is read by an attribute load of its name or a string key
-  of a dict literal naming it.
+- a class member is read by an attribute load of its name on anything but
+  an imported module (``oracles.gammas`` reads a module-level name, not
+  ``AllocationResult.gammas``) or a string key of a dict literal naming it.
 A quoted annotation reads the names it holds.
 
 These are not readers: the ``__all__`` lists, keyword arguments (a
@@ -156,10 +157,10 @@ class _Reads(ast.NodeVisitor):
     def visit_Attribute(self, node):
         if isinstance(node.ctx, ast.Load):
             module = self._resolve(node.value)
+            own = self._post_init and isinstance(node.value, ast.Name) and node.value.id == "self"
             if module is not None:
                 self.qualified.add((module, node.attr))
-            own = self._post_init and isinstance(node.value, ast.Name) and node.value.id == "self"
-            if not own:
+            elif not own:
                 self.attrs.add(node.attr)
         self.generic_visit(node)
 
